@@ -1,37 +1,34 @@
-"""KitNET training-phase throughput: sequential reference vs engines.
+"""KitNET cold start: both grace periods, reference vs shipped engines.
 
-The execute phase went batched in PR 5; profiling then showed the
-*training* grace period dominating every cold start (the ``repro-cli
-profile`` ``kitnet-train`` stage) — per-row Python dispatch through
-every group autoencoder for the whole ad-grace prefix. This bench
-replays the Mirai feature stream's training prefix three ways:
+A Kitsune session scores nothing until its two grace periods finish,
+so their cost is the detector's cold start. This bench replays the
+Mirai feature stream's grace prefix and times each phase on its own:
 
-* the sequential per-row reference (``KitNET.process`` — the bit-exact
-  trajectory),
-* the cross-group parallel online engine (``train_workers=...``),
-  which must match the reference **bit for bit** — scores and final
-  weights — or the bench fails (a fast-but-wrong engine must not pass),
-* the stacked mini-batch SGD engine (``train_mode="minibatch"``) at
-  several flush sizes — an intentionally different learning trajectory
-  (pinned by its own golden fixture in the test suite), so it is only
-  sanity-checked for finiteness here.
-
-The feature-mapping prefix (including the one-time correlation
-clustering in ``FeatureMapper.finalise``) is replayed untimed on every
-detector: it is identical work on every path and not what the training
-engines accelerate. Timings cover the ad-grace rows only.
+* **feature mapping** (``fm-grace`` row) — the per-row correlation
+  sums plus the one-time clustering in ``FeatureMapper.finalise``. The
+  oracle clusters by brute force (every cluster pair's block minimum
+  rescanned on every merge, ``tests/test_feature_mapper_cluster.py``);
+  the shipped mapper updates one cluster-distance matrix per merge.
+  Both must produce identical groups or the bench fails.
+* **training** — the sequential per-row reference
+  (``KitNET.process``), the shipped default ``process_batch`` (the
+  stacked online engine), which must match the reference **bit for
+  bit** — scores, every weight and both scalers — or the bench fails,
+  and the stacked mini-batch SGD engine (``train_mode="minibatch"``)
+  at several flush sizes: an intentionally different learning
+  trajectory (pinned by its own golden fixture in the test suite), so
+  it is only sanity-checked for finiteness here.
 
 Run the acceptance configuration with::
 
     PYTHONPATH=src pytest benchmarks/bench_kitnet_train.py -s --scale 1.0
 
-At full scale the best engine must be >= 3x the sequential reference.
-Results land in ``BENCH_kitnet_train.json``.
+At full scale the best training engine must be >= 3x the sequential
+reference. Results land in ``BENCH_kitnet_train.json``.
 """
 
 from __future__ import annotations
 
-import os
 import time
 
 import numpy as np
@@ -41,6 +38,7 @@ from repro.ids.kitsune.kitnet import KitNET
 from repro.utils.rng import SeededRNG
 
 from benchmarks.conftest import save_bench_json, save_result, scale_or
+from tests.test_feature_mapper_cluster import brute_force_cluster
 
 DEFAULT_SCALE = 1.0
 SEED = 0
@@ -76,14 +74,17 @@ def _training_stream(scale: float):
     )
 
 
-def _weights(detector: KitNET) -> list[np.ndarray]:
-    layers = []
+def _state(detector: KitNET) -> list[np.ndarray]:
+    """Every weight and bias, then both scalers' extrema."""
+    arrays = []
     for ae in [*detector.ensemble, detector.output_layer]:
-        layers += [
+        arrays += [
             ae.encoder.weights, ae.encoder.bias,
             ae.decoder.weights, ae.decoder.bias,
         ]
-    return layers
+    for scaler in (detector.scaler, detector._output_scaler):
+        arrays += [scaler.min, scaler.max]
+    return arrays
 
 
 def test_kitnet_train_throughput(bench_scale):
@@ -93,46 +94,57 @@ def test_kitnet_train_throughput(bench_scale):
     assert n_rows > 0, f"no training rows at scale {scale}"
 
     def fresh(**kwargs) -> KitNET:
-        detector = KitNET(
+        return KitNET(
             dim,
             fm_grace=fm_grace,
             ad_grace=ad_grace,
             rng=SeededRNG(SEED, "bench-kitnet-train"),
             **kwargs,
         )
-        # Feature-mapping prefix (and the one-time clustering) untimed:
-        # identical on every path, and not what the engines accelerate.
-        detector.process_batch(fm_rows)
-        return detector
 
+    # Feature mapping: per-row sums, then clustering (oracle vs shipped).
     reference = fresh()
+    mapper = reference.mapper
+    mapper._cluster = lambda distance: brute_force_cluster(
+        distance, mapper.max_group
+    )
+    start = time.perf_counter()
+    for row in fm_rows:
+        reference.process(row)
+    fm_oracle_seconds = time.perf_counter() - start
+    shipped = fresh()
+    start = time.perf_counter()
+    shipped.process_batch(fm_rows)
+    fm_seconds = time.perf_counter() - start
+    assert shipped.mapper.groups == reference.mapper.groups, (
+        "incremental clustering diverged from the brute-force oracle"
+    )
+
+    # Training: per-row reference vs the shipped default process_batch.
     start = time.perf_counter()
     reference_scores = np.array(
         [reference.process(row) for row in train_rows]
     )
     reference_seconds = time.perf_counter() - start
     reference_pps = n_rows / reference_seconds
-
-    # Cross-group parallel online engine: must be bit-identical.
-    workers = max(2, min(8, os.cpu_count() or 1))
-    parallel = fresh(train_workers=workers)
     start = time.perf_counter()
-    parallel_scores = parallel.process_batch(train_rows)
-    parallel_seconds = time.perf_counter() - start
-    assert np.array_equal(parallel_scores, reference_scores), (
-        f"parallel-online (workers={workers}) diverged from the "
-        "sequential reference — parity contract broken"
+    online_scores = shipped.process_batch(train_rows)
+    online_seconds = time.perf_counter() - start
+    assert np.array_equal(online_scores, reference_scores), (
+        "stacked online training diverged from the sequential "
+        "reference — parity contract broken"
     )
     assert all(
         np.array_equal(a, b)
-        for a, b in zip(_weights(reference), _weights(parallel))
-    ), "parallel-online final weights diverged from the reference"
+        for a, b in zip(_state(reference), _state(shipped))
+    ), "stacked online weights or scalers diverged from the reference"
 
     # Mini-batch SGD engine: different trajectory by design, so only
     # sanity-checked (the golden fixture pins its scores in the tests).
     minibatch_rows = {}
     for train_batch in TRAIN_BATCHES:
         detector = fresh(train_mode="minibatch", train_batch=train_batch)
+        detector.process_batch(fm_rows)
         start = time.perf_counter()
         scores = detector.process_batch(train_rows)
         elapsed = time.perf_counter() - start
@@ -147,27 +159,36 @@ def test_kitnet_train_throughput(bench_scale):
 
     best_batch = max(minibatch_rows, key=lambda b: minibatch_rows[b]["pps"])
     minibatch_speedup = minibatch_rows[best_batch]["pps"] / reference_pps
-    parallel_speedup = reference_seconds / parallel_seconds
-    speedup = max(minibatch_speedup, parallel_speedup)
+    online_speedup = reference_seconds / online_seconds
+    fm_speedup = fm_oracle_seconds / fm_seconds
+    speedup = max(minibatch_speedup, online_speedup)
 
     lines = [
-        f"kitnet training throughput @ scale={scale} dataset={DATASET} "
-        f"seed={SEED} ({n_rows} training rows, "
+        f"kitnet cold start @ scale={scale} dataset={DATASET} "
+        f"seed={SEED} ({len(fm_rows)} fm rows, {n_rows} training rows, "
         f"{len(reference.ensemble)} groups)",
-        f"  {'path':26s} {'rows/s':>12s} {'seconds':>9s}",
-        f"  {'sequential reference':26s} {reference_pps:12,.0f} "
+        f"  {'path':30s} {'rows/s':>12s} {'seconds':>9s}",
+        f"  {'fm-grace (brute-force oracle)':30s} "
+        f"{len(fm_rows) / fm_oracle_seconds:12,.0f} "
+        f"{fm_oracle_seconds:9.3f}",
+        f"  {'fm-grace (shipped)':30s} "
+        f"{len(fm_rows) / fm_seconds:12,.0f} {fm_seconds:9.3f}",
+        f"  {'sequential reference':30s} {reference_pps:12,.0f} "
         f"{reference_seconds:9.3f}",
-        f"  {f'parallel-online (w={workers})':26s} "
-        f"{n_rows / parallel_seconds:12,.0f} {parallel_seconds:9.3f}",
+        f"  {'stacked online (shipped)':30s} "
+        f"{n_rows / online_seconds:12,.0f} {online_seconds:9.3f}",
     ]
     for train_batch, row in minibatch_rows.items():
         lines.append(
-            f"  {f'minibatch (tb={train_batch})':26s} "
+            f"  {f'minibatch (tb={train_batch})':30s} "
             f"{row['pps']:12,.0f} {row['seconds']:9.3f}"
         )
     lines.append(
-        f"  parallel-online speedup: {parallel_speedup:.2f}x "
-        "(bit-for-bit parity verified, scores and weights)"
+        f"  fm-grace speedup: {fm_speedup:.2f}x (identical groups verified)"
+    )
+    lines.append(
+        f"  stacked online speedup: {online_speedup:.2f}x "
+        "(bit-for-bit parity verified: scores, weights, scalers)"
     )
     lines.append(
         f"  minibatch speedup: {minibatch_speedup:.2f}x "
@@ -180,21 +201,28 @@ def test_kitnet_train_throughput(bench_scale):
         value=round(speedup, 3),
         scale=scale,
         dataset=DATASET,
+        fm_rows=len(fm_rows),
         train_rows=n_rows,
         groups=len(reference.ensemble),
-        parallel_workers=workers,
-        parallel_backend="thread",
-        parallel_parity=True,
-        parallel_speedup=round(parallel_speedup, 3),
+        fm_oracle_seconds=round(fm_oracle_seconds, 4),
+        fm_seconds=round(fm_seconds, 4),
+        fm_speedup=round(fm_speedup, 3),
+        online_parity=True,
+        online_speedup=round(online_speedup, 3),
         minibatch_speedup=round(minibatch_speedup, 3),
         best_train_batch=best_batch,
         reference_rows_per_second=round(reference_pps),
+        online_rows_per_second=round(n_rows / online_seconds),
         minibatch_rows_per_second={
             str(batch): round(row["pps"])
             for batch, row in minibatch_rows.items()
         },
     )
 
+    # The shipped default must never lose to the reference it replays.
+    assert online_speedup > 1.0, (
+        f"stacked online training {online_speedup:.2f}x the reference"
+    )
     # The best engine must clear the acceptance gate at full scale.
     if scale >= 1.0:
         assert speedup >= FULL_SCALE_SPEEDUP, (

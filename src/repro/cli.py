@@ -500,7 +500,6 @@ def _cmd_profile(args: argparse.Namespace) -> int:
             compare_scalar=not args.no_compare,
             batch_size=args.batch,
             train_batch=args.train_batch,
-            train_workers=args.train_workers,
         )
     except RuntimeError as error:
         # e.g. --engine vector-native on a box without a C compiler.
@@ -831,11 +830,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_profile.add_argument("--train-batch", type=_positive_int, default=32,
                            help="mini-batch size for the "
                                 "kitnet-train-batched stage (default 32)")
-    p_profile.add_argument("--train-workers", type=_positive_int,
-                           help="profile the cross-group parallel online "
-                                "training engine with this many workers "
-                                "(bit-identical, parity-checked) instead "
-                                "of mini-batch SGD")
     p_profile.add_argument("--no-compare", action="store_true",
                            help="skip the scalar-reference NetStat "
                                 "timing comparison")

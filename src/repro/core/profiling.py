@@ -19,8 +19,7 @@ stage consumes whatever that backend produced, so the pair shows the
 end-to-end capture-to-features cost of each path. The KitNET stage is split into the
 sequential grace periods (``kitnet-train``), the batched training
 engine replaying the same prefix (``kitnet-train-batched`` — mini-batch
-SGD by default, or the bit-identical cross-group parallel engine when
-``train_workers`` is set), the per-packet execute reference
+SGD), the per-packet execute reference
 (``kitnet``) and the packed batched engine re-scoring the same rows
 (``kitnet-batch``), whose scores are parity-checked bit for bit while
 they are timed.
@@ -86,15 +85,8 @@ class PacketPathProfile:
     scalar_netstat_seconds: float | None = None
     batch_size: int = 256
     kitnet_batch_parity: bool | None = None
-    #: Training-engine stage configuration: ``train_mode`` is
-    #: ``"minibatch"`` (default; an intentionally different learning
-    #: trajectory, so no parity claim) or ``"parallel-online"`` (when
-    #: ``train_workers`` is set; bit-identical to ``kitnet-train``,
-    #: asserted by ``kitnet_train_parity``).
-    train_mode: str = "minibatch"
+    #: Flush size of the ``kitnet-train-batched`` stage's mini-batch SGD.
     train_batch: int = 32
-    train_workers: int | None = None
-    kitnet_train_parity: bool | None = None
 
     @property
     def total_seconds(self) -> float:
@@ -171,20 +163,10 @@ class PacketPathProfile:
             )
         train_speedup = self.kitnet_train_speedup
         if train_speedup is not None:
-            if self.train_mode == "parallel-online":
-                contract = (
-                    "bit-identical" if self.kitnet_train_parity
-                    else "PARITY BROKEN"
-                )
-                detail = f"workers={self.train_workers}, {contract}"
-            else:
-                detail = (
-                    f"train_batch={self.train_batch}, "
-                    "mini-batch trajectory"
-                )
             lines.append(
                 f"  kitnet batched training speedup vs sequential: "
-                f"{train_speedup:.2f}x ({self.train_mode}, {detail})"
+                f"{train_speedup:.2f}x (minibatch, "
+                f"train_batch={self.train_batch}, mini-batch trajectory)"
             )
         batch_speedup = self.kitnet_batch_speedup
         if batch_speedup is not None:
@@ -215,11 +197,12 @@ class PacketPathProfile:
             "batch_size": self.batch_size,
             "kitnet_batch_speedup": self.kitnet_batch_speedup,
             "kitnet_batch_parity": self.kitnet_batch_parity,
-            "train_mode": self.train_mode,
+            # The batched training stage is mini-batch SGD, a different
+            # trajectory by design, so it makes no parity claim.
+            "train_mode": "minibatch",
             "train_batch": self.train_batch,
-            "train_workers": self.train_workers,
             "kitnet_train_speedup": self.kitnet_train_speedup,
-            "kitnet_train_parity": self.kitnet_train_parity,
+            "kitnet_train_parity": None,
             "stages": [
                 {
                     "stage": stage.stage,
@@ -258,7 +241,6 @@ def profile_packet_path(
     compare_scalar: bool = True,
     batch_size: int = 256,
     train_batch: int = 32,
-    train_workers: int | None = None,
     dataset_provider=None,
 ) -> PacketPathProfile:
     """Time ingest → netstat → kitnet-train → kitnet-train-batched →
@@ -271,10 +253,8 @@ def profile_packet_path(
     backend registry) and the ``netstat`` stage consumes exactly what
     ingest produced — packet objects or column batches.
 
-    ``train_workers=None`` (default) profiles the mini-batch training
-    engine with ``train_batch``-row flush groups; setting it profiles
-    the cross-group parallel online engine instead and parity-checks
-    its scores bit for bit against the sequential grace periods.
+    The ``kitnet-train-batched`` stage profiles the mini-batch training
+    engine with ``train_batch``-row flush groups.
     """
     import tempfile
     from pathlib import Path
@@ -361,36 +341,23 @@ def profile_packet_path(
     )
     train_rows = features[:boundary]
     start = time.perf_counter()
-    train_reference_scores = np.array(
-        [detector.process(row) for row in train_rows]
-    )
+    for row in train_rows:
+        detector.process(row)
     train_seconds = time.perf_counter() - start
 
-    # Same training prefix through the batched engine on a twin
-    # detector: mini-batch SGD by default (different trajectory, no
-    # parity claim), or the cross-group parallel online engine when
-    # workers are requested (bit-identical, parity-checked).
-    train_mode = "parallel-online" if train_workers else "minibatch"
-    twin_kwargs = (
-        {"train_workers": train_workers}
-        if train_workers
-        else {"train_mode": "minibatch", "train_batch": train_batch}
-    )
+    # Same training prefix through mini-batch SGD on a twin detector
+    # (different trajectory by design, so no parity claim).
     twin = KitNET(
         extractor.feature_count,
         fm_grace=fm_grace,
         ad_grace=ad_grace,
+        train_mode="minibatch",
+        train_batch=train_batch,
         rng=SeededRNG(seed, "profile"),
-        **twin_kwargs,
     )
     start = time.perf_counter()
-    train_batched_scores = twin.process_batch(train_rows)
+    twin.process_batch(train_rows)
     train_batched_seconds = time.perf_counter() - start
-    train_parity = (
-        bool(np.array_equal(train_batched_scores, train_reference_scores))
-        if train_mode == "parallel-online"
-        else None
-    )
     del twin
 
     execute_rows = features[boundary:]
@@ -434,8 +401,5 @@ def profile_packet_path(
         scalar_netstat_seconds=scalar_seconds,
         batch_size=batch_size,
         kitnet_batch_parity=batch_parity,
-        train_mode=train_mode,
         train_batch=train_batch,
-        train_workers=train_workers,
-        kitnet_train_parity=train_parity,
     )

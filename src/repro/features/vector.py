@@ -82,6 +82,16 @@ def _mt_pool() -> ThreadPoolExecutor:
     return _mt_pool_instance
 
 
+def _forget_mt_pool() -> None:
+    # A forked child (a sharded stream worker) inherits the pool object
+    # but none of its threads; work submitted to it would never run.
+    global _mt_pool_instance
+    _mt_pool_instance = None
+
+
+os.register_at_fork(after_in_child=_forget_mt_pool)
+
+
 #: Override for :func:`measured_mt_speedup`: ``off``/``0``/``false``
 #: disables the probe (no measurement signal), a float fakes its result
 #: (deterministic tests, pre-measured hosts).

@@ -47,6 +47,11 @@ class FeatureMapper:
                 for i in range(0, self.dim, self.max_group)
             ]
             return self.groups
+        self.groups = self._cluster(self.distance())
+        return self.groups
+
+    def distance(self) -> np.ndarray:
+        """The ``1 - |correlation|`` matrix the clustering runs on."""
         n = self._count
         mean = self._sum / n
         var = self._sum_sq / n - mean * mean
@@ -56,31 +61,44 @@ class FeatureMapper:
         with np.errstate(divide="ignore", invalid="ignore"):
             corr = np.where(denom > 0, cov / denom, 0.0)
         np.fill_diagonal(corr, 1.0)
-        distance = 1.0 - np.abs(corr)
-        self.groups = self._cluster(distance)
-        return self.groups
+        return 1.0 - np.abs(corr)
 
     def _cluster(self, distance: np.ndarray) -> list[list[int]]:
-        """Agglomerative single-linkage clustering with a size cap."""
-        clusters: list[list[int]] = [[i] for i in range(self.dim)]
-        # Single-linkage distance between clusters, updated lazily.
-        while len(clusters) > 1:
-            best_pair: tuple[int, int] | None = None
-            best_distance = np.inf
-            for i in range(len(clusters)):
-                for j in range(i + 1, len(clusters)):
-                    if len(clusters[i]) + len(clusters[j]) > self.max_group:
-                        continue
-                    d = distance[np.ix_(clusters[i], clusters[j])].min()
-                    if d < best_distance:
-                        best_distance = d
-                        best_pair = (i, j)
-            if best_pair is None:  # nothing mergeable under the cap
+        """Agglomerative single-linkage clustering with a size cap.
+
+        Keeps one cluster-to-cluster distance matrix, indexed by slot.
+        Merging slot ``j`` into slot ``i`` replaces row and column ``i``
+        with ``np.minimum`` of both rows (the Lance-Williams update for
+        single linkage) and retires slot ``j``. Slots keep their
+        original relative order, so the row-major ``argmin`` over the
+        mergeable upper triangle picks the same first strictly-closest
+        pair as a scan of every pair's block minimum would. ``np.minimum``
+        propagates NaN like a block ``min()`` does, and NaN or infinite
+        distances never merge.
+        """
+        size = np.ones(self.dim, dtype=np.intp)
+        members: list[list[int]] = [[i] for i in range(self.dim)]
+        linkage = np.array(distance, dtype=np.float64)
+        upper = np.triu(np.ones((self.dim, self.dim), dtype=bool), k=1)
+        while True:
+            mergeable = (
+                upper
+                & (size[:, None] + size[None, :] <= self.max_group)
+                & (linkage < np.inf)
+            )
+            best = int(np.where(mergeable, linkage, np.inf).argmin())
+            if not mergeable.flat[best]:  # nothing mergeable under the cap
                 break
-            i, j = best_pair
-            clusters[i] = clusters[i] + clusters[j]
-            del clusters[j]
-        return clusters
+            i, j = divmod(best, self.dim)
+            merged = np.minimum(linkage[i], linkage[j])
+            linkage[i] = merged
+            linkage[:, i] = merged
+            linkage[j] = np.inf
+            linkage[:, j] = np.inf
+            size[i] += size[j]
+            size[j] = 0
+            members[i] = members[i] + members[j]
+        return [members[slot] for slot in range(self.dim) if size[slot]]
 
     @property
     def is_final(self) -> bool:

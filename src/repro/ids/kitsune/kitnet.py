@@ -32,8 +32,6 @@ class KitNET:
     # engine existed still dispatch to the online reference path.
     train_mode = "online"
     train_batch = 32
-    train_workers: int | None = None
-    train_backend = "thread"
     ensemble_backend = "auto"
 
     def __init__(
@@ -47,8 +45,6 @@ class KitNET:
         learning_rate: float = 0.1,
         train_mode: str = "online",
         train_batch: int = 32,
-        train_workers: int | None = None,
-        train_backend: str = "thread",
         ensemble_backend: str = "auto",
         rng: SeededRNG,
     ) -> None:
@@ -58,11 +54,6 @@ class KitNET:
             raise ValueError(
                 f"train_mode must be 'online' or 'minibatch', "
                 f"got {train_mode!r}"
-            )
-        if train_backend not in ("thread", "process"):
-            raise ValueError(
-                f"train_backend must be 'thread' or 'process', "
-                f"got {train_backend!r}"
             )
         if ensemble_backend != "auto":
             # Fail fast with the registry's known-backend message.
@@ -80,14 +71,6 @@ class KitNET:
         #: :mod:`repro.ml.batched_train`).
         self.train_mode = train_mode
         self.train_batch = int(check_positive("train_batch", train_batch))
-        #: When set, batched training of an ``"online"``-mode detector
-        #: shards the per-group train loops across this many workers —
-        #: bit-identical to the sequential reference.
-        self.train_workers = (
-            None if train_workers is None
-            else int(check_positive("train_workers", train_workers))
-        )
-        self.train_backend = train_backend
         #: Execute-phase scoring backend: ``"auto"`` / the registered
         #: ``"batched-einsum"`` (packed ensemble) or ``"per-row"``
         #: (reference loop) — bit-identical, a pure throughput knob.
@@ -103,10 +86,9 @@ class KitNET:
         self.samples_seen = 0
         #: Lazily packed execute-phase scorer; any train step resets it.
         self._batched_ensemble = None
-        #: Lazily built training engines (see repro.ml.batched_train);
+        #: Lazily built mini-batch engine (see repro.ml.batched_train);
         #: torn down when the training grace period completes.
         self._minibatch_engine = None
-        self._sharded_engine = None
 
     # -- lifecycle -------------------------------------------------------
     @property
@@ -242,7 +224,7 @@ class KitNET:
                 trained / self.ad_grace
             )
 
-    # -- batched / parallel training --------------------------------------
+    # -- batched training ---------------------------------------------------
     def _minibatch_trainer(self):
         """The packed mini-batch engine (train_mode="minibatch" only).
 
@@ -259,21 +241,6 @@ class KitNET:
                 learning_rate=self.learning_rate,
             )
             self._minibatch_engine = engine
-        return engine
-
-    def _sharded_trainer(self):
-        """The cross-group parallel online engine (train_workers set)."""
-        engine = getattr(self, "_sharded_engine", None)
-        if engine is None:
-            from repro.ml.batched_train import ShardedGroupTrainer
-
-            engine = ShardedGroupTrainer(
-                self.ensemble,
-                self._group_arrays(),
-                workers=self.train_workers or 1,
-                backend=self.train_backend,
-            )
-            self._sharded_engine = engine
         return engine
 
     def _train_rows_minibatch(self, matrix: np.ndarray) -> np.ndarray:
@@ -303,38 +270,53 @@ class KitNET:
             )
         return scores
 
-    def _train_rows_parallel(self, matrix: np.ndarray) -> np.ndarray:
-        """Cross-group parallel online training — bit-identical.
+    def _train_rows_online(self, matrix: np.ndarray) -> np.ndarray:
+        """Online training over a run of rows — bit-identical to
+        :meth:`_train_step` per row.
 
-        The input scaler's per-row fit-transform trajectory is computed
-        vectorized (running extrema), the per-group train loops run
-        sharded across workers (each group's SGD sequence is untouched,
-        groups share no state), and the output layer — one small
-        autoencoder whose input couples all groups per row — replays
-        its sequential per-row loop. Every float operation matches the
-        reference loop, so scores and final weights are bit-identical.
+        In passes of at most ``ROWS_PER_PASS`` rows, both scalers'
+        per-row trajectories are computed vectorized (running extrema)
+        and the stacked online engine replays the per-row SGD: first
+        the group autoencoders over the pass, then the output
+        autoencoder over the pass's scaled RMSE rows (each row's input
+        depends only on that row's group RMSEs). The engines pack the
+        weights here and write them back before returning, so calls of
+        any size compose with per-row :meth:`process` calls.
         """
+        from repro.ml.batched_train import (
+            ROWS_PER_PASS,
+            OnlineEnsembleTrainer,
+        )
+
         self._record_training(matrix.shape[0])
         self._batched_ensemble = None
         assert self._output_scaler is not None and self.output_layer is not None
-        scaled = self.scaler.fit_transform_running(matrix)
-        rmses = self._sharded_trainer().train_rows(scaled)
+        ensemble = OnlineEnsembleTrainer(self.ensemble, self._group_arrays())
+        output = OnlineEnsembleTrainer(
+            [self.output_layer], [np.arange(len(self.ensemble))]
+        )
         scores = np.empty(matrix.shape[0])
-        output_scaler = self._output_scaler
-        output_layer = self.output_layer
-        for i in range(matrix.shape[0]):
-            scaled_rmses = output_scaler.fit_transform(rmses[i])
-            scores[i] = output_layer.train_score(scaled_rmses)
+        for start in range(0, matrix.shape[0], ROWS_PER_PASS):
+            chunk = matrix[start : start + ROWS_PER_PASS]
+            scaled = self.scaler.fit_transform_running(chunk)
+            rmses = ensemble.train_rows(scaled)
+            scaled_rmses = self._output_scaler.fit_transform_running(rmses)
+            scores[start : start + len(chunk)] = output.train_rows(
+                scaled_rmses
+            )[:, 0]
+        ensemble.sync()
+        output.sync()
         return scores
 
     def _finish_training(self) -> None:
-        """Last training row done: sync and tear down the engines.
+        """Last training row done: sync and tear down the mini-batch
+        engine.
 
         Fires at ``samples_seen == fm_grace + ad_grace - 1`` — the last
         row the online reference actually trains on. The row that takes
         ``samples_seen`` to the boundary itself goes through
         :meth:`_execute` (``in_training`` is checked after the
-        increment), so engines must be synced before it scores. The
+        increment), so the engine must be synced before it scores. The
         scalers are deliberately *not* frozen: the reference trajectory
         never freezes them, and bit-parity extends to detector state.
         """
@@ -342,10 +324,6 @@ class KitNET:
         if engine is not None:
             engine.sync()
             self._minibatch_engine = None
-        sharded = getattr(self, "_sharded_engine", None)
-        if sharded is not None:
-            sharded.close()
-            self._sharded_engine = None
 
     def _execute(self, row: np.ndarray) -> float:
         assert self._output_scaler is not None and self.output_layer is not None
@@ -424,14 +402,13 @@ class KitNET:
     def process_batch(self, matrix: np.ndarray) -> np.ndarray:
         """Feed a batch of instances; returns one score per row.
 
-        In the default configuration this is equivalent to (and
-        bit-identical with) looping :meth:`process`: grace-period rows
-        are processed one at a time and the remaining execute-phase
-        rows are scored through :meth:`execute_batch`. With
-        ``train_workers`` set, training rows instead go through the
-        cross-group parallel engine — still bit-identical to the
-        sequential reference. With ``train_mode="minibatch"`` they take
-        the stacked mini-batch SGD path, an intentionally different
+        In the default online mode this is bit-identical to looping
+        :meth:`process` — scores and every piece of detector state.
+        Feature-mapping rows go one at a time, training rows through
+        the stacked online engine (:meth:`_train_rows_online`), and
+        the remaining execute-phase rows through :meth:`execute_batch`.
+        With ``train_mode="minibatch"`` training rows take the stacked
+        mini-batch SGD path instead, an intentionally different
         learning trajectory pinned by its own golden fixture.
         """
         matrix = self._as_matrix(matrix)
@@ -447,39 +424,26 @@ class KitNET:
             scores[i] = self.process(matrix[i])
             i += 1
         if i < n and self.samples_seen < boundary:
-            batched_train = (
-                self.train_mode == "minibatch"
-                or self.train_workers is not None
-            )
-            if batched_train:
-                if self.output_layer is None:
-                    self._build_ensemble()
-                # The reference trains rows whose post-increment count is
-                # in [fm+1, fm+ad-1]; the row reaching the boundary goes
-                # through per-row _execute without fitting the scalers.
-                take = min(n - i, boundary - 1 - self.samples_seen)
-                if take > 0:
-                    chunk = matrix[i : i + take]
-                    self.samples_seen += take
-                    if self.train_mode == "minibatch":
-                        scores[i : i + take] = self._train_rows_minibatch(
-                            chunk
-                        )
-                    else:
-                        scores[i : i + take] = self._train_rows_parallel(
-                            chunk
-                        )
-                    i += take
-                if self.samples_seen == boundary - 1:
-                    self._finish_training()
-                # The boundary-crossing row (per-row execute semantics).
-                while i < n and self.samples_seen < boundary:
-                    scores[i] = self.process(matrix[i])
-                    i += 1
-            else:
-                while i < n and self.samples_seen < boundary:
-                    scores[i] = self.process(matrix[i])
-                    i += 1
+            if self.output_layer is None:
+                self._build_ensemble()
+            # The reference trains rows whose post-increment count is
+            # in [fm+1, fm+ad-1]; the row reaching the boundary goes
+            # through per-row _execute without fitting the scalers.
+            take = min(n - i, boundary - 1 - self.samples_seen)
+            if take > 0:
+                chunk = matrix[i : i + take]
+                self.samples_seen += take
+                if self.train_mode == "minibatch":
+                    scores[i : i + take] = self._train_rows_minibatch(chunk)
+                else:
+                    scores[i : i + take] = self._train_rows_online(chunk)
+                i += take
+            if self.samples_seen == boundary - 1:
+                self._finish_training()
+            # The boundary-crossing row (per-row execute semantics).
+            while i < n and self.samples_seen < boundary:
+                scores[i] = self.process(matrix[i])
+                i += 1
         if i < n:
             scores[i:] = self.execute_batch(matrix[i:])
         return scores

@@ -40,16 +40,13 @@ class Kitsune(PacketIDS):
         netstat_engine: str = "vector",
         train_mode: str = "online",
         train_batch: int = 32,
-        train_workers: int | None = None,
-        train_backend: str = "thread",
         ensemble_backend: str = "auto",
     ) -> None:
         # The vectorized AfterImage engine is bit-identical to the
         # scalar reference (tests/test_features_parity.py), so the
-        # engine choice is a pure throughput knob. Likewise
-        # ``train_workers`` (cross-group parallel online training is
-        # bit-identical); ``train_mode="minibatch"`` is an opt-in
-        # trajectory change (see repro.ml.batched_train).
+        # engine choice is a pure throughput knob;
+        # ``train_mode="minibatch"`` is an opt-in trajectory change
+        # (see repro.ml.batched_train).
         self.netstat = NetStat(decays, engine=netstat_engine)
         from repro.ids.kitsune.kitnet import KitNET
 
@@ -62,8 +59,6 @@ class Kitsune(PacketIDS):
             learning_rate=learning_rate,
             train_mode=train_mode,
             train_batch=train_batch,
-            train_workers=train_workers,
-            train_backend=train_backend,
             ensemble_backend=ensemble_backend,
             rng=SeededRNG(seed, "kitsune"),
         )
@@ -86,7 +81,7 @@ class Kitsune(PacketIDS):
         Features are extracted sequentially into one matrix and handed
         to :meth:`KitNET.process_batch` — bit-identical to the per-row
         loop in the default configuration, and the hook through which
-        the batched/parallel training engines see whole chunks.
+        the stacked training engines see whole chunks.
         """
         self.kitnet.process_batch(self.netstat.extract_all(packets))
 

@@ -7,9 +7,9 @@ BPTT (HELAD's temporal model), and a feed-forward binary classifier
 (the DNN study's 3-hidden-layer network). :mod:`repro.ml.batched`
 packs an ensemble of autoencoders for batched execute-phase scoring,
 bit-identical to the per-row loops; :mod:`repro.ml.batched_train` is
-its training counterpart — stacked mini-batch SGD over the same shape
-buckets, plus cross-group parallel online training with the exact
-sequential trajectory.
+its training counterpart — stacked online training with the exact
+per-row trajectory, plus stacked mini-batch SGD over the same shape
+buckets.
 """
 
 from repro.ml.activations import identity, relu, sigmoid, tanh
@@ -18,7 +18,7 @@ from repro.ml.optimizers import SGD, Adam
 from repro.ml.losses import binary_cross_entropy, mean_squared_error
 from repro.ml.autoencoder import Autoencoder
 from repro.ml.batched import BatchedEnsemble
-from repro.ml.batched_train import MiniBatchTrainer, ShardedGroupTrainer
+from repro.ml.batched_train import MiniBatchTrainer, OnlineEnsembleTrainer
 from repro.ml.lstm import LSTMRegressor
 from repro.ml.mlp import MLPClassifier
 
@@ -35,7 +35,7 @@ __all__ = [
     "Autoencoder",
     "BatchedEnsemble",
     "MiniBatchTrainer",
-    "ShardedGroupTrainer",
+    "OnlineEnsembleTrainer",
     "LSTMRegressor",
     "MLPClassifier",
 ]

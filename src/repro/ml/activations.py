@@ -22,8 +22,8 @@ class Activation:
 
     def __reduce__(self):
         # The f/df lambdas are not picklable; serialise by name so
-        # models holding activations (e.g. autoencoders shipped to
-        # training worker processes) round-trip through pickle.
+        # models holding activations (e.g. autoencoders in a pickled
+        # detector checkpoint) round-trip through pickle.
         return (by_name, (self.name,))
 
 

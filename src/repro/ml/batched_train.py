@@ -1,29 +1,24 @@
-"""Batched and parallel training engines for an autoencoder ensemble.
+"""Stacked training engines for an autoencoder ensemble.
 
 :mod:`repro.ml.batched` made KitNET's *execute* phase a handful of
 stacked einsum contractions; this module is its training counterpart.
-Two engines with very different contracts:
+Both engines pack the per-group weights into shape buckets, with very
+different contracts:
 
-* :class:`MiniBatchTrainer` — **mini-batch SGD** over the same shape
-  buckets :class:`~repro.ml.batched.BatchedEnsemble` builds. A chunk of
-  N scaled rows is forwarded and backpropagated against *all* groups in
-  a few stacked contractions, and one averaged-gradient SGD step is
-  applied per autoencoder per chunk. This intentionally changes the
+* :class:`OnlineEnsembleTrainer` — **the exact online trajectory**.
+  Rows are still trained one at a time (SGD is sequential), but each
+  row drives one stacked forward/backward pass per bucket instead of
+  one Python-level ``train_score`` call per group. Scores, weights and
+  ``samples_trained`` are **bit-identical** to the per-row reference
+  loop; KitNET's default ``process_batch`` trains through it.
+
+* :class:`MiniBatchTrainer` — **mini-batch SGD**. A chunk of N scaled
+  rows is forwarded and backpropagated against *all* groups in a few
+  stacked contractions, and one averaged-gradient SGD step is applied
+  per autoencoder per chunk. This intentionally changes the
   online-learning trajectory (scores are pinned by their own golden
-  fixture) in exchange for removing every per-row Python dispatch —
-  the opt-in behind ``KitNET(train_mode="minibatch")``.
-
-* :class:`ShardedGroupTrainer` — **cross-group parallelism with the
-  exact online trajectory**. Per-group autoencoders train independently
-  given the scaled row: each group's SGD sequence only ever touches its
-  own weights, and the per-row RMSE vector is a pure gather of the
-  per-group results. So the groups are sharded round-robin across
-  workers (threads, or processes for true parallelism), each worker
-  replays its groups' per-row ``train_score`` loop over the chunk in
-  row order, and the parent deterministically merges the returned
-  weights and RMSE columns. The result is **bit-identical** to the
-  sequential reference loop regardless of worker count, backend or
-  scheduling — sharding never reorders any group's float operations.
+  fixture) in exchange for removing the per-row loop — the opt-in
+  behind ``KitNET(train_mode="minibatch")``.
 
 Both engines consume rows scaled by
 :meth:`~repro.features.normalize.OnlineMinMaxScaler.fit_transform_running`
@@ -39,6 +34,10 @@ from typing import Sequence
 import numpy as np
 
 from repro.ml.autoencoder import Autoencoder
+
+#: Most rows :class:`OnlineEnsembleTrainer` callers gather per pass, so
+#: the stacked inputs stay the same size however long the grace is.
+ROWS_PER_PASS = 1024
 
 
 @dataclass
@@ -159,143 +158,173 @@ class MiniBatchTrainer:
         self.rows_trained = 0
 
 
-def _train_shard(
-    autoencoders: list[Autoencoder], subs: list[np.ndarray]
-) -> tuple[list[Autoencoder], np.ndarray]:
-    """Replay the per-row online SGD loop for one shard of groups.
-
-    Runs in a worker (thread or process): each group's rows are trained
-    strictly in order, exactly as the sequential reference would, so
-    the returned weights and pre-update RMSE columns are bit-identical
-    to it. Module-level so process backends can pickle the task.
-    """
-    n = subs[0].shape[0] if subs else 0
-    rmses = np.empty((n, len(autoencoders)))
-    for column, (autoencoder, sub) in enumerate(zip(autoencoders, subs)):
-        train = autoencoder.train_score
-        for i in range(n):
-            rmses[i, column] = train(sub[i])
-    return autoencoders, rmses
+def _arena(shapes: Sequence[tuple[int, ...]]) -> tuple[np.ndarray, list]:
+    """One flat float64 buffer and a C-ordered view of it per shape."""
+    sizes = [int(np.prod(shape)) for shape in shapes]
+    flat = np.empty(sum(sizes))
+    views, offset = [], 0
+    for shape, size in zip(shapes, sizes):
+        views.append(flat[offset : offset + size].reshape(shape))
+        offset += size
+    return flat, views
 
 
-class ShardedGroupTrainer:
-    """Cross-group parallel online training, bit-identical to serial.
+class OnlineEnsembleTrainer:
+    """Per-row online SGD over every group, stacked per shape bucket.
 
-    ``workers=1`` runs the shard loop inline (no pool) — still faster
-    than the reference because the scaler work is hoisted out and
-    vectorized by the caller. ``workers>=2`` dispatches one shard per
-    worker; ``backend="thread"`` shares the autoencoder objects (NumPy
-    releases the GIL inside its kernels), ``backend="process"`` ships
-    the shard's autoencoders to worker processes and merges the
-    returned weights — the per-group models are a few kilobytes, so
-    shipping them per chunk is cheap and keeps the parent's ensemble
-    list canonical between chunks.
+    Groups sharing an autoencoder shape form a bucket. For each row,
+    every bucket takes one stacked ``np.matmul`` per contraction, and
+    each slice of it runs the BLAS routine the 2-D ``x @ W`` call
+    picks. (``np.einsum`` accumulates differently, so it is not used
+    here.) All buckets' weights, biases and activations live in flat
+    buffers with one view per bucket, so each elementwise step of a row
+    is one ufunc call for the whole ensemble. Those steps are the ops
+    of :meth:`Autoencoder.train_score`, :meth:`DenseLayer.backward` and
+    :meth:`SGD.step` in the same order, so RMSEs and weights are
+    **bit-identical** to training each autoencoder on each row in turn.
+    The wrapped autoencoders are stale until :meth:`sync`.
     """
 
     def __init__(
         self,
         ensemble: Sequence[Autoencoder],
         group_index: Sequence[np.ndarray],
-        *,
-        workers: int = 1,
-        backend: str = "thread",
     ) -> None:
         if len(ensemble) != len(group_index):
             raise ValueError(
                 f"{len(ensemble)} autoencoders for {len(group_index)} groups"
             )
-        if workers < 1:
-            raise ValueError(f"workers must be >= 1, got {workers}")
-        if backend not in ("thread", "process"):
-            raise ValueError(
-                f"backend must be 'thread' or 'process', got {backend!r}"
-            )
-        # Keep the caller's list itself (not a copy): process backends
-        # merge trained weights by *replacing* entries, and the owner
-        # (KitNET) must observe the merged models.
-        self._ensemble = (
-            ensemble if isinstance(ensemble, list) else list(ensemble)
+        rates = {ae.optimizer.learning_rate for ae in ensemble}
+        if len(rates) != 1:
+            raise ValueError(f"one learning rate expected, got {rates}")
+        self.learning_rate = rates.pop()
+        self._ensemble = list(ensemble)
+        self._enc_act = ensemble[0].encoder.activation
+        self._dec_act = ensemble[0].decoder.activation
+        self.rows_trained = 0
+        by_shape: dict[tuple[int, int], list[int]] = {}
+        for position, autoencoder in enumerate(ensemble):
+            shape = (autoencoder.dim, autoencoder.hidden_dim)
+            by_shape.setdefault(shape, []).append(position)
+        self._members = list(by_shape.values())
+        dims = [(len(p), d, h) for (d, h), p in by_shape.items()]
+
+        def arena(shape):
+            return _arena([shape(b, d, h) for b, d, h in dims])
+
+        #: Group positions in bucket order (the flat buffers' order).
+        self._order = np.concatenate(self._members).astype(np.intp)
+        self._gather = np.concatenate(
+            [np.asarray(group_index[p], dtype=np.intp) for p in self._order]
         )
-        self._group_index = [
-            np.asarray(group, dtype=np.intp) for group in group_index
+        # Live weights.
+        self._enc_w, enc_w = arena(lambda b, d, h: (b, d, h))
+        self._enc_b, enc_b = arena(lambda b, d, h: (b, 1, h))
+        self._dec_w, dec_w = arena(lambda b, d, h: (b, h, d))
+        self._dec_b, dec_b = arena(lambda b, d, h: (b, 1, d))
+        self._weights = list(zip(enc_w, enc_b, dec_w, dec_b))
+        for positions, (ew, eb, dw, db) in zip(self._members, self._weights):
+            for lane, position in enumerate(positions):
+                autoencoder = ensemble[position]
+                ew[lane] = autoencoder.encoder.weights
+                eb[lane, 0] = autoencoder.encoder.bias
+                dw[lane] = autoencoder.decoder.weights
+                db[lane, 0] = autoencoder.decoder.bias
+        # Per-row scratch, one bucket view each.
+        self._x, x = arena(lambda b, d, h: (b, 1, d))
+        self._sq, sq = arena(lambda b, d, h: (b, 1, d))
+        self._z_out, z_out = arena(lambda b, d, h: (b, 1, d))
+        self._delta_dec, delta_dec = arena(lambda b, d, h: (b, 1, d))
+        self._z_hidden, z_hidden = arena(lambda b, d, h: (b, 1, h))
+        self._hidden, hidden = arena(lambda b, d, h: (b, 1, h))
+        self._grad_hidden, grad_hidden = arena(lambda b, d, h: (b, 1, h))
+        self._delta_enc, delta_enc = arena(lambda b, d, h: (b, 1, h))
+        self._grad_enc_w, grad_enc_w = arena(lambda b, d, h: (b, d, h))
+        self._grad_dec_w, grad_dec_w = arena(lambda b, d, h: (b, h, d))
+        self._sums, sums = arena(lambda b, d, h: (b,))
+        # The per-bucket contractions, as (left, right, out) triples.
+        self._encode = list(zip(x, enc_w, z_hidden))
+        self._decode = list(zip(hidden, dec_w, z_out))
+        self._backprop = [
+            (dd, w.transpose(0, 2, 1), gh)
+            for dd, w, gh in zip(delta_dec, dec_w, grad_hidden)
         ]
-        self.workers = min(workers, len(ensemble))
-        self.backend = backend
-        # Round-robin sharding: deterministic, and balanced when group
-        # sizes are (as the feature mapper caps them) roughly equal.
-        self._shards = [
-            list(range(start, len(ensemble), self.workers))
-            for start in range(self.workers)
+        self._outer = [
+            (h.transpose(0, 2, 1), dd, g)
+            for h, dd, g in zip(hidden, delta_dec, grad_dec_w)
+        ] + [
+            (xb.transpose(0, 2, 1), de, g)
+            for xb, de, g in zip(x, delta_enc, grad_enc_w)
         ]
-        self._pool = None
-
-    def __getstate__(self):
-        # Executors are neither picklable nor deepcopy-able; they are
-        # rebuilt lazily after a restore.
-        state = dict(self.__dict__)
-        state["_pool"] = None
-        return state
-
-    def _executor(self):
-        if self._pool is None:
-            if self.backend == "process":
-                from concurrent.futures import ProcessPoolExecutor
-
-                self._pool = ProcessPoolExecutor(max_workers=self.workers)
-            else:
-                from concurrent.futures import ThreadPoolExecutor
-
-                self._pool = ThreadPoolExecutor(max_workers=self.workers)
-        return self._pool
+        self._reduce = list(zip(sq, sums))
+        # Each element's and each group's input width: the divisor of
+        # the loss gradient and of the RMSE mean.
+        self._width = np.concatenate(
+            [np.full(b * d, float(d)) for b, d, h in dims]
+        )
+        self._group_width = np.concatenate(
+            [np.full(b, float(d)) for b, d, h in dims]
+        )
 
     def train_rows(self, scaled: np.ndarray) -> np.ndarray:
-        """Train every group on a chunk of scaled rows, in row order.
+        """Train every group on ``scaled`` rows, in row order.
 
-        Returns the ``(N, n_groups)`` pre-update RMSE matrix,
-        bit-identical to the sequential per-row reference. The parent's
-        ensemble list holds the merged post-chunk weights on return, so
-        chunks of any size (down to single rows fed through the serial
-        path between calls) compose into the same trajectory.
+        ``scaled`` is ``(N, dim)``; returns the ``(N, n_groups)``
+        pre-update RMSEs. Consecutive calls continue one trajectory.
         """
-        scaled = np.ascontiguousarray(scaled, dtype=np.float64)
-        n = scaled.shape[0]
-        rmses = np.empty((n, len(self._ensemble)))
-        if n == 0:
-            return rmses
-        tasks = [
-            (
-                shard,
-                [self._ensemble[g] for g in shard],
-                [np.ascontiguousarray(scaled[:, self._group_index[g]])
-                 for g in shard],
+        inputs = np.asarray(scaled, dtype=np.float64)[:, self._gather]
+        n = inputs.shape[0]
+        rmses = np.empty((n, len(self._order)))
+        lr = self.learning_rate
+        enc_act, dec_act = self._enc_act, self._dec_act
+        x, hidden, sums = self._x, self._hidden, self._sums
+        delta_dec, delta_enc = self._delta_dec, self._delta_enc
+        for r in range(n):
+            # Copied into a C-ordered buffer: BLAS rounds strided
+            # operands differently from the reference's contiguous row.
+            x[:] = inputs[r]
+            for left, right, out in self._encode:
+                np.matmul(left, right, out=out)
+            self._z_hidden += self._enc_b
+            hidden[:] = enc_act.f(self._z_hidden)
+            for left, right, out in self._decode:
+                np.matmul(left, right, out=out)
+            self._z_out += self._dec_b
+            recon = dec_act.f(self._z_out)
+            diff = recon - x
+            # RMSE: np.mean is this add.reduce, then a divide by count.
+            np.square(diff, out=self._sq)
+            for squares, total in self._reduce:
+                np.add.reduce(squares, axis=(1, 2), out=total)
+            np.sqrt(sums / self._group_width, out=rmses[r])
+            # Backward, then the SGD steps on the pre-update weights.
+            np.multiply(
+                2.0 * diff / self._width, dec_act.df(recon), out=delta_dec
             )
-            for shard in self._shards
-        ]
-        if self.workers == 1:
-            shard, autoencoders, subs = tasks[0]
-            _, shard_rmses = _train_shard(autoencoders, subs)
-            rmses[:, shard] = shard_rmses
-            return rmses
-        futures = [
-            self._executor().submit(_train_shard, autoencoders, subs)
-            for _, autoencoders, subs in tasks
-        ]
-        for (shard, _, _), future in zip(tasks, futures):
-            trained, shard_rmses = future.result()
-            rmses[:, shard] = shard_rmses
-            for g, autoencoder in zip(shard, trained):
-                # Thread backends trained the shared objects in place
-                # (this re-assignment is the identity); process
-                # backends merge the returned copies deterministically.
-                self._ensemble[g] = autoencoder
-        return rmses
+            for left, right, out in self._backprop:
+                np.matmul(left, right, out=out)
+            np.multiply(
+                self._grad_hidden, enc_act.df(hidden), out=delta_enc
+            )
+            for left, right, out in self._outer:
+                np.matmul(left, right, out=out)
+            self._dec_w -= lr * self._grad_dec_w
+            self._dec_b -= lr * delta_dec
+            self._enc_w -= lr * self._grad_enc_w
+            self._enc_b -= lr * delta_enc
+        self.rows_trained += n
+        ordered = np.empty_like(rmses)
+        ordered[:, self._order] = rmses
+        return ordered
 
-    @property
-    def ensemble(self) -> list[Autoencoder]:
-        """The (merged) autoencoders in group order."""
-        return self._ensemble
-
-    def close(self) -> None:
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
-            self._pool = None
+    def sync(self) -> None:
+        """Scatter the packed weights back into the ensemble objects."""
+        for positions, (ew, eb, dw, db) in zip(self._members, self._weights):
+            for lane, position in enumerate(positions):
+                autoencoder = self._ensemble[position]
+                autoencoder.encoder.weights = ew[lane].copy()
+                autoencoder.encoder.bias = eb[lane, 0].copy()
+                autoencoder.decoder.weights = dw[lane].copy()
+                autoencoder.decoder.bias = db[lane, 0].copy()
+                autoencoder.samples_trained += self.rows_trained
+        self.rows_trained = 0

@@ -115,20 +115,6 @@ class TestCommands:
         assert payload["kitnet_train_speedup"] > 0
         assert payload["kitnet_train_parity"] is None
 
-    def test_profile_parallel_training_stage(self, capsys, tmp_path):
-        report = tmp_path / "profile.json"
-        assert main(["profile", "--dataset", "mirai", "--scale", "0.03",
-                     "--packets", "300", "--train-workers", "2",
-                     "--no-compare", "--json", str(report)]) == 0
-        import json
-
-        payload = json.loads(report.read_text())
-        assert payload["train_mode"] == "parallel-online"
-        assert payload["train_workers"] == 2
-        # Parallel online training is parity-gated while it is timed.
-        assert payload["kitnet_train_parity"] is True
-        assert "bit-identical" in capsys.readouterr().out
-
     def test_profile_scalar_engine_skips_comparison(self, capsys):
         assert main(["profile", "--dataset", "mirai", "--scale", "0.03",
                      "--packets", "200", "--engine", "scalar"]) == 0

@@ -219,3 +219,29 @@ def test_scalar_prune_uses_partial_selection():
     }
     assert set(times_key for times_key, _ in times) - set(db._streams) \
         == expected_evicted
+
+
+def _submit_to_mt_pool() -> None:
+    from repro.features import vector
+
+    vector._mt_pool().submit(int).result(timeout=20)
+
+
+def test_mt_pool_works_in_forked_child():
+    """Sharded stream workers are forked after the parent may have
+    started the group-parallel pool; the child must get a fresh pool
+    rather than wait forever on the parent's threads."""
+    import multiprocessing
+
+    from repro.features import vector
+
+    vector._mt_pool().submit(int).result()
+    child = multiprocessing.get_context("fork").Process(
+        target=_submit_to_mt_pool
+    )
+    child.start()
+    child.join(timeout=30)
+    if child.is_alive():
+        child.kill()
+        child.join()
+    assert child.exitcode == 0

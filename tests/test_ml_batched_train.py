@@ -1,11 +1,12 @@
-"""Batched/parallel KitNET training: parity, determinism, goldens.
+"""Batched KitNET training: parity, determinism, goldens.
 
 Two engines, two contracts (see :mod:`repro.ml.batched_train`):
 
-* cross-group parallel online training (``train_workers=...``) must be
-  **bit-identical** to the sequential per-row reference — scores, final
-  weights and scaler state — for any worker count, backend, and any
-  mix of per-row and batched calls;
+* the stacked online engine behind the default ``process_batch`` must
+  be **bit-identical** to the sequential per-row reference — scores,
+  every autoencoder's weights and ``samples_trained``, and both
+  scalers — for any chunking, any shape-bucket layout, and any mix of
+  per-row and batched calls;
 * mini-batch SGD (``train_mode="minibatch"``) is an intentionally
   different learning trajectory: deterministic under a fixed call
   chunking, pinned by its own golden fixture, and never bit-compared
@@ -22,6 +23,7 @@ from __future__ import annotations
 
 import os
 import pickle
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -30,7 +32,7 @@ import pytest
 from repro.features.normalize import OnlineMinMaxScaler
 from repro.ids.kitsune.kitnet import KitNET
 from repro.ml.autoencoder import Autoencoder
-from repro.ml.batched_train import MiniBatchTrainer, ShardedGroupTrainer
+from repro.ml.batched_train import MiniBatchTrainer, OnlineEnsembleTrainer
 from repro.utils.rng import SeededRNG
 
 GOLDEN_PATH = (
@@ -64,11 +66,25 @@ def _weights(net: KitNET) -> list[np.ndarray]:
 
 def _assert_same_state(reference: KitNET, candidate: KitNET) -> None:
     assert candidate.samples_seen == reference.samples_seen
-    assert np.array_equal(candidate.scaler.min, reference.scaler.min)
-    assert np.array_equal(candidate.scaler.max, reference.scaler.max)
-    assert candidate.scaler.frozen == reference.scaler.frozen
-    for mine, theirs in zip(_weights(candidate), _weights(reference)):
+    assert candidate.mapper.groups == reference.mapper.groups
+    for mine, theirs in (
+        (candidate.scaler, reference.scaler),
+        (candidate._output_scaler, reference._output_scaler),
+    ):
+        assert np.array_equal(mine.min, theirs.min)
+        assert np.array_equal(mine.max, theirs.max)
+        assert mine.frozen == theirs.frozen
+    mine_weights, their_weights = _weights(candidate), _weights(reference)
+    assert len(mine_weights) == len(their_weights)
+    for mine, theirs in zip(mine_weights, their_weights):
         assert np.array_equal(mine, theirs)
+    assert [
+        ae.samples_trained for ae in [*candidate.ensemble,
+                                      candidate.output_layer]
+    ] == [
+        ae.samples_trained for ae in [*reference.ensemble,
+                                      reference.output_layer]
+    ]
 
 
 class TestRunningScaler:
@@ -151,7 +167,7 @@ class TestAutoencoderTrainBatch:
 
     def test_pickle_roundtrip(self):
         """Activations hold lambdas; __reduce__ must round-trip them so
-        process-backend workers can ship autoencoders."""
+        pickled detector checkpoints restore their autoencoders."""
         rng = SeededRNG(24)
         ae = Autoencoder(6, rng=rng.child("ae"))
         ae.train_score(rng.uniform(size=6))
@@ -179,28 +195,18 @@ class TestEngineValidation:
         with pytest.raises(ValueError, match="autoencoders for"):
             MiniBatchTrainer(ensemble, index[:-1], learning_rate=0.1)
         with pytest.raises(ValueError, match="autoencoders for"):
-            ShardedGroupTrainer(ensemble[:-1], index)
-
-    def test_bad_workers_and_backend(self):
-        ensemble, index = self._ensemble()
-        with pytest.raises(ValueError, match="workers"):
-            ShardedGroupTrainer(ensemble, index, workers=0)
-        with pytest.raises(ValueError, match="backend"):
-            ShardedGroupTrainer(ensemble, index, backend="mpi")
+            OnlineEnsembleTrainer(ensemble[:-1], index)
 
     def test_kitnet_train_param_validation(self):
         with pytest.raises(ValueError, match="train_mode"):
             _kitnet(train_mode="sgd")
-        with pytest.raises(ValueError, match="train_backend"):
-            _kitnet(train_backend="mpi")
         with pytest.raises(ValueError, match="train_batch"):
             _kitnet(train_batch=0)
-        with pytest.raises(ValueError, match="train_workers"):
-            _kitnet(train_workers=0)
 
 
 class TestParallelOnlineParity:
-    """train_workers engines must be bit-identical to the reference."""
+    """The default process_batch, which trains all groups side by side
+    in stacked passes, must be bit-identical to the per-row reference."""
 
     def _reference(self, rows):
         net = _kitnet()
@@ -210,15 +216,15 @@ class TestParallelOnlineParity:
     def test_inline_single_call(self):
         rows = _stream(500, 24)
         reference, expected = self._reference(rows)
-        net = _kitnet(train_workers=1)
+        net = _kitnet()
         got = net.process_batch(rows)
         assert np.array_equal(expected, got)
         _assert_same_state(reference, net)
 
-    def test_threaded_odd_chunks(self):
+    def test_odd_chunks(self):
         rows = _stream(500, 24)
         reference, expected = self._reference(rows)
-        net = _kitnet(train_workers=3)
+        net = _kitnet()
         got = np.concatenate([
             net.process_batch(rows[start : start + 37])
             for start in range(0, 500, 37)
@@ -226,23 +232,10 @@ class TestParallelOnlineParity:
         assert np.array_equal(expected, got)
         _assert_same_state(reference, net)
 
-    def test_process_backend(self):
-        rows = _stream(400, 24)
-        reference, expected = self._reference(rows[:400])
-        net = _kitnet(train_workers=2, train_backend="process")
-        try:
-            got = net.process_batch(rows)
-        finally:
-            engine = getattr(net, "_sharded_engine", None)
-            if engine is not None:
-                engine.close()
-        assert np.array_equal(expected, got)
-        _assert_same_state(reference, net)
-
     def test_mixed_per_row_and_batched_calls(self):
         rows = _stream(500, 24)
         reference, expected = self._reference(rows)
-        net = _kitnet(train_workers=2)
+        net = _kitnet()
         got = np.empty(500)
         got[:97] = [net.process(row) for row in rows[:97]]
         got[97:300] = net.process_batch(rows[97:300])
@@ -250,6 +243,35 @@ class TestParallelOnlineParity:
         got[310:] = net.process_batch(rows[310:])
         assert np.array_equal(expected, got)
         _assert_same_state(reference, net)
+
+    def test_obs_counters_match_per_row_loop(self):
+        from repro import obs
+
+        rows = _stream(500, 24)[:200]  # both grace periods, no execute
+
+        def kitnet_metrics(feed) -> dict:
+            obs.reset_registry()
+            obs.enable()
+            try:
+                feed(_kitnet())
+                snap = obs.get_registry().snapshot()
+            finally:
+                obs.disable()
+            return {
+                kind: {k: v for k, v in snap[kind].items()
+                       if k.startswith("ml.kitnet.")}
+                for kind in ("counters", "gauges")
+            }
+
+        expected = kitnet_metrics(
+            lambda net: [net.process(row) for row in rows]
+        )
+        got = kitnet_metrics(lambda net: [
+            net.process_batch(rows[start : start + 37])
+            for start in range(0, 200, 37)
+        ])
+        assert expected["counters"]["ml.kitnet.rows_trained"] == 159
+        assert got == expected
 
     def test_kitsune_fit_is_bit_identical_to_per_packet(self):
         """Kitsune.fit now routes through process_batch; the default
@@ -271,6 +293,140 @@ class TestParallelOnlineParity:
         batched.fit(packets[:600])
         got = batched.anomaly_scores(packets[600:])
         assert np.array_equal(expected, got)
+
+
+@lru_cache(maxsize=None)
+def _traffic(dataset: str) -> np.ndarray:
+    """Real feature rows: a 1,121-row Mirai or 758-row CICIDS2017 replay."""
+    from repro.datasets.registry import generate_dataset_uncached
+    from repro.features.netstat import NetStat
+
+    packets = generate_dataset_uncached(dataset, seed=0, scale=0.05).packets
+    return NetStat(engine="vector").extract_all(packets)
+
+
+def _traffic_kitnet(dim: int, **kwargs) -> KitNET:
+    return KitNET(dim, fm_grace=200, ad_grace=400, rng=SeededRNG(9), **kwargs)
+
+
+@lru_cache(maxsize=None)
+def _traffic_reference(dataset: str, max_group: int = 10):
+    """The per-row process() loop over a whole replay (read-only)."""
+    rows = _traffic(dataset)
+    net = _traffic_kitnet(rows.shape[1], max_group=max_group)
+    scores = np.array([net.process(row) for row in rows])
+    return net, scores
+
+
+class TestOnlineEngineOnTraffic:
+    """Stacked online training on real feature streams: bit-identical
+    scores and state for any chunking and bucket layout. Each replay
+    runs through feature mapping, training and execution, so the
+    whole-stream chunk spans all three phases in one call."""
+
+    @pytest.mark.parametrize("chunk", [1, 7, 256, None])
+    @pytest.mark.parametrize("dataset", ["Mirai", "CICIDS2017"])
+    def test_chunkings(self, dataset, chunk):
+        rows = _traffic(dataset)
+        reference, expected = _traffic_reference(dataset)
+        chunk = chunk or len(rows)
+        net = _traffic_kitnet(rows.shape[1])
+        got = np.concatenate([
+            net.process_batch(rows[start : start + chunk])
+            for start in range(0, len(rows), chunk)
+        ])
+        assert np.array_equal(expected, got)
+        _assert_same_state(reference, net)
+
+    def test_layouts_cover_singleton_and_shared_buckets(self):
+        """Mirai's grouping mixes shapes: a one-group bucket next to
+        buckets holding several groups."""
+        reference, _ = _traffic_reference("Mirai")
+        sizes = [len(group) for group in reference.mapper.groups]
+        counts = {size: sizes.count(size) for size in sizes}
+        assert 1 in counts.values() and max(counts.values()) > 1
+
+    def test_one_bucket_layout(self):
+        """max_group=1 puts every feature in its own same-shape group:
+        a single bucket holding all 100 groups."""
+        rows = _traffic("CICIDS2017")
+        reference, expected = _traffic_reference("CICIDS2017", max_group=1)
+        assert {len(group) for group in reference.mapper.groups} == {1}
+        net = _traffic_kitnet(rows.shape[1], max_group=1)
+        got = net.process_batch(rows)
+        assert np.array_equal(expected, got)
+        _assert_same_state(reference, net)
+
+    def test_per_row_calls_between_chunks(self):
+        rows = _traffic("Mirai")
+        reference, expected = _traffic_reference("Mirai")
+        net = _traffic_kitnet(rows.shape[1])
+        cuts = [150, 230, 231, 420, 425, 598, 601, len(rows)]
+        got, start = [], 0
+        for i, stop in enumerate(cuts):
+            if i % 2:
+                got += [net.process(row) for row in rows[start:stop]]
+            else:
+                got += list(net.process_batch(rows[start:stop]))
+            start = stop
+        assert np.array_equal(expected, np.array(got))
+        _assert_same_state(reference, net)
+
+    def test_engine_matches_train_score_per_group(self):
+        """The engine alone, on a uniform four-group layout."""
+        rng = SeededRNG(31)
+        index = [np.arange(i * 6, (i + 1) * 6) for i in range(4)]
+        ensemble = [Autoencoder(6, rng=rng.child(f"ae-{i}")) for i in range(4)]
+        reference = pickle.loads(pickle.dumps(ensemble))
+        rows = rng.uniform(size=(300, 24))
+        engine = OnlineEnsembleTrainer(ensemble, index)
+        got = np.vstack([engine.train_rows(rows[:120]),
+                         engine.train_rows(rows[120:])])
+        engine.sync()
+        expected = np.array([
+            [ae.train_score(row[group]) for ae, group in zip(reference, index)]
+            for row in rows
+        ])
+        assert np.array_equal(expected, got)
+        for mine, theirs in zip(ensemble, reference):
+            assert np.array_equal(mine.encoder.weights, theirs.encoder.weights)
+            assert np.array_equal(mine.encoder.bias, theirs.encoder.bias)
+            assert np.array_equal(mine.decoder.weights, theirs.decoder.weights)
+            assert np.array_equal(mine.decoder.bias, theirs.decoder.bias)
+            assert mine.samples_trained == theirs.samples_trained == 300
+
+    def test_engine_rejects_mixed_learning_rates(self):
+        rng = SeededRNG(32)
+        ensemble = [
+            Autoencoder(3, learning_rate=rate, rng=rng.child(str(rate)))
+            for rate in (0.1, 0.2)
+        ]
+        with pytest.raises(ValueError, match="learning rate"):
+            OnlineEnsembleTrainer(ensemble, [np.arange(3), np.arange(3, 6)])
+
+
+class TestCheckpointCompatibility:
+    def test_checkpoint_with_retired_parallel_settings(self):
+        """Detectors pickled before the stacked online engine carry the
+        retired cross-group trainer's attributes. They must restore and
+        continue bit-identically; nothing reads those attributes."""
+        rows = _stream(500, 24)
+        reference, expected = TestParallelOnlineParity()._reference(rows)
+        net = _kitnet()
+        first = net.process_batch(rows[:120])  # mid-training
+        net.train_workers = None
+        net.train_backend = "thread"
+        net._sharded_engine = None
+        restored = pickle.loads(pickle.dumps(net))
+        got = np.concatenate([first, restored.process_batch(rows[120:])])
+        assert np.array_equal(expected, got)
+        _assert_same_state(reference, restored)
+
+    def test_retired_constructor_knobs_are_gone(self):
+        with pytest.raises(TypeError):
+            _kitnet(train_workers=2)
+        with pytest.raises(TypeError):
+            _kitnet(train_backend="thread")
 
 
 class TestMiniBatchMode:
