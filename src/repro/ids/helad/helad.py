@@ -5,6 +5,7 @@ from __future__ import annotations
 from typing import Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from repro.features.netstat import NetStat
 from repro.features.normalize import OnlineMinMaxScaler
@@ -110,7 +111,13 @@ class HELAD(PacketIDS):
         return np.tanh(ae_rmse / self._ae_scale / 2.0)
 
     def fit(self, packets: Sequence[Packet]) -> None:
-        """Train both ensemble members on a presumed-benign stream."""
+        """Train both ensemble members on a presumed-benign stream.
+
+        Raises ``ValueError`` on an empty stream: with no training
+        scores there is no squash scale to normalise by.
+        """
+        if len(packets) == 0:
+            raise ValueError("HELAD.fit needs at least one training packet")
         rmses: list[float] = []
         for packet in packets:
             features = self.netstat.update(packet)
@@ -118,8 +125,7 @@ class HELAD(PacketIDS):
             rmses.append(self.autoencoder.train_score(scaled))
         self.scaler.freeze()
         series = np.asarray(rmses, dtype=np.float64)
-        if series.size:
-            self._ae_scale = max(float(np.quantile(series, 0.98)), 1e-9)
+        self._ae_scale = max(float(np.quantile(series, 0.98)), 1e-9)
         # Train the LSTM to predict the squashed score series one step
         # ahead; only the second half of the series is used, after the
         # autoencoder's online training has mostly converged.
@@ -145,22 +151,39 @@ class HELAD(PacketIDS):
         return scores
 
     def score_batch(self, packets: Sequence[Packet]) -> np.ndarray:
-        """Batched scoring: the autoencoder stage runs over the whole
-        micro-batch (one scaler transform, one 2-D forward, one
-        vectorized squash); the LSTM blend stays per-packet — its
-        prediction consumes the running score history. Bit-identical
-        to :meth:`anomaly_scores`.
+        """Batched scoring, bit-identical to :meth:`anomaly_scores`.
+
+        The autoencoder stage runs over the whole micro-batch (one
+        scaler transform, one 2-D forward, one vectorized squash).
+        The LSTM reads the history of *autoencoder components*, never
+        of blended scores, so every packet's window is known once that
+        column is: one stacked :meth:`LSTMRegressor.predict_windows`
+        call covers the batch, and the blend is one vectorized step.
         """
         if not self.trained:
             raise RuntimeError("HELAD.score_batch called before fit()")
         features = self.netstat.extract_all(packets)
         scaled = self.scaler.transform(features)
         ae_components = self._squash(self.autoencoder.score_batch(scaled))
-        scores = np.empty(len(packets))
-        history = list(self._score_history)
-        for idx in range(len(packets)):
-            scores[idx] = self._blend_step(history, float(ae_components[idx]))
-        self._score_history = history[-self.window :]
+        n_history = len(self._score_history)
+        series = np.concatenate(
+            [np.asarray(self._score_history, dtype=np.float64), ae_components]
+        )
+        # Packet j's window is series[n_history + j - window : n_history
+        # + j]; packets whose history is still shorter than ``window``
+        # keep an LSTM component of 0, as in :meth:`_blend_step`.
+        first = min(max(self.window - n_history, 0), len(packets))
+        lstm_components = np.zeros(len(packets))
+        if first < len(packets):
+            windows = sliding_window_view(series[:-1], self.window)
+            predicted = self.lstm.predict_windows(
+                windows[n_history + first - self.window :]
+            )
+            lstm_components[first:] = np.clip(predicted, 0.0, 1.0)
+        scores = (
+            self.blend * ae_components + (1.0 - self.blend) * lstm_components
+        )
+        self._score_history = series[-self.window :].tolist()
         return scores
 
     def _blend_step(self, history: list[float], ae_component: float) -> float:

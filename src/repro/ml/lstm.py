@@ -62,6 +62,42 @@ class LSTMRegressor:
             h, c, _ = self._step(x, h, c)
         return float(h @ self.w_head + self.b_head)
 
+    def predict_windows(self, windows: np.ndarray) -> np.ndarray:
+        """:meth:`predict_window` over N windows at once (shape (N, T)
+        or (N, T, d)); returns shape (N,), bit-identical per row.
+
+        Each contraction is ``np.matmul`` on a stack of ``(1, k)``
+        slices, so numpy runs the same per-slice product as the 1-D
+        ``z @ W`` in :meth:`_step`; a 2-D GEMM or ``einsum`` sums in a
+        different order and moves some results by an ulp.
+        """
+        windows = np.asarray(windows, dtype=np.float64)
+        if windows.ndim == 2:
+            windows = windows[:, :, None]
+        if windows.ndim != 3 or windows.shape[2] != self.input_dim:
+            raise ValueError(
+                f"windows shape {windows.shape} is not (N, T, "
+                f"{self.input_dim})"
+            )
+        n = windows.shape[0]
+        h = np.zeros((n, self.hidden_dim))
+        c = np.zeros((n, self.hidden_dim))
+
+        def gate(z, name):
+            return np.matmul(z, self.w[name])[:, 0, :] + self.b[name]
+
+        for t in range(windows.shape[1]):
+            z = np.concatenate([windows[:, t, :], h], axis=1)[:, None, :]
+            i = sigmoid_fn(gate(z, "i"))
+            f = sigmoid_fn(gate(z, "f"))
+            o = sigmoid_fn(gate(z, "o"))
+            g = np.tanh(gate(z, "g"))
+            c = f * c + i * g
+            h = o * np.tanh(c)
+        return np.matmul(h[:, None, :], self.w_head[:, None])[:, 0, 0] + (
+            self.b_head
+        )
+
     def train_window(self, window: np.ndarray, target: float) -> float:
         """One BPTT step on (window -> target); returns squared error."""
         window = self._shape(window)

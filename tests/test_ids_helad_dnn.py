@@ -61,6 +61,93 @@ class TestHELAD:
         ids.fit(packets[:40])
         assert len(ids.anomaly_scores(packets[40:])) == 20
 
+    def test_fit_on_empty_stream_raises(self):
+        ids = HELAD(seed=0)
+        with pytest.raises(ValueError, match="at least one"):
+            ids.fit([])
+        assert not ids.trained
+        with pytest.raises(RuntimeError, match="before fit"):
+            ids.score_batch([make_udp_packet(0.0)])
+
+    def test_zero_warmup_stream_raises(self):
+        from repro.stream import (
+            DatasetSource, build_streaming_detector, stream_capture,
+        )
+
+        detector = build_streaming_detector("helad", batch_size=64)
+        with pytest.raises(ValueError, match="at least one"):
+            stream_capture(
+                DatasetSource("Mirai", seed=0, scale=0.02),
+                detector,
+                warmup_packets=0,
+                threshold=0.5,
+            )
+
+
+def _varied_packets(n, start=0.0):
+    """Packets whose sizes and endpoints vary, so AE scores differ."""
+    return [
+        make_udp_packet(start + i * 0.07, src=f"10.0.{i % 3}.{i % 5 + 1}",
+                        sport=4000 + i % 11, dport=53 + i % 4,
+                        payload=b"p" * (20 + (i * 37) % 900))
+        for i in range(n)
+    ]
+
+
+class TestHELADBatchCarry:
+    """``score_batch`` carries the LSTM window across micro-batches and
+    matches the per-packet reference bit for bit, including while the
+    history is still shorter than the window."""
+
+    WINDOW = 12
+
+    @classmethod
+    def _fitted(cls, n_train):
+        ids = HELAD(seed=5, window=cls.WINDOW)
+        ids.fit(_varied_packets(n_train))
+        return ids
+
+    def test_short_history_after_fit(self):
+        ids = self._fitted(5)
+        assert len(ids._score_history) == 5 < self.WINDOW
+
+    @pytest.mark.parametrize("n_train", [5, 40])
+    @pytest.mark.parametrize("chunk", [1, 7, 256])
+    def test_chains_match_single_call_and_reference(self, n_train, chunk):
+        packets = _varied_packets(300, start=100.0)
+        reference = self._fitted(n_train)
+        single = self._fitted(n_train)
+        chained = self._fitted(n_train)
+        expected = reference.anomaly_scores(packets)
+        assert single.score_batch(packets).tobytes() == expected.tobytes()
+        assert single._score_history == reference._score_history
+
+        check = self._fitted(n_train)
+        parts = []
+        for start in range(0, len(packets), chunk):
+            batch = packets[start : start + chunk]
+            parts.append(chained.score_batch(batch))
+            check.anomaly_scores(batch)
+            assert chained._score_history == check._score_history
+        assert np.concatenate(parts).tobytes() == expected.tobytes()
+        assert chained._score_history == reference._score_history
+
+    @pytest.mark.parametrize("n_batch", [0, 1, 4, 11, 12])
+    def test_batches_shorter_than_window(self, n_batch):
+        packets = _varied_packets(n_batch, start=50.0)
+        reference = self._fitted(5)
+        batched = self._fitted(5)
+        expected = reference.anomaly_scores(packets)
+        got = batched.score_batch(packets)
+        assert got.shape == (n_batch,)
+        assert got.tobytes() == expected.tobytes()
+        assert batched._score_history == reference._score_history
+        # A follow-up batch still agrees once the window has filled.
+        more = _varied_packets(20, start=80.0)
+        assert (batched.score_batch(more).tobytes()
+                == reference.anomaly_scores(more).tobytes())
+        assert batched._score_history == reference._score_history
+
 
 def _labelled_flows(n_benign=60, n_attack=60):
     packets = []

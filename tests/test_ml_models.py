@@ -93,6 +93,47 @@ class TestLSTM:
         assert np.isfinite(value)
 
 
+class TestLSTMPredictWindows:
+    """``predict_windows`` is bit-identical to a ``predict_window`` loop."""
+
+    @staticmethod
+    def _lstm(input_dim, seed, train_steps):
+        lstm = LSTMRegressor(input_dim=input_dim, hidden_dim=16,
+                             rng=SeededRNG(seed))
+        rng = np.random.default_rng(seed)
+        for _ in range(train_steps):
+            lstm.train_window(rng.random((10, input_dim)), rng.random())
+        return lstm
+
+    @pytest.mark.parametrize("train_steps", [0, 25])
+    @pytest.mark.parametrize("input_dim", [1, 3])
+    @pytest.mark.parametrize("steps", [2, 12, 20])
+    @pytest.mark.parametrize("n", [0, 1, 5, 300])
+    def test_matches_per_window_loop(self, n, steps, input_dim,
+                                     train_steps):
+        lstm = self._lstm(input_dim, seed=steps * 10 + input_dim,
+                          train_steps=train_steps)
+        rng = np.random.default_rng(n)
+        windows = rng.uniform(-1.0, 2.0, size=(n, steps, input_dim))
+        if input_dim == 1:
+            windows = windows[:, :, 0]  # the (N, T) form
+        batched = lstm.predict_windows(windows)
+        looped = np.array(
+            [lstm.predict_window(w) for w in windows], dtype=np.float64
+        )
+        assert batched.shape == (n,)
+        assert batched.tobytes() == looped.tobytes()
+
+    def test_rejects_wrong_feature_dim(self):
+        lstm = LSTMRegressor(input_dim=2, rng=SeededRNG(8))
+        with pytest.raises(ValueError, match="windows shape"):
+            lstm.predict_windows(np.zeros((4, 5, 3)))
+        with pytest.raises(ValueError, match="windows shape"):
+            lstm.predict_windows(np.zeros((4, 5)))  # implies d=1
+        with pytest.raises(ValueError, match="windows shape"):
+            lstm.predict_windows(np.zeros(5))
+
+
 class TestMLP:
     def _blobs(self, rng, n=200, d=6, gap=3.0):
         x = np.vstack([rng.normal(0, 1, (n, d)), rng.normal(gap, 1, (n, d))])
