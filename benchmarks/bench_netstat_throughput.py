@@ -4,39 +4,32 @@ The NetStat hot loop sits under every Kitsune/HELAD cell of the Table
 IV matrix *and* under ``repro.stream``'s live packet path, so its
 features/sec bound both batch reproduction time and online pps. This
 bench extracts the full Mirai replay through each backend registered
-in ``repro.backends`` (scalar reference, NumPy kernel, native C
-kernel, multithreaded native kernel), cross-checks bit-for-bit parity
-while it measures (a fast-but-wrong engine must not pass), times the
-batched ``update_batch`` path against per-packet dispatch, and records
-one row per backend in ``BENCH_netstat_throughput.json``.
+in ``repro.backends`` (scalar reference, native C kernel),
+cross-checks bit-for-bit parity while it measures (a fast-but-wrong
+engine must not pass), times the batched ``update_batch`` path against
+per-packet dispatch, and records one row per backend in
+``BENCH_netstat_throughput.json``.
 
 Run the acceptance configuration with::
 
     PYTHONPATH=src pytest benchmarks/bench_netstat_throughput.py -s --scale 1.0
 
-The default vector backend must beat the scalar reference wherever a
-C compiler is available (the native kernel); at full scale it must be
->= 3x, and ``update_batch`` must beat per-packet dispatch. The
-multithreaded kernel carries a >= 1.5x gate over the single-threaded
-native kernel on 2+ core hosts; on single-core CI a ``probe_sleep``
-concurrency probe proves the worker pool genuinely overlaps instead
-(the same laddering idiom as the sharded stream bench). Without a
-compiler the NumPy fallback kernel is roughly scalar-speed per packet
-and the speedup gates are skipped.
+The default backend must beat the scalar reference wherever a C
+compiler is available (the native kernel); at full scale it must be
+>= 3x, and ``update_batch`` must beat per-packet dispatch. Without a
+compiler the default backend is the scalar reference itself and the
+speedup gates are skipped.
 """
 
 from __future__ import annotations
 
-import os
 import time
 from functools import lru_cache
 
 import numpy as np
 
 from repro import backends
-from repro.features import _native
 from repro.features.netstat import NetStat
-from repro.features.vector import _mt_pool, mt_thread_count
 
 from benchmarks.conftest import save_bench_json, save_result, scale_or
 
@@ -47,14 +40,6 @@ DATASET = "Mirai"
 FULL_SCALE_SPEEDUP = 3.0
 #: ``update_batch`` must beat per-packet dispatch by this at scale >= 1.0.
 BATCH_SPEEDUP_FLOOR = 1.1
-#: The multithreaded kernel's gate over single-threaded native, applied
-#: only on hosts with 2+ cores (a 1-core runner cannot honour it).
-MT_SPEEDUP_FLOOR = 1.5
-#: The pool-concurrency probe gate: 4 sleeps through the worker pool
-#: must take well under 4x one sleep, proving the GIL is released and
-#: the pool genuinely overlaps — checkable even on single-core CI.
-PROBE_SPEEDUP_FLOOR = 1.5
-_PROBE_SLEEP = 0.05
 
 
 @lru_cache(maxsize=2)
@@ -67,11 +52,10 @@ def _packets(scale: float):
 def _measure_batch(backend: str, packets) -> dict:
     """One ``extract_all`` pass through ``backend``; returns its row."""
     extractor = NetStat(engine=backend)
-    kernel = "objects" if backend == "scalar" else extractor._db.kernel_name
     start = time.perf_counter()
     matrix = extractor.extract_all(packets)
     elapsed = time.perf_counter() - start
-    return {"kernel": kernel, "seconds": elapsed, "matrix": matrix}
+    return {"seconds": elapsed, "matrix": matrix}
 
 
 def _measure_per_packet(backend: str, packets) -> float:
@@ -81,33 +65,6 @@ def _measure_per_packet(backend: str, packets) -> float:
     for packet in packets:
         extractor.update(packet)
     return time.perf_counter() - start
-
-
-def _probe_pool_speedup() -> float:
-    """Wall-clock speedup of ``mt_thread_count()`` concurrent C sleeps
-    over the same sleeps run serially.
-
-    ``probe_sleep`` releases the GIL exactly like the feature kernel,
-    so pooled sleeps overlap on any host — including the 1-core CI
-    runners where a compute-bound MT gate would be meaningless."""
-    library = _native.load_kernel()
-    assert library is not None
-    threads = mt_thread_count()
-
-    start = time.perf_counter()
-    for _ in range(threads):
-        library.probe_sleep(_PROBE_SLEEP)
-    serial = time.perf_counter() - start
-
-    pool = _mt_pool()
-    start = time.perf_counter()
-    futures = [
-        pool.submit(library.probe_sleep, _PROBE_SLEEP) for _ in range(threads)
-    ]
-    for future in futures:
-        future.result()
-    pooled = time.perf_counter() - start
-    return serial / pooled
 
 
 def test_netstat_throughput(bench_scale):
@@ -140,7 +97,7 @@ def test_netstat_throughput(bench_scale):
             )
 
     default_backend = backends.default_feature_backend()
-    native_active = rows[default_backend]["kernel"].startswith("native")
+    native_active = default_backend == "vector-native"
     speedup = rows[default_backend]["pps"] / rows["scalar"]["pps"]
 
     # Batched dispatch vs the per-packet loop, on the default backend:
@@ -149,21 +106,15 @@ def test_netstat_throughput(bench_scale):
     per_packet_pps = n_packets / per_packet_seconds
     batch_speedup = rows[default_backend]["pps"] / per_packet_pps
 
-    mt_speedup = None
-    probe_speedup = None
-    if "vector-native-mt" in rows:
-        mt_speedup = rows["vector-native-mt"]["pps"] / rows["vector-native"]["pps"]
-        probe_speedup = _probe_pool_speedup()
-
     lines = [
         f"netstat throughput @ scale={scale} dataset={DATASET} seed={SEED} "
         f"({n_packets} packets, {feature_count} features)",
-        f"  {'backend':18s} {'kernel':10s} {'pkt/s':>12s} "
+        f"  {'backend':18s} {'pkt/s':>12s} "
         f"{'features/s':>14s} {'seconds':>9s}",
     ]
     for backend, row in rows.items():
         lines.append(
-            f"  {backend:18s} {row['kernel']:10s} {row['pps']:12,.0f} "
+            f"  {backend:18s} {row['pps']:12,.0f} "
             f"{row['features_per_second']:14,.0f} {row['seconds']:9.3f}"
         )
     lines.append(
@@ -174,12 +125,6 @@ def test_netstat_throughput(bench_scale):
         f"  update_batch over per-packet dispatch: {batch_speedup:.2f}x "
         f"({per_packet_pps:,.0f} -> {rows[default_backend]['pps']:,.0f} pkt/s)"
     )
-    if mt_speedup is not None:
-        lines.append(
-            f"  native-mt over native: {mt_speedup:.2f}x on "
-            f"{os.cpu_count()} core(s); pool concurrency probe "
-            f"{probe_speedup:.2f}x over serial"
-        )
     save_result("netstat_throughput", "\n".join(lines))
 
     save_bench_json(
@@ -193,7 +138,6 @@ def test_netstat_throughput(bench_scale):
         backend=default_backend,
         backends={
             name: {
-                "kernel": row["kernel"],
                 "pps": round(row["pps"]),
                 "features_per_second": round(row["features_per_second"]),
             }
@@ -204,13 +148,8 @@ def test_netstat_throughput(bench_scale):
         vector_features_per_second=round(
             rows[default_backend]["features_per_second"]
         ),
-        numpy_kernel_pps=round(rows["vector-numpy"]["pps"]),
         per_packet_pps=round(per_packet_pps),
         batch_speedup=round(batch_speedup, 3),
-        mt_speedup=None if mt_speedup is None else round(mt_speedup, 3),
-        pool_probe_speedup=(
-            None if probe_speedup is None else round(probe_speedup, 3)
-        ),
     )
 
     assert rows["scalar"]["pps"] > 0
@@ -226,15 +165,3 @@ def test_netstat_throughput(bench_scale):
                 f"update_batch speedup {batch_speedup:.2f}x below the "
                 f"{BATCH_SPEEDUP_FLOOR}x gate over per-packet dispatch"
             )
-    if probe_speedup is not None:
-        # The pool must genuinely overlap GIL-releasing kernel calls;
-        # this holds on any host, unlike the compute-bound MT gate.
-        assert probe_speedup >= PROBE_SPEEDUP_FLOOR, (
-            f"worker pool concurrency probe {probe_speedup:.2f}x below "
-            f"{PROBE_SPEEDUP_FLOOR}x — kernel calls are serialising"
-        )
-    if mt_speedup is not None and scale >= 1.0 and (os.cpu_count() or 1) >= 2:
-        assert mt_speedup >= MT_SPEEDUP_FLOOR, (
-            f"native-mt speedup {mt_speedup:.2f}x over native below the "
-            f"{MT_SPEEDUP_FLOOR}x gate on a {os.cpu_count()}-core host"
-        )

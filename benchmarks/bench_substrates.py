@@ -37,7 +37,7 @@ def test_netstat_throughput(benchmark, packets):
     save_bench_json(
         "substrates_netstat", metric="pps",
         value=round(len(sample) / bench_seconds(benchmark)),
-        engine="vector", kernel=NetStat()._db.kernel_name,
+        engine="vector", backend=NetStat().backend,
     )
 
 

@@ -127,7 +127,6 @@ def save_bench_json(
     diff them across revisions via the embedded git rev.
     """
     from repro import backends, obs
-    from repro.features.vector import mt_thread_count
 
     payload = {
         "bench": name,
@@ -140,7 +139,6 @@ def save_bench_json(
         # across runs with the same core count and compute backend.
         "cpu_count": os.cpu_count(),
         "feature_backend": backends.default_feature_backend(),
-        "native_threads": mt_thread_count(),
         # The bench process's own obs snapshot (cache hit/miss counters,
         # cpu count, ...) — context for interpreting the headline number.
         "obs": obs.process_snapshot(),

@@ -6,10 +6,9 @@ probe — never a fork. The registry is the single source of truth for:
 
 * **what exists** — ``backend_names("feature-engine")``;
 * **what runs here** — ``available_backends`` / ``capabilities()``
-  (is a C compiler present? how many cores?);
-* **what to pick** — ``resolve(component, "auto")`` ranks the
-  available backends (e.g. the multithreaded native kernel only
-  outranks the single-thread one on multi-core hosts);
+  (is a C compiler present?);
+* **what to pick** — ``resolve(component, "auto")`` picks the
+  highest-priority available backend;
 * **what was picked** — ``backend_notes(ids)`` reports the concrete
   backend driving a constructed IDS, for stream/runner reports and
   ``repro-cli profile``.
@@ -28,8 +27,6 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from repro.features import _native
-from repro.features import vector as _vector
-from repro.features.vector import mt_thread_count
 
 #: Component names backends are declared under.
 FEATURE_ENGINE = "feature-engine"
@@ -42,19 +39,15 @@ class BackendSpec:
     """One declared compute backend for one component.
 
     ``probe`` returns ``None`` when the backend can run on this host,
-    or a human-readable reason when it cannot. ``auto_rank`` (when
-    set) replaces ``priority`` during ``resolve(..., "auto")`` so a
-    backend can rank itself by discovered capabilities (core count).
+    or a human-readable reason when it cannot.
     """
 
     component: str
     name: str
     description: str
     parity: str
-    expected_speedup: str
     priority: int = 0
     probe: Callable[[], str | None] = field(default=lambda: None)
-    auto_rank: Callable[[], int] | None = None
 
     def availability(self) -> str | None:
         """``None`` when usable here, else the reason it is not."""
@@ -110,7 +103,7 @@ def resolve(component: str, name: str = "auto") -> BackendSpec:
 
     An explicit name must exist *and* be usable here — selecting the
     native kernel on a host without a compiler is an error, not a
-    silent fallback (the ``auto`` rank handles graceful degradation).
+    silent fallback (``auto`` handles graceful degradation).
     """
     if name != "auto":
         spec = get_backend(component, name)
@@ -123,11 +116,7 @@ def resolve(component: str, name: str = "auto") -> BackendSpec:
     candidates = available_backends(component)
     if not candidates:
         raise RuntimeError(f"no {component} backend available")
-
-    def rank(spec: BackendSpec) -> int:
-        return spec.auto_rank() if spec.auto_rank is not None else spec.priority
-
-    return max(candidates, key=rank)
+    return max(candidates, key=lambda spec: spec.priority)
 
 
 def capabilities() -> dict:
@@ -136,8 +125,6 @@ def capabilities() -> dict:
         "cpu_count": os.cpu_count() or 1,
         "native_kernel": _native.load_kernel() is not None,
         "native_kernel_reason": _native.unavailable_reason(),
-        "mt_threads": mt_thread_count(),
-        "mt_measured_speedup": _vector.measured_mt_speedup(),
         "components": {
             component: {
                 spec.name: {
@@ -154,9 +141,7 @@ def capabilities() -> dict:
 
 def default_feature_backend() -> str:
     """What ``NetStat(engine="vector")`` resolves to on this host."""
-    if _native.load_kernel() is not None:
-        return "vector-native"
-    return "vector-numpy"
+    return resolve(FEATURE_ENGINE).name
 
 
 def default_ingest_backend() -> str:
@@ -188,56 +173,22 @@ def _native_probe() -> str | None:
     return None
 
 
-def _mt_auto_rank() -> int:
-    # The group-parallel kernel only outranks the single-thread native
-    # kernel when there are cores to overlap on — and when a measured
-    # probe agrees. A 2-core host can still clock the pool at <1x
-    # (contended CI runners measure 0.93x), so the capability rank
-    # trusts the measurement over the core count.
-    if (os.cpu_count() or 1) < 2:
-        return 15
-    measured = _vector.measured_mt_speedup()
-    if measured is not None and measured < 1.0:
-        return 15  # demoted below vector-native (priority 20)
-    return 30
-
-
 register(BackendSpec(
     component=FEATURE_ENGINE,
     name="scalar",
     description="Reference AfterImage over per-stream IncStat objects",
     parity="is the reference",
-    expected_speedup="1x (baseline)",
-    priority=0,
-))
-register(BackendSpec(
-    component=FEATURE_ENGINE,
-    name="vector-numpy",
-    description="Structure-of-arrays engine, row-wise ufunc kernel",
-    parity="bit-for-bit vs scalar",
-    expected_speedup="~1.5x scalar",
-    priority=10,
 ))
 register(BackendSpec(
     component=FEATURE_ENGINE,
     name="vector-native",
-    description="Structure-of-arrays engine, single-thread C kernel",
+    description="Structure-of-arrays engine, C kernel",
     parity="bit-for-bit vs scalar",
-    expected_speedup=">=3x scalar",
-    priority=20,
+    priority=10,
     probe=_native_probe,
 ))
-register(BackendSpec(
-    component=FEATURE_ENGINE,
-    name="vector-native-mt",
-    description=("Batched C kernel, aggregation groups dispatched to a "
-                 "GIL-releasing thread pool"),
-    parity="bit-for-bit vs scalar (disjoint groups, ordered per group)",
-    expected_speedup=">=1.5x vector-native at 2+ cores",
-    priority=30,
-    probe=_native_probe,
-    auto_rank=_mt_auto_rank,
-))
+
+
 def _columnar_probe() -> str | None:
     try:
         import repro.net.columnar  # noqa: F401  (numpy + mmap required)
@@ -251,8 +202,6 @@ register(BackendSpec(
     name="packet-objects",
     description="Per-packet struct decode into Packet dataclasses",
     parity="is the reference",
-    expected_speedup="1x (baseline)",
-    priority=0,
 ))
 register(BackendSpec(
     component=INGEST,
@@ -261,24 +210,13 @@ register(BackendSpec(
                  "into NetStat-ready column batches"),
     parity="bit-for-bit scores, features and coverage digests vs "
            "packet-objects",
-    expected_speedup=">=3x pcap-to-features",
     priority=10,
     probe=_columnar_probe,
-))
-register(BackendSpec(
-    component=ENSEMBLE,
-    name="per-row",
-    description="Reference KitNET execute loop, one row at a time",
-    parity="is the reference",
-    expected_speedup="1x (baseline)",
-    priority=0,
 ))
 register(BackendSpec(
     component=ENSEMBLE,
     name="batched-einsum",
     description=("Packed ensemble: stacked einsum contractions score "
                  "whole execute-phase batches"),
-    parity="bit-for-bit vs per-row",
-    expected_speedup=">=3x per-row at batch scale",
-    priority=10,
+    parity="bit-for-bit vs the per-row KitNET execute loop",
 ))

@@ -518,8 +518,7 @@ def _cmd_backends(args: argparse.Namespace) -> int:
     native = "available" if caps["native_kernel"] else "unavailable"
     if caps["native_kernel_reason"]:
         native += f" ({caps['native_kernel_reason']})"
-    print(f"host: {caps['cpu_count']} cpu(s); native kernel {native}; "
-          f"mt threads {caps['mt_threads']}")
+    print(f"host: {caps['cpu_count']} cpu(s); native kernel {native}")
     for component in backends.components():
         try:
             chosen = backends.resolve(component).name
@@ -532,8 +531,7 @@ def _cmd_backends(args: argparse.Namespace) -> int:
             status = "available" if reason is None else f"unavailable: {reason}"
             print(f"  {name:17s} {status}")
             print(f"  {'':17s} {spec.description}")
-            print(f"  {'':17s} parity: {spec.parity}; "
-                  f"expected: {spec.expected_speedup}")
+            print(f"  {'':17s} parity: {spec.parity}")
     if args.json:
         _write_json(args.json, caps)
     return 0
@@ -728,8 +726,7 @@ def build_parser() -> argparse.ArgumentParser:
                           default="netflow",
                           help="flow feature schema for flow-level IDSs")
     p_stream.add_argument("--feature-backend",
-                          choices=("auto", "scalar", "vector-numpy",
-                                   "vector-native", "vector-native-mt"),
+                          choices=("auto", "scalar", "vector-native"),
                           default=None,
                           help="pin the AfterImage compute backend for "
                                "packet-level IDSs (see repro-cli "
@@ -806,15 +803,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_profile.add_argument("--packets", type=_positive_int,
                            help="cap the replay at this many packets")
     p_profile.add_argument("--engine",
-                           choices=("vector", "vector-numpy",
-                                    "vector-native", "vector-native-mt",
-                                    "scalar"),
+                           choices=("vector", "vector-native", "scalar"),
                            default="vector",
                            help="NetStat feature engine to profile "
-                                "(default vector: native kernel when "
-                                "available; the profile's "
-                                "feature_backend field records the "
-                                "resolved backend)")
+                                "(default vector: the native kernel "
+                                "when available, else scalar; the "
+                                "profile's feature_backend field "
+                                "records the resolved backend)")
     p_profile.add_argument("--ingest-backend",
                            choices=("auto", "packet-objects",
                                     "columnar-mmap"),

@@ -73,7 +73,6 @@ class PacketPathProfile:
     scale: float
     packets: int
     engine: str
-    kernel: str
     stages: tuple[StageTiming, ...]
     #: Registered backend names actually driving the profiled stages
     #: (``repro.backends``): the resolved ingest backend behind the
@@ -137,7 +136,7 @@ class PacketPathProfile:
         lines = [
             f"packet path profile: {self.dataset} seed={self.seed} "
             f"scale={self.scale} ({self.packets} packets, "
-            f"engine={self.engine}/{self.kernel}, "
+            f"engine={self.engine}, "
             f"backend={self.feature_backend}, "
             f"ingest={self.ingest_backend})",
             f"  {'stage':20s} {'seconds':>9s} {'us/pkt':>9s} "
@@ -187,7 +186,6 @@ class PacketPathProfile:
             "scale": self.scale,
             "packets": self.packets,
             "engine": self.engine,
-            "kernel": self.kernel,
             "ingest_backend": self.ingest_backend,
             "feature_backend": self.feature_backend,
             "ensemble_backend": self.ensemble_backend,
@@ -279,9 +277,6 @@ def profile_packet_path(
         ).name
 
     extractor = NetStat(engine=engine)
-    kernel = (
-        "objects" if engine == "scalar" else extractor._db.kernel_name
-    )
     # Stages 1-2 run inside the scratch-capture scope: column batches
     # keep views into the mmap'd file, so it must outlive them.
     with tempfile.TemporaryDirectory(prefix="repro-profile-") as tmp:
@@ -393,7 +388,6 @@ def profile_packet_path(
         scale=scale,
         packets=count,
         engine=engine,
-        kernel=kernel,
         stages=stages,
         ingest_backend=resolved_ingest,
         feature_backend=extractor.backend,

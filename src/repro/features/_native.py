@@ -15,9 +15,11 @@ order, so its output is bit-for-bit identical to the scalar
   computed here — CPython's hypot uses its own correction algorithm
   that differs from libm's — the Python caller fills those slots.
 
-Compilation requires a C compiler (``cc``/``gcc``); when unavailable the
-engine transparently falls back to the NumPy kernel. Set
-``REPRO_DISABLE_NATIVE=1`` to force the fallback.
+Compilation requires a C compiler (``cc``/``gcc``); when unavailable
+:class:`repro.features.netstat.NetStat` falls back to the scalar
+engine. Set ``REPRO_DISABLE_NATIVE=1`` to force the fallback. The
+compiled library is cached in ``$REPRO_NATIVE_CACHE`` (created on
+demand; default: the system temp directory).
 """
 
 from __future__ import annotations
@@ -34,15 +36,9 @@ from pathlib import Path
 #: Largest decay-vector length the kernel's stack buffers support.
 MAX_DECAYS = 16
 
-#: Independent aggregation groups one packet touches (SrcMAC-IP, SrcIP,
-#: channel, socket). The batched kernel can process each group on its
-#: own thread because their row sets are pairwise disjoint.
-MT_GROUPS = 4
-
 _KERNEL_SOURCE = r"""
 #include <math.h>
 #include <stdint.h>
-#include <time.h>
 
 #define MAXD 16
 
@@ -203,93 +199,20 @@ void afterimage_update_packet(double *state, double *last,
 /* Batched update: fold n packets into the tables in one call.
  *
  * rows is n x 8 (one interned working set per packet), out is n x 20*d
- * and aux n x 8*d, both contiguous. group selects which aggregation
- * family to process: 0 = SrcMAC-IP, 1 = SrcIP, 2 = channel,
- * 3 = socket, -1 = all four (single-thread batched path).
- *
- * Each group touches a row set disjoint from every other group's (the
- * interning keys carry distinct prefixes and covariance rows live in a
- * separate table), and writes disjoint out/aux column slices — so four
- * concurrent calls with group 0..3 are bit-identical to one group=-1
- * call, which is itself bit-identical to n single-packet calls. The
- * per-group packet walk stays strictly in sequence order, preserving
- * the decay/accumulate operation order of the scalar reference. */
+ * and aux n x 8*d, all contiguous. Packets are walked strictly in
+ * sequence order, so the result is bit-identical to n single-packet
+ * calls. */
 void afterimage_update_batch(double *state, double *last,
                              const int64_t *rows, const double *ts,
                              const double *v, int64_t n,
                              const double *decays, int64_t d,
-                             int64_t group, double *out, double *aux)
+                             double *out, double *aux)
 {
-    double w[MAXD], mean[MAXD], var[MAXD], stdv[MAXD];
-    double mb[MAXD], vb[MAXD], sb[MAXD];
-    double cov[MAXD], corr[MAXD];
-    double *block;
-    int64_t p, i, g;
-
-    for (p = 0; p < n; p++) {
-        const int64_t *r = rows + p * 8;
-        double *o = out + p * 20 * d;
-        double *a = aux + p * 8 * d;
-        double tsp = ts[p];
-        double vp = v[p];
-        if (group < 0 || group == 0) {
-            insert_row(state, last, r[0], tsp, vp, decays, d,
-                       w, mean, var, stdv);
-            for (i = 0; i < d; i++) {
-                o[3 * i] = w[i];
-                o[3 * i + 1] = mean[i];
-                o[3 * i + 2] = stdv[i];
-            }
-        }
-        if (group < 0 || group == 1) {
-            insert_row(state, last, r[1], tsp, vp, decays, d,
-                       w, mean, var, stdv);
-            block = o + 3 * d;
-            for (i = 0; i < d; i++) {
-                block[3 * i] = w[i];
-                block[3 * i + 1] = mean[i];
-                block[3 * i + 2] = stdv[i];
-            }
-        }
-        for (g = 0; g < 2; g++) {
-            if (group >= 0 && group != 2 + g)
-                continue;
-            insert_row(state, last, r[2 + g], tsp, vp, decays, d,
-                       w, mean, var, stdv);
-            read_row(state, r[6 + g], d, mb, vb, sb);
-            update_cov_row(state, last, r[4 + g], tsp, vp, decays, d,
-                           mean, stdv, sb, cov, corr);
-            block = o + 6 * d + g * 7 * d;
-            for (i = 0; i < d; i++) {
-                block[7 * i] = w[i];
-                block[7 * i + 1] = mean[i];
-                block[7 * i + 2] = stdv[i];
-                block[7 * i + 5] = cov[i];
-                block[7 * i + 6] = corr[i];
-            }
-            for (i = 0; i < d; i++) {
-                a[g * d + i] = mean[i];
-                a[2 * d + g * d + i] = var[i];
-                a[4 * d + g * d + i] = mb[i];
-                a[6 * d + g * d + i] = vb[i];
-            }
-        }
-    }
-}
-
-/* Concurrency probe: sleep without holding any lock. ctypes releases
- * the GIL around the call, so k pooled invocations overlapping in
- * ~seconds wall time (instead of k * seconds) proves the worker-pool
- * dispatch really runs kernel calls concurrently — independent of core
- * count, which is what lets 1-core CI gate the multithreaded backend
- * the same way the sharded ladder gates its scaling with a throttled
- * probe detector. */
-void probe_sleep(double seconds)
-{
-    struct timespec req;
-    req.tv_sec = (time_t)seconds;
-    req.tv_nsec = (long)((seconds - (double)req.tv_sec) * 1e9);
-    nanosleep(&req, 0);
+    int64_t p;
+    for (p = 0; p < n; p++)
+        afterimage_update_packet(state, last, rows + p * 8, ts[p], v[p],
+                                 decays, d, out + p * 20 * d,
+                                 aux + p * 8 * d);
 }
 """
 
@@ -308,25 +231,44 @@ def _cache_path() -> Path:
     return Path(base) / f"{tag}.so"
 
 
-def _compile(target: Path) -> bool:
+def _compile(target: Path) -> str | None:
+    """Build the kernel at ``target``; ``None`` on success, else why not.
+
+    The library is compiled into a temporary file next to ``target``
+    and renamed into place, so the publish is atomic (concurrent
+    workers may race to compile) and never crosses a filesystem.
+    """
     compiler = os.environ.get("CC") or "cc"
-    with tempfile.TemporaryDirectory(prefix="repro-native-") as tmp:
-        source = Path(tmp) / "afterimage.c"
-        source.write_text(_KERNEL_SOURCE)
-        artifact = Path(tmp) / "afterimage.so"
+    try:
+        target.parent.mkdir(parents=True, exist_ok=True)
+        fd, name = tempfile.mkstemp(
+            prefix=f".{target.stem}-", suffix=".partial", dir=target.parent
+        )
+        os.close(fd)
+    except OSError as error:
+        return f"kernel cache directory {target.parent} unusable: {error}"
+    partial = Path(name)
+    try:
+        with tempfile.TemporaryDirectory(prefix="repro-native-") as tmp:
+            source = Path(tmp) / "afterimage.c"
+            source.write_text(_KERNEL_SOURCE)
+            try:
+                subprocess.run(
+                    [compiler, *_CFLAGS, str(source), "-o", str(partial),
+                     "-lm"],
+                    check=True, capture_output=True, timeout=120,
+                )
+            except (OSError, subprocess.SubprocessError):
+                return "C kernel compilation failed (no C compiler?)"
         try:
-            subprocess.run(
-                [compiler, *_CFLAGS, str(source), "-o", str(artifact), "-lm"],
-                check=True, capture_output=True, timeout=120,
-            )
-        except (OSError, subprocess.SubprocessError):
-            return False
-        try:
-            # Atomic publish: concurrent workers may race to compile.
-            os.replace(artifact, target)
-        except OSError:
-            return target.exists()
-    return True
+            os.replace(partial, target)
+        except OSError as error:
+            if target.exists():  # another worker published first
+                return None
+            return f"compiled kernel not published to {target}: {error}"
+        return None
+    finally:
+        partial.unlink(missing_ok=True)
 
 
 _cached_kernel: ctypes.CDLL | None = None
@@ -343,9 +285,10 @@ def unavailable_reason() -> str | None:
 def load_kernel() -> ctypes.CDLL | None:
     """The compiled kernel, or ``None`` when native support is off.
 
-    A missing/broken compiler degrades to the NumPy kernel with a
-    single :class:`RuntimeWarning` (per process), never an exception;
-    ``REPRO_DISABLE_NATIVE`` is a deliberate opt-out and stays silent.
+    A missing/broken compiler or an unusable cache directory degrades
+    to the scalar engine with a single :class:`RuntimeWarning` (per
+    process), never an exception; ``REPRO_DISABLE_NATIVE`` is a
+    deliberate opt-out and stays silent.
     """
     global _cached_kernel, _load_attempted, _unavailable_reason
     if _load_attempted:
@@ -355,11 +298,12 @@ def load_kernel() -> ctypes.CDLL | None:
         _unavailable_reason = "REPRO_DISABLE_NATIVE is set"
         return None
     path = _cache_path()
-    if not path.exists() and not _compile(path):
-        _unavailable_reason = "C kernel compilation failed (no C compiler?)"
+    reason = None if path.exists() else _compile(path)
+    if reason is not None:
+        _unavailable_reason = reason
         warnings.warn(
-            "native AfterImage kernel unavailable: compilation failed "
-            "(is a C compiler on PATH?); falling back to the NumPy kernel",
+            f"native AfterImage kernel unavailable: {reason}; falling "
+            "back to the scalar engine",
             RuntimeWarning,
             stacklevel=2,
         )
@@ -370,7 +314,7 @@ def load_kernel() -> ctypes.CDLL | None:
         _unavailable_reason = "compiled kernel failed to load"
         warnings.warn(
             "native AfterImage kernel unavailable: the compiled artifact "
-            "failed to load; falling back to the NumPy kernel",
+            "failed to load; falling back to the scalar engine",
             RuntimeWarning,
             stacklevel=2,
         )
@@ -399,12 +343,8 @@ def load_kernel() -> ctypes.CDLL | None:
         ctypes.c_int64,    # packet count
         ctypes.c_void_p,   # decays
         ctypes.c_int64,    # decay count
-        ctypes.c_int64,    # group (-1 = all)
         ctypes.c_void_p,   # out (n x 20*d)
         ctypes.c_void_p,   # aux (n x 8*d)
     ]
-    probe = library.probe_sleep
-    probe.restype = None
-    probe.argtypes = [ctypes.c_double]
     _cached_kernel = library
     return library

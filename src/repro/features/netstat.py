@@ -17,12 +17,15 @@ Two engines implement the same semantics bit-for-bit:
 
 * ``engine="scalar"`` — the reference path over per-stream
   :class:`~repro.features.incstat.IncStat` objects;
-* ``engine="vector"`` (default) — the structure-of-arrays
+* ``engine="vector-native"`` — the structure-of-arrays
   :class:`~repro.features.vector.VectorIncStatDB`, which interns the
   four stream keys per (MAC, IPs, ports) tuple once and then updates
-  all decay factors of a packet's working set with vectorized kernels
-  (``"vector-numpy"`` / ``"vector-native"`` / ``"vector-native-mt"``
-  pin a specific kernel; see :mod:`repro.backends` for discovery).
+  all decay factors of a packet's working set in a C kernel.
+
+``engine="vector"`` (the default) picks ``vector-native`` when the C
+kernel loads and supports the decay count, else ``scalar``;
+:attr:`NetStat.backend` reports which one runs (see
+:mod:`repro.backends`).
 
 See ``docs/PERFORMANCE.md`` for the layout and the parity contract.
 """
@@ -31,6 +34,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.features import _native
 from repro.features.afterimage import DEFAULT_DECAYS, IncStatDB
 from repro.features.vector import VectorIncStatDB
 from repro.net.columnar import ColumnBatch
@@ -39,21 +43,9 @@ from repro.net.packet import Packet
 #: Dimensionality of the exported vector.
 KITSUNE_FEATURE_COUNT = 100
 
-#: ``engine`` argument → VectorIncStatDB kernel choice.
-_VECTOR_ENGINES = {
-    "vector": "auto",
-    "vector-numpy": "numpy",
-    "vector-native": "native",
-    "vector-native-mt": "native-mt",
-}
-
-#: VectorIncStatDB kernel → registered backend name (see
-#: :mod:`repro.backends`).
-_KERNEL_BACKENDS = {
-    "numpy": "vector-numpy",
-    "native": "vector-native",
-    "native-mt": "vector-native-mt",
-}
+#: Accepted ``engine`` arguments: the two registered feature-engine
+#: backends plus the ``"vector"`` default alias.
+ENGINES = ("scalar", "vector-native", "vector")
 
 #: Upper bound on cached (mac, ips, ports) → interned-rows entries.
 _ENTRY_CACHE_LIMIT = 1 << 17
@@ -63,7 +55,8 @@ class NetStat:
     """Stateful per-packet feature extractor.
 
     Feed packets in timestamp order via :meth:`update`; each call
-    returns the feature vector for that packet.
+    returns the feature vector for that packet. :attr:`backend` names
+    the engine actually running: ``"scalar"`` or ``"vector-native"``.
     """
 
     def __init__(
@@ -73,19 +66,24 @@ class NetStat:
         max_streams: int = 100_000,
         engine: str = "vector",
     ) -> None:
+        if engine not in ENGINES:
+            raise ValueError(
+                f"unknown engine {engine!r}; known: {', '.join(ENGINES)}"
+            )
         self.decays = tuple(decays)
         self.engine = engine
+        if engine == "vector":
+            native = (
+                len(self.decays) <= _native.MAX_DECAYS
+                and _native.load_kernel() is not None
+            )
+            engine = "vector-native" if native else "scalar"
         if engine == "scalar":
             self._db = IncStatDB(self.decays, max_streams=max_streams)
-        elif engine in _VECTOR_ENGINES:
-            self._db = VectorIncStatDB(
-                self.decays,
-                max_streams=max_streams,
-                kernel=_VECTOR_ENGINES[engine],
-            )
         else:
-            known = ", ".join(["scalar", *_VECTOR_ENGINES])
-            raise ValueError(f"unknown engine {engine!r}; known: {known}")
+            self._db = VectorIncStatDB(self.decays, max_streams=max_streams)
+        #: The engine actually running (``engine`` may be the alias).
+        self.backend = engine
         self._entries: dict[tuple, object] = {}
         self.packets_seen = 0
 
@@ -94,18 +92,6 @@ class NetStat:
         """20 features per decay factor (3 + 3 + 7 + 7)."""
         return 20 * len(self.decays)
 
-    @property
-    def backend(self) -> str:
-        """The resolved compute backend actually driving extraction.
-
-        Unlike :attr:`engine` (which may be the ``"vector"`` auto
-        alias), this reports the concrete registered backend name —
-        e.g. ``"vector-native"`` after auto-selection found a compiler.
-        """
-        if self.engine == "scalar":
-            return "scalar"
-        return _KERNEL_BACKENDS[self._db.kernel_name]
-
     def update(self, packet: Packet) -> np.ndarray:
         """Update all aggregations with ``packet``; return its features.
 
@@ -113,7 +99,7 @@ class NetStat:
         fields contribute zero-keyed streams, mirroring how Kitsune's
         packet parser degrades on unusual frames.
         """
-        if self.engine == "scalar":
+        if self.backend == "scalar":
             return self._update_scalar(packet)
         out = np.empty(self.feature_count)
         self._update_into(packet, out)
@@ -154,9 +140,7 @@ class NetStat:
         )
         return np.asarray(features, dtype=np.float64)
 
-    def _update_into(
-        self, packet: Packet, out: np.ndarray, out_ptr: int | None = None
-    ) -> None:
+    def _update_into(self, packet: Packet, out: np.ndarray) -> None:
         """Vector fast path: write ``packet``'s features into ``out``."""
         timestamp = packet.timestamp
         size = float(packet.wire_len)
@@ -181,7 +165,7 @@ class NetStat:
             if len(self._entries) >= _ENTRY_CACHE_LIMIT:
                 self._entries.clear()
             self._entries[cache_key] = entry
-        db.update_packet(entry, size, timestamp, out, out_ptr)
+        db.update_packet(entry, size, timestamp, out)
         self.packets_seen += 1
 
     def update_batch(self, packets) -> np.ndarray:
@@ -189,9 +173,9 @@ class NetStat:
         ``(n, feature_count)`` matrix — bit-identical to ``n``
         :meth:`update` calls.
 
-        The vector engines resolve every packet's interned rows first
+        The vector engine resolves every packet's interned rows first
         (so key interning, cache lookups and prune bookkeeping happen
-        once per batch-shape, not interleaved with compute), then hand
+        once per batch-shape, not interleaved with compute), then hands
         the whole batch to the kernel in one call. Row updates are
         deferred until that compute, so entry resolution threads a
         batch-wide ``pending``/``exclude`` through the database: a
@@ -206,7 +190,7 @@ class NetStat:
         if isinstance(packets, ColumnBatch):
             return self._update_columns(packets)
         packets = list(packets)
-        if self.engine == "scalar":
+        if self.backend == "scalar":
             rows = [self.update(packet) for packet in packets]
             if not rows:
                 return np.empty((0, self.feature_count), dtype=np.float64)
@@ -270,7 +254,7 @@ class NetStat:
         every flow's interned rows are already cached.
         """
         n = len(cols)
-        if self.engine == "scalar":
+        if self.backend == "scalar":
             return self._update_columns_scalar(cols)
         out = np.empty((n, self.feature_count))
         if n == 0:
@@ -414,7 +398,7 @@ class NetStat:
     def extract_all(self, packets) -> np.ndarray:
         """Vectorise a whole packet sequence into an (n, d) matrix.
 
-        The vector engines route through :meth:`update_batch`, writing
+        The vector engine routes through :meth:`update_batch`, writing
         every packet's features straight into the preallocated result
         matrix with one kernel dispatch per batch."""
         return self.update_batch(packets)
@@ -424,3 +408,10 @@ class NetStat:
         # Interned-row entries hold raw pointers; rebuild after unpickle.
         state["_entries"] = {}
         return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        # Checkpoints from before ``backend`` was stored may name a
+        # removed engine; the database they carry decides what runs.
+        scalar = isinstance(self._db, IncStatDB)
+        self.backend = "scalar" if scalar else "vector-native"

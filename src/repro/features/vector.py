@@ -26,127 +26,22 @@ the reference implementation's ``heapq.nsmallest``.
 the scalar reference (:class:`~repro.features.incstat.IncStat` /
 :class:`~repro.features.incstat.IncStatCov`), so outputs are
 bit-for-bit identical — enforced by ``tests/test_features_parity.py``.
-Two interchangeable kernels drive the arrays:
-
-* ``numpy`` — portable row-wise ufunc kernel;
-* ``native`` — a small C kernel (see :mod:`repro.features._native`)
-  compiled on demand, ~10x faster because it removes per-call ufunc
-  dispatch overhead. Falls back to ``numpy`` when no compiler exists.
-* ``native-mt`` — the same C kernel driven batch-at-a-time with the
-  four aggregation groups (MAC, IP, channel, socket) dispatched to a
-  thread pool. ctypes releases the GIL around each call and the groups
-  touch disjoint rows and output columns, so the result stays
-  bit-identical to the single-thread kernel.
+The arrays are driven by a small C kernel (see
+:mod:`repro.features._native`) compiled on demand; construction raises
+when it cannot load, and :class:`repro.features.netstat.NetStat` then
+uses the scalar reference instead.
 """
 
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
-from functools import lru_cache
 
 import numpy as np
 
 from repro.features import _native
 from repro.utils.validation import check_positive
 
-_POW = math.pow
 _HYPOT = math.hypot
-
-#: Batches smaller than this skip the thread-pool dispatch — the 4-way
-#: submit/sync overhead would dominate the kernel time.
-_MT_MIN_BATCH = 32
-
-_mt_pool_instance: ThreadPoolExecutor | None = None
-
-
-def mt_thread_count() -> int:
-    """Workers in the shared group-parallel pool (one per group)."""
-    return _native.MT_GROUPS
-
-
-def _mt_pool() -> ThreadPoolExecutor:
-    """Process-wide pool for group-parallel kernel dispatch.
-
-    Shared across all ``native-mt`` databases: the kernel calls are
-    pure compute on caller-owned buffers, so a common pool just bounds
-    total thread count.
-    """
-    global _mt_pool_instance
-    if _mt_pool_instance is None:
-        _mt_pool_instance = ThreadPoolExecutor(
-            max_workers=mt_thread_count(),
-            thread_name_prefix="afterimage-mt",
-        )
-    return _mt_pool_instance
-
-
-def _forget_mt_pool() -> None:
-    # A forked child (a sharded stream worker) inherits the pool object
-    # but none of its threads; work submitted to it would never run.
-    global _mt_pool_instance
-    _mt_pool_instance = None
-
-
-os.register_at_fork(after_in_child=_forget_mt_pool)
-
-
-#: Override for :func:`measured_mt_speedup`: ``off``/``0``/``false``
-#: disables the probe (no measurement signal), a float fakes its result
-#: (deterministic tests, pre-measured hosts).
-MT_PROBE_ENV = "REPRO_MT_PROBE"
-
-
-@lru_cache(maxsize=1)
-def measured_mt_speedup() -> float | None:
-    """Measured ``native-mt`` / ``native`` batch-kernel speedup here.
-
-    A core count says whether group-parallel dispatch *can* win, not
-    whether it *does* — a 0.93x result on a loaded 2-core host must
-    demote the MT backend in auto ranking (see
-    ``repro.backends.registry``). Returns ``None`` when the native
-    kernel is unavailable or the probe is disabled; cached for the
-    process lifetime (~tens of milliseconds once).
-    """
-    override = os.environ.get(MT_PROBE_ENV, "").strip().lower()
-    if override in ("off", "0", "false", "no"):
-        return None
-    if override:
-        try:
-            return float(override)
-        except ValueError:
-            pass
-    if _native.load_kernel() is None:
-        return None
-    return _probe_mt_speedup()
-
-
-def _probe_mt_speedup(n: int = 1024, repeats: int = 3) -> float:
-    """Best-of-``repeats`` wall-clock ratio on a synthetic batch."""
-    import time
-
-    def best(kernel: str) -> float:
-        db = VectorIncStatDB((5.0, 3.0, 1.0, 0.1, 0.01), kernel=kernel)
-        entries = [
-            db.packet_entry(
-                f"02:00:00:00:00:{i:02x}", f"10.0.{i}.1", "10.0.0.2",
-                1000 + i, 80, 0.0,
-            )
-            for i in range(64)
-        ]
-        batch = [entries[i % 64] for i in range(n)]
-        values = np.ones(n)
-        stamps = np.arange(n) * 1e-3
-        out = np.empty((n, db.feature_count))
-        elapsed = math.inf
-        for _ in range(repeats):
-            start = time.perf_counter()
-            db.update_packet_batch(batch, values, stamps, out)
-            elapsed = min(elapsed, time.perf_counter() - start)
-        return elapsed
-
-    return best("native") / best("native-mt")
 
 
 class _PacketEntry:
@@ -164,7 +59,7 @@ class _PacketEntry:
 
 
 class VectorIncStatDB:
-    """Structure-of-arrays drop-in for :class:`IncStatDB`.
+    """Structure-of-arrays counterpart of :class:`IncStatDB`.
 
     Parameters
     ----------
@@ -173,10 +68,9 @@ class VectorIncStatDB:
     max_streams:
         Soft bound on tracked keys; the stalest half is evicted past it
         (identical eviction set to the scalar reference).
-    kernel:
-        ``"auto"`` (native when available), ``"numpy"``, ``"native"``,
-        or ``"native-mt"`` (the latter two raise if the native kernel
-        cannot be built).
+
+    Raises :class:`RuntimeError` when the native kernel cannot load or
+    there are more than ``_native.MAX_DECAYS`` decay factors.
     """
 
     def __init__(
@@ -184,18 +78,14 @@ class VectorIncStatDB:
         decays: tuple[float, ...] = (5.0, 3.0, 1.0, 0.1, 0.01),
         *,
         max_streams: int = 100_000,
-        kernel: str = "auto",
         capacity: int = 1024,
     ) -> None:
         if not decays:
             raise ValueError("at least one decay factor is required")
         for decay in decays:
             check_positive("decay", decay)
-        if kernel not in ("auto", "numpy", "native", "native-mt"):
-            raise ValueError(f"unknown kernel {kernel!r}")
         self.decays = tuple(float(d) for d in decays)
         self.max_streams = max_streams
-        self.kernel = kernel
         self._d = len(self.decays)
         self._capacity = max(int(capacity), 8)
         self._size = 0
@@ -209,56 +99,38 @@ class VectorIncStatDB:
         self._free: list[int] = []
         #: Bumped whenever rows are freed; cached entries re-resolve.
         self.epoch = 0
-        self._build_layout()
-        self._init_kernel()
-
-    # -- construction helpers -------------------------------------------
-    def _build_layout(self) -> None:
         d = self._d
-        self._block_1d = tuple(
-            tuple(slice(base + offset, base + 3 * d, 3) for offset in range(3))
-            for base in (0, 3 * d)
-        )
-        self._block_2d = tuple(
-            tuple(slice(base + offset, base + 7 * d, 7) for offset in range(7))
-            for base in (6 * d, 13 * d)
-        )
         # The channel and socket blocks are adjacent with the same
         # stride, so one strided slice covers the magnitude (and one
         # the radius) slots of *both* blocks.
         self._mag_slice = slice(6 * d + 3, 20 * d, 7)
         self._rad_slice = slice(6 * d + 4, 20 * d, 7)
+        self._init_kernel()
 
+    # -- construction helpers -------------------------------------------
     def _init_kernel(self) -> None:
+        if self._d > _native.MAX_DECAYS:
+            raise RuntimeError(
+                f"native AfterImage kernel supports at most "
+                f"{_native.MAX_DECAYS} decay factors, got {self._d}"
+            )
+        library = _native.load_kernel()
+        if library is None:
+            raise RuntimeError(
+                "native AfterImage kernel unavailable: "
+                f"{_native.unavailable_reason() or 'not loaded'}"
+            )
+        self._native_fn = library.afterimage_update_packet
+        self._native_batch_fn = library.afterimage_update_batch
         self._decays_arr = np.array(self.decays)
         self._decays_ptr = self._decays_arr.ctypes.data
-        self._factor_buf = np.empty(self._d)
         self._aux = np.empty(8 * self._d)
         self._aux_ptr = self._aux.ctypes.data
-        self._native_fn = None
-        self._native_batch_fn = None
-        if self.kernel != "numpy" and self._d <= _native.MAX_DECAYS:
-            library = _native.load_kernel()
-            if library is not None:
-                self._native_fn = library.afterimage_update_packet
-                self._native_batch_fn = library.afterimage_update_batch
-        if self.kernel in ("native", "native-mt") and self._native_fn is None:
-            raise RuntimeError(
-                "native AfterImage kernel unavailable (no C compiler, "
-                "REPRO_DISABLE_NATIVE set, or too many decay factors)"
-            )
         self._refresh_pointers()
 
     def _refresh_pointers(self) -> None:
         self._state_ptr = self._state.ctypes.data
         self._last_ptr = self._last.ctypes.data
-
-    @property
-    def kernel_name(self) -> str:
-        """Which kernel actually drives ``update_packet``."""
-        if self._native_fn is None:
-            return "numpy"
-        return "native-mt" if self.kernel == "native-mt" else "native"
 
     def __len__(self) -> int:
         return len(self._keys)
@@ -382,111 +254,6 @@ class VectorIncStatDB:
             self._free.append(self._cov_keys.pop(key_ab))
             del self._cov_pair[key_ab]
         self.epoch += 1
-
-    # -- row-wise primitives (NumPy kernel + compat API) -----------------
-    def _decay_factors(self, dt: float) -> np.ndarray:
-        # math.pow matches the scalar reference bit-for-bit; NumPy's
-        # exp2/power differ in the last ulp on some platforms. The
-        # buffer is consumed immediately by the caller's multiply.
-        factors = self._factor_buf
-        factors[:] = [_POW(2.0, -decay * dt) for decay in self.decays]
-        return factors
-
-    def _insert_row(self, row: int, value: float, timestamp: float):
-        stats = self._state[row]
-        dt = timestamp - float(self._last[row])
-        if dt > 0.0:
-            stats *= self._decay_factors(dt)
-            self._last[row] = timestamp
-        weight = stats[0]
-        weight += 1.0
-        linear = stats[1]
-        linear += value
-        squared = stats[2]
-        squared += value * value
-        mean = linear / weight
-        variance = np.abs(squared / weight - mean * mean)
-        return weight, mean, variance, np.sqrt(variance)
-
-    def _read_row(self, row: int):
-        stats = self._state[row]
-        weight = stats[0]
-        # Stored weights are exactly 0 (never inserted => sums are 0
-        # too) or >= 1, so dividing by max(weight, 1) reproduces the
-        # scalar `weight > 0` guards bit-for-bit without branching.
-        safe = np.maximum(weight, 1.0)
-        mean = stats[1] / safe
-        variance = np.abs(stats[2] / safe - mean * mean)
-        return mean, variance, np.sqrt(variance)
-
-    def _update_cov_row(
-        self, row, value, timestamp, mean_a, std_a, std_b
-    ):
-        stats = self._state[row]
-        last = float(self._last[row])
-        dt = timestamp - last
-        if dt > 0.0:
-            accum = stats[:2]
-            accum *= self._decay_factors(dt)
-            self._last[row] = timestamp
-        elif last == 0.0:
-            self._last[row] = timestamp
-        residual = (value - mean_a) * std_b
-        sum_residual = stats[1]
-        sum_residual += residual
-        weight = stats[0]
-        weight += 1.0
-        covariance = sum_residual / weight
-        denominator = std_a * std_b
-        correlation = np.zeros(self._d)
-        np.divide(covariance, denominator, out=correlation,
-                  where=denominator > 0.0)
-        np.minimum(correlation, 1.0, out=correlation)
-        np.maximum(correlation, -1.0, out=correlation)
-        return covariance, correlation
-
-    # -- IncStatDB-compatible API ----------------------------------------
-    def update_get_1d(
-        self, key: str, value: float, timestamp: float
-    ) -> list[float]:
-        """Update stream ``key``; return ``3 * D`` floats like the
-        scalar reference: (weight, mean, std) per decay."""
-        row = self._intern(key, timestamp, {}, set())
-        weight, mean, _, std = self._insert_row(row, value, timestamp)
-        out = np.empty(3 * self._d)
-        out[0::3] = weight
-        out[1::3] = mean
-        out[2::3] = std
-        return out.tolist()
-
-    def update_get_2d(
-        self, key_ab: str, key_ba: str, value: float, timestamp: float
-    ) -> list[float]:
-        """Update the A→B channel direction; return ``7 * D`` floats."""
-        exclude: set[int] = set()
-        row_ab = self._intern(key_ab, timestamp, {}, exclude)
-        row_ba = self._intern(key_ba, timestamp, {}, exclude)
-        row_cov = self._intern_cov(key_ab, key_ba, exclude)
-        weight, mean, variance, std = self._insert_row(
-            row_ab, value, timestamp
-        )
-        mean_b, var_b, std_b = self._read_row(row_ba)
-        covariance, correlation = self._update_cov_row(
-            row_cov, value, timestamp, mean, std, std_b
-        )
-        out = np.empty(7 * self._d)
-        out[0::7] = weight
-        out[1::7] = mean
-        out[2::7] = std
-        out[3::7] = [
-            _HYPOT(a, b) for a, b in zip(mean.tolist(), mean_b.tolist())
-        ]
-        out[4::7] = [
-            _HYPOT(a, b) for a, b in zip(variance.tolist(), var_b.tolist())
-        ]
-        out[5::7] = covariance
-        out[6::7] = correlation
-        return out.tolist()
 
     # -- packet fast path ------------------------------------------------
     def packet_entry(
@@ -653,56 +420,18 @@ class VectorIncStatDB:
         value: float,
         timestamp: float,
         out: np.ndarray,
-        out_ptr: int | None = None,
     ) -> None:
         """Fold one packet into all eight rows; write ``20 * D``
-        features into ``out`` (a preallocated contiguous buffer).
-        ``out_ptr`` lets batch callers skip the per-row pointer lookup
-        when ``out`` is a view into a preallocated matrix."""
-        if self._native_fn is not None:
-            rows_ptr = entry.rows_ptr
-            if rows_ptr is None:
-                rows_ptr = entry.rows_ptr = entry.rows_arr.ctypes.data
-            self._native_fn(
-                self._state_ptr, self._last_ptr, rows_ptr,
-                timestamp, value, self._decays_ptr, self._d,
-                out.ctypes.data if out_ptr is None else out_ptr,
-                self._aux_ptr,
-            )
-            self._fill_hypot(out, self._aux.tolist())
-            return
-        rows = entry.rows
-        for index in (0, 1):
-            weight, mean, _, std = self._insert_row(
-                rows[index], value, timestamp
-            )
-            block = self._block_1d[index]
-            out[block[0]] = weight
-            out[block[1]] = mean
-            out[block[2]] = std
-        mean_a: list[float] = []
-        var_a: list[float] = []
-        mean_b: list[float] = []
-        var_b: list[float] = []
-        for group in (0, 1):
-            weight, mean, variance, std = self._insert_row(
-                rows[2 + group], value, timestamp
-            )
-            rev_mean, rev_var, rev_std = self._read_row(rows[6 + group])
-            covariance, correlation = self._update_cov_row(
-                rows[4 + group], value, timestamp, mean, std, rev_std
-            )
-            block = self._block_2d[group]
-            out[block[0]] = weight
-            out[block[1]] = mean
-            out[block[2]] = std
-            out[block[5]] = covariance
-            out[block[6]] = correlation
-            mean_a += mean.tolist()
-            var_a += variance.tolist()
-            mean_b += rev_mean.tolist()
-            var_b += rev_var.tolist()
-        self._fill_hypot(out, mean_a + var_a + mean_b + var_b)
+        features into ``out`` (a preallocated contiguous buffer)."""
+        rows_ptr = entry.rows_ptr
+        if rows_ptr is None:
+            rows_ptr = entry.rows_ptr = entry.rows_arr.ctypes.data
+        self._native_fn(
+            self._state_ptr, self._last_ptr, rows_ptr,
+            timestamp, value, self._decays_ptr, self._d,
+            out.ctypes.data, self._aux_ptr,
+        )
+        self._fill_hypot(out, self._aux.tolist())
 
     def update_packet_batch(
         self,
@@ -718,23 +447,10 @@ class VectorIncStatDB:
         (see :meth:`packet_entry`); compute happens here, after all
         interning, so the state pointers survive any mid-batch growth.
 
-        The native kernel takes one call for the whole batch; under
-        ``native-mt`` the four aggregation groups are dispatched to a
-        worker pool (disjoint rows and output columns keep the result
-        bit-identical). The NumPy kernel falls back to the per-packet
-        loop, which is already parity-exact.
+        The native kernel takes one call for the whole batch.
         """
         n = len(entries)
         if n == 0:
-            return
-        if self._native_batch_fn is None:
-            base = out.ctypes.data
-            stride = out.shape[1] * out.itemsize
-            for i, entry in enumerate(entries):
-                self.update_packet(
-                    entry, float(values[i]), float(timestamps[i]),
-                    out[i], base + i * stride,
-                )
             return
         rows = np.empty((n, 8), dtype=np.int64)
         for i, entry in enumerate(entries):
@@ -761,12 +477,6 @@ class VectorIncStatDB:
         n = len(inverse)
         if n == 0:
             return
-        if self._native_batch_fn is None:
-            self.update_packet_batch(
-                [flow_entries[j] for j in inverse.tolist()],
-                values, timestamps, out,
-            )
-            return
         k = len(flow_entries)
         flow_rows = np.empty((k, 8), dtype=np.int64)
         for j, entry in enumerate(flow_entries):
@@ -786,23 +496,11 @@ class VectorIncStatDB:
         ts = np.ascontiguousarray(timestamps, dtype=np.float64)
         v = np.ascontiguousarray(values, dtype=np.float64)
         aux = np.empty((n, 8 * d))
-        fn = self._native_batch_fn
-        shared = (
+        self._native_batch_fn(
             self._state_ptr, self._last_ptr, rows.ctypes.data,
             ts.ctypes.data, v.ctypes.data, n, self._decays_ptr, d,
+            out.ctypes.data, aux.ctypes.data,
         )
-        if self.kernel == "native-mt" and n >= _MT_MIN_BATCH:
-            pool = _mt_pool()
-            futures = [
-                pool.submit(
-                    fn, *shared, group, out.ctypes.data, aux.ctypes.data
-                )
-                for group in range(_native.MT_GROUPS)
-            ]
-            for future in futures:
-                future.result()
-        else:
-            fn(*shared, -1, out.ctypes.data, aux.ctypes.data)
         self._fill_hypot_batch(out, aux)
 
     def _fill_hypot_batch(self, out: np.ndarray, aux: np.ndarray) -> None:
@@ -829,8 +527,8 @@ class VectorIncStatDB:
     def _fill_hypot(self, out: np.ndarray, aux: list[float]) -> None:
         """Fill the magnitude/radius slots with ``math.hypot``.
 
-        CPython's hypot is more accurate than libm's, so both kernels
-        defer these two derived statistics to this shared Python pass —
+        CPython's hypot is more accurate than libm's, so the kernel
+        defers these two derived statistics to this Python pass —
         keeping them bit-identical to the scalar reference. ``aux`` is
         operand-major: ``[mean_a | var_a | mean_b | var_b]``, each of
         length ``2 * D`` (channel then socket block).
@@ -847,12 +545,16 @@ class VectorIncStatDB:
     def __getstate__(self) -> dict:
         state = self.__dict__.copy()
         for transient in ("_native_fn", "_native_batch_fn",
-                          "_decays_arr", "_decays_ptr",
-                          "_factor_buf", "_aux", "_aux_ptr",
+                          "_decays_arr", "_decays_ptr", "_aux", "_aux_ptr",
                           "_state_ptr", "_last_ptr"):
             state.pop(transient, None)
         return state
 
     def __setstate__(self, state: dict) -> None:
+        # Checkpoints from before the engine was native-only carry a
+        # ``kernel`` choice and row-kernel layout caches; every one of
+        # them continues on the native kernel.
+        for stale in ("kernel", "_block_1d", "_block_2d"):
+            state.pop(stale, None)
         self.__dict__.update(state)
         self._init_kernel()

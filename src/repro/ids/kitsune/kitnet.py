@@ -32,7 +32,6 @@ class KitNET:
     # engine existed still dispatch to the online reference path.
     train_mode = "online"
     train_batch = 32
-    ensemble_backend = "auto"
 
     def __init__(
         self,
@@ -56,7 +55,9 @@ class KitNET:
                 f"got {train_mode!r}"
             )
         if ensemble_backend != "auto":
-            # Fail fast with the registry's known-backend message.
+            # Execute-phase rows always score through the one
+            # registered backend, "batched-einsum" (packed ensemble);
+            # any other name fails with the registry's known set.
             from repro import backends
 
             backends.get_backend(backends.ENSEMBLE, ensemble_backend)
@@ -71,10 +72,6 @@ class KitNET:
         #: :mod:`repro.ml.batched_train`).
         self.train_mode = train_mode
         self.train_batch = int(check_positive("train_batch", train_batch))
-        #: Execute-phase scoring backend: ``"auto"`` / the registered
-        #: ``"batched-einsum"`` (packed ensemble) or ``"per-row"``
-        #: (reference loop) — bit-identical, a pure throughput knob.
-        self.ensemble_backend = ensemble_backend
         self._rng = rng
         self.mapper = FeatureMapper(dim, max_group=max_group)
         # AfterImage normalisation does not clip: post-training regime
@@ -94,8 +91,7 @@ class KitNET:
     @property
     def resolved_ensemble_backend(self) -> str:
         """The concrete execute-phase backend (``"auto"`` resolved)."""
-        backend = getattr(self, "ensemble_backend", "auto")
-        return "batched-einsum" if backend == "auto" else backend
+        return "batched-einsum"
 
     @property
     def in_feature_mapping(self) -> bool:
@@ -386,10 +382,6 @@ class KitNET:
         if self.output_layer is None:  # fm_grace satisfied mid-stream
             self._build_ensemble()
         assert self._output_scaler is not None
-        if self.resolved_ensemble_backend == "per-row":
-            scores = np.array([self._execute(row) for row in matrix])
-            self.samples_seen += matrix.shape[0]
-            return scores
         packed = self._packed()
         scaled = self.scaler.transform(matrix)
         rmses = packed.group_rmses(scaled)

@@ -52,7 +52,7 @@ def feature_backend(request) -> str:
     return request.param
 
 
-@pytest.fixture(params=["per-row", "batched-einsum"])
+@pytest.fixture(params=["batched-einsum"])
 def ensemble_backend(request) -> str:
     """Shared parity contract over the registered ensemble backends."""
     return request.param

@@ -5,7 +5,12 @@ contract, and the CLI surfaces that report the resolved backend."""
 from __future__ import annotations
 
 import json
+import os
+import shutil
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import pytest
 
@@ -13,6 +18,7 @@ from repro import backends
 from repro.backends.registry import BackendSpec, _REGISTRY
 from repro.cli import main
 from repro.features import _native
+from repro.features.netstat import NetStat
 
 
 class TestRegistry:
@@ -21,13 +27,13 @@ class TestRegistry:
             backends.FEATURE_ENGINE, backends.INGEST, backends.ENSEMBLE,
         }
         assert backends.backend_names(backends.FEATURE_ENGINE) == (
-            "scalar", "vector-numpy", "vector-native", "vector-native-mt",
+            "scalar", "vector-native",
         )
         assert backends.backend_names(backends.INGEST) == (
             "packet-objects", "columnar-mmap",
         )
         assert backends.backend_names(backends.ENSEMBLE) == (
-            "per-row", "batched-einsum",
+            "batched-einsum",
         )
 
     def test_unknown_component_and_backend_errors_name_the_known_set(self):
@@ -37,26 +43,31 @@ class TestRegistry:
             backends.get_backend(backends.FEATURE_ENGINE, "vector-cuda")
         message = str(excinfo.value)
         assert "vector-cuda" in message
-        assert "vector-native-mt" in message  # the known set is listed
+        assert "scalar, vector-native" in message  # the known set
 
     def test_always_available_backends(self):
         names = [
             spec.name
             for spec in backends.available_backends(backends.FEATURE_ENGINE)
         ]
-        # Pure-Python backends carry no probe and are available anywhere.
+        # The pure-Python reference carries no probe: available anywhere.
         assert "scalar" in names
-        assert "vector-numpy" in names
+        native = _native.load_kernel() is not None
+        assert ("vector-native" in names) == native
 
     def test_resolve_auto_picks_highest_ranked_available(self):
         spec = backends.resolve(backends.FEATURE_ENGINE, "auto")
         if _native.load_kernel() is None:
-            assert spec.name == "vector-numpy"
+            assert spec.name == "scalar"
         else:
-            # The MT kernel only auto-outranks single-thread native on
-            # multi-core hosts; either way auto picks a native kernel.
-            assert spec.name.startswith("vector-native")
+            assert spec.name == "vector-native"
         assert backends.resolve(backends.ENSEMBLE).name == "batched-einsum"
+
+    def test_removed_ensemble_backend_is_rejected(self):
+        from repro.ids.kitsune import Kitsune
+
+        with pytest.raises(KeyError, match="batched-einsum"):
+            Kitsune(ensemble_backend="per-row")
 
     def test_resolve_explicit_unavailable_backend_raises(self):
         key = (backends.FEATURE_ENGINE, "vector-test-unavailable")
@@ -65,7 +76,6 @@ class TestRegistry:
             name="vector-test-unavailable",
             description="test-only",
             parity="n/a",
-            expected_speedup="n/a",
             probe=lambda: "requires hardware this host lacks",
         ))
         try:
@@ -84,7 +94,6 @@ class TestRegistry:
         caps = backends.capabilities()
         assert caps["cpu_count"] >= 1
         assert isinstance(caps["native_kernel"], bool)
-        assert caps["mt_threads"] == _native.MT_GROUPS
         per_component = caps["components"]
         assert set(per_component) == set(backends.components())
         scalar = per_component[backends.FEATURE_ENGINE]["scalar"]
@@ -93,9 +102,26 @@ class TestRegistry:
     def test_default_feature_backend_matches_kernel_presence(self):
         expected = (
             "vector-native" if _native.load_kernel() is not None
-            else "vector-numpy"
+            else "scalar"
         )
         assert backends.default_feature_backend() == expected
+
+    @pytest.mark.parametrize("kernel", ["loaded", "unavailable"])
+    def test_default_is_one_decision(self, monkeypatch, kernel):
+        """The registry default, the ``NetStat()`` alias and ``auto``
+        agree, with and without the native kernel."""
+        if kernel == "unavailable":
+            monkeypatch.setattr(_native, "load_kernel", lambda: None)
+            expected = "scalar"
+        elif _native.load_kernel() is None:
+            pytest.skip("native AfterImage kernel unavailable")
+        else:
+            expected = "vector-native"
+        assert backends.default_feature_backend() == expected
+        assert NetStat().backend == expected
+        assert backends.resolve(
+            backends.FEATURE_ENGINE, "auto"
+        ).name == expected
 
 
 class TestBackendNotes:
@@ -129,8 +155,9 @@ class TestBackendNotes:
 
 
 class TestNativeFallback:
-    """A missing compiler degrades to NumPy with one warning, never an
-    exception; ``REPRO_DISABLE_NATIVE`` is a silent opt-out."""
+    """A missing compiler degrades to the scalar engine with one
+    warning, never an exception; ``REPRO_DISABLE_NATIVE`` is a silent
+    opt-out."""
 
     @pytest.fixture
     def fresh_native_state(self, monkeypatch, tmp_path):
@@ -145,7 +172,7 @@ class TestNativeFallback:
         self, fresh_native_state, monkeypatch,
     ):
         monkeypatch.setenv("CC", "/nonexistent/compiler")
-        with pytest.warns(RuntimeWarning, match="falling back to the NumPy"):
+        with pytest.warns(RuntimeWarning, match="back to the scalar engine"):
             assert _native.load_kernel() is None
         assert "compilation failed" in _native.unavailable_reason()
         # The failure is latched: later calls stay silent.
@@ -162,16 +189,50 @@ class TestNativeFallback:
             assert _native.load_kernel() is None
         assert _native.unavailable_reason() == "REPRO_DISABLE_NATIVE is set"
 
+    def test_publish_failure_has_its_own_reason(
+        self, fresh_native_state, monkeypatch,
+    ):
+        if shutil.which(os.environ.get("CC") or "cc") is None:
+            pytest.skip("no C compiler")
+
+        def refuse(src, dst):
+            raise OSError("cross-device link")
+
+        monkeypatch.setattr(_native.os, "replace", refuse)
+        with pytest.warns(RuntimeWarning, match="not published"):
+            assert _native.load_kernel() is None
+        assert "cross-device link" in _native.unavailable_reason()
+
     def test_netstat_still_constructs_without_native(
         self, fresh_native_state, monkeypatch,
     ):
-        from repro.features.netstat import NetStat
-
         monkeypatch.setenv("REPRO_DISABLE_NATIVE", "1")
         extractor = NetStat(engine="vector")
-        assert extractor.backend == "vector-numpy"
+        assert extractor.backend == "scalar"
         with pytest.raises(RuntimeError, match="unavailable"):
             NetStat(engine="vector-native")
+
+
+def test_missing_nested_cache_dir_is_created(tmp_path):
+    """A fresh process given a cache directory that does not exist yet
+    creates it and publishes the compiled kernel there."""
+    if shutil.which(os.environ.get("CC") or "cc") is None:
+        pytest.skip("no C compiler")
+    import repro
+
+    cache = tmp_path / "missing" / "nested" / "cache"
+    env = {**os.environ, "REPRO_NATIVE_CACHE": str(cache),
+           "PYTHONPATH": str(Path(repro.__file__).parents[1])}
+    env.pop("REPRO_DISABLE_NATIVE", None)
+    probe = ("from repro.features import _native; "
+             "assert _native.load_kernel() is not None, "
+             "_native.unavailable_reason()")
+    result = subprocess.run(
+        [sys.executable, "-W", "error", "-c", probe],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert result.returncode == 0, result.stderr
+    assert [path.suffix for path in cache.iterdir()] == [".so"]
 
 
 class TestBackendsCLI:
@@ -179,7 +240,7 @@ class TestBackendsCLI:
         assert main(["backends"]) == 0
         out = capsys.readouterr().out
         assert "feature-engine" in out
-        assert "vector-native-mt" in out
+        assert "vector-native" in out
         assert "batched-einsum" in out
 
     def test_backends_json_payload(self, tmp_path, capsys):
@@ -191,7 +252,7 @@ class TestBackendsCLI:
 
     def test_stream_reports_resolved_feature_backend(self, tmp_path):
         native = _native.load_kernel() is not None
-        backend = "vector-native" if native else "vector-numpy"
+        backend = "vector-native" if native else "scalar"
         out = tmp_path / "report.json"
         code = main([
             "stream", "--ids", "kitsune", "--dataset", "mirai",
@@ -214,8 +275,6 @@ class TestBackendsCLI:
         assert code == 0
         notes = json.loads(out.read_text())["notes"]
         assert notes["sharded"] is True
-        # "auto" may rank the group-parallel kernel first when this
-        # host's measured probe favours it.
         assert notes["feature_backend"] == backends.resolve(
             backends.FEATURE_ENGINE, "auto"
         ).name
@@ -239,7 +298,7 @@ class TestBackendsCLI:
             )
         code = main([
             "stream", "--ids", "kitsune", "--dataset", "mirai",
-            "--scale", "0.03", "--feature-backend", "vector-native-mt",
+            "--scale", "0.03", "--feature-backend", "vector-native",
             "--quiet",
         ])
         assert code == 2
@@ -249,71 +308,11 @@ class TestBackendsCLI:
         out = tmp_path / "profile.json"
         assert main([
             "profile", "--dataset", "mirai", "--scale", "0.03",
-            "--engine", "vector-numpy", "--json", str(out),
+            "--engine", "scalar", "--json", str(out),
         ]) == 0
         profile = json.loads(out.read_text())
-        assert profile["feature_backend"] == "vector-numpy"
+        assert profile["feature_backend"] == "scalar"
         assert profile["ensemble_backend"] == "batched-einsum"
-
-
-class TestMtAutoRankDemotion:
-    """Auto ranking trusts the measured MT probe over the core count."""
-
-    def _fresh_probe(self, monkeypatch, value: str) -> None:
-        from repro.features import vector
-
-        monkeypatch.setenv(vector.MT_PROBE_ENV, value)
-        vector.measured_mt_speedup.cache_clear()
-
-    @pytest.fixture(autouse=True)
-    def _restore_probe_cache(self):
-        from repro.features import vector
-
-        yield
-        vector.measured_mt_speedup.cache_clear()
-
-    def test_measured_slowdown_demotes_mt_below_native(self, monkeypatch):
-        from repro.backends import registry
-
-        # Plenty of cores, but the probe measured the pool *slower*
-        # than single-thread (the contended-runner case: 0.93x). The
-        # rank must drop below vector-native's priority 20.
-        monkeypatch.setattr(registry.os, "cpu_count", lambda: 4)
-        self._fresh_probe(monkeypatch, "0.93")
-        assert registry._mt_auto_rank() == 15
-        if _native.load_kernel() is not None:
-            assert backends.resolve(backends.FEATURE_ENGINE).name == (
-                "vector-native"
-            )
-
-    def test_measured_speedup_keeps_mt_on_top(self, monkeypatch):
-        from repro.backends import registry
-
-        monkeypatch.setattr(registry.os, "cpu_count", lambda: 4)
-        self._fresh_probe(monkeypatch, "1.8")
-        assert registry._mt_auto_rank() == 30
-        if _native.load_kernel() is not None:
-            assert backends.resolve(backends.FEATURE_ENGINE).name == (
-                "vector-native-mt"
-            )
-
-    def test_single_core_demotes_without_probing(self, monkeypatch):
-        from repro.backends import registry
-
-        monkeypatch.setattr(registry.os, "cpu_count", lambda: 1)
-        # Even a glowing measurement cannot promote MT on one core.
-        self._fresh_probe(monkeypatch, "2.5")
-        assert registry._mt_auto_rank() == 15
-
-    def test_probe_off_falls_back_to_core_count(self, monkeypatch):
-        from repro.backends import registry
-
-        monkeypatch.setattr(registry.os, "cpu_count", lambda: 4)
-        self._fresh_probe(monkeypatch, "off")
-        from repro.features import vector
-
-        assert vector.measured_mt_speedup() is None
-        assert registry._mt_auto_rank() == 30
 
 
 class TestIngestRegistry:

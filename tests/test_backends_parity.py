@@ -9,7 +9,8 @@ subjects it to the full contract: bit-for-bit equality with the scalar
 AfterImage reference on adversarial streams, across the batched
 ``update_batch`` path, at chunk boundaries, under prune churn, and
 against the committed golden fixture. The ``ensemble_backend`` fixture
-does the same for KitNET's execute-phase backends.
+does the same for KitNET's execute-phase backend, against the per-row
+``KitNET._execute`` loop as the oracle.
 """
 
 from __future__ import annotations
@@ -45,8 +46,7 @@ class TestFeatureBackendContract:
 
     def test_chunked_batches_match_one_batch(self, feature_backend):
         """Chunk boundaries are invisible: feeding the stream in uneven
-        batches (crossing the MT path's minimum-batch threshold both
-        ways) equals one extract_all."""
+        batches equals one extract_all."""
         packets = random_stream(9, count=700)
         whole = NetStat(engine=feature_backend).extract_all(packets)
         chunked = NetStat(engine=feature_backend)
@@ -87,21 +87,26 @@ class TestFeatureBackendContract:
         assert revived.backend == original.backend
 
 
+def per_row_scores(kitnet, rows) -> np.ndarray:
+    """The ensemble oracle: the reference execute loop, row by row."""
+    return np.array([kitnet._execute(row) for row in rows])
+
+
 class TestEnsembleBackendContract:
     """KitNET execute-phase backends score identically per row."""
 
-    def _scores(self, backend: str) -> np.ndarray:
+    def test_backends_score_bit_identically(self, ensemble_backend):
         from repro.ids.kitsune import Kitsune
 
         packets = random_stream(12, count=600)
         ids = Kitsune(
-            fm_grace=100, ad_grace=200, seed=0, ensemble_backend=backend,
+            fm_grace=100, ad_grace=200, seed=0,
+            ensemble_backend=ensemble_backend,
         )
-        return ids.score_batch(packets)
-
-    def test_backends_score_bit_identically(self, ensemble_backend):
-        reference = self._scores("per-row")
-        assert np.array_equal(reference, self._scores(ensemble_backend))
+        ids.fit(packets[:300])
+        rows = ids.netstat.extract_all(packets[300:])
+        reference = per_row_scores(ids.kitnet, rows)
+        assert np.array_equal(reference, ids.kitnet.execute_batch(rows))
 
     def test_resolved_backend_reported(self, ensemble_backend):
         from repro.ids.kitsune import Kitsune

@@ -102,7 +102,7 @@ class TestStageShares:
     def test_zero_total_renders_without_dividing(self):
         profile = PacketPathProfile(
             dataset="x", seed=0, scale=0.1, packets=0,
-            engine="vector", kernel="numpy",
+            engine="vector",
             stages=(StageTiming("ingest", 0.0, 0),),
         )
         rendered = profile.render()

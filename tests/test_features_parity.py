@@ -7,8 +7,8 @@ Table IV. These tests enforce the parity contract:
 
 * randomized packet streams (repeated timestamps, ARP and non-IP
   frames, self-conversations, prune-triggering key churn) must produce
-  *identical* 100-dim vectors from the scalar reference and both
-  vector kernels;
+  *identical* 100-dim vectors from the scalar reference and the
+  native vector engine;
 * a golden fixture pins the exact feature values (and therefore the
   feature ordering) of a deterministic stream, so a layout change in
   any engine shows up as a diff against a committed file.
@@ -36,9 +36,7 @@ from tests.conftest import make_tcp_packet, make_udp_packet
 GOLDEN_PATH = Path(__file__).parent / "golden" / "netstat_features.npz"
 
 NATIVE_AVAILABLE = _native.load_kernel() is not None
-VECTOR_ENGINES = ["vector-numpy"] + (
-    ["vector-native", "vector-native-mt"] if NATIVE_AVAILABLE else []
-)
+VECTOR_ENGINES = ["vector-native"] if NATIVE_AVAILABLE else []
 
 
 def make_arp_packet(ts: float, src: str, dst: str) -> Packet:

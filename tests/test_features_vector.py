@@ -1,210 +1,296 @@
 """Tests for the structure-of-arrays AfterImage engine.
 
-Covers the :class:`VectorIncStatDB` drop-in API, the partial-selection
-prune (eviction set identical to the scalar reference, including
-insertion-order tie-breaks and covariance endpoint eviction), capacity
-growth, and pickling.
+Covers :class:`VectorIncStatDB` construction, interning, capacity
+growth and pickling (including checkpoints that still name a removed
+kernel), and the partial-selection prune: crafted packet streams run
+through ``NetStat("scalar")`` and ``NetStat("vector-native")`` with a
+small ``max_streams`` must agree on every feature, on the number of
+tracked streams and on which stream and covariance keys survive, after
+every packet — insertion-order tie-breaks and covariance endpoint
+eviction included.
 """
 
+import gzip
 import pickle
 import random
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from repro.features import _native
 from repro.features.afterimage import DEFAULT_DECAYS, IncStatDB
+from repro.features.netstat import NetStat
 from repro.features.vector import VectorIncStatDB
+
+from tests.conftest import make_tcp_packet, make_udp_packet
 
 NATIVE_AVAILABLE = _native.load_kernel() is not None
 
-#: Kernels exercised by every parity test; "native" is skipped where no
-#: C compiler exists.
-KERNELS = ["numpy"] + (["native"] if NATIVE_AVAILABLE else [])
+LEGACY_CHECKPOINTS = (
+    Path(__file__).parent / "fixtures" / "legacy_netstat_checkpoints.pkl.gz"
+)
+
+needs_native = pytest.mark.skipif(
+    not NATIVE_AVAILABLE, reason="native AfterImage kernel unavailable"
+)
 
 
+def _scalar_key(key: tuple) -> str:
+    """The scalar reference's string key for an interned tuple key."""
+    kind = key[0]
+    if kind == "mac":
+        return f"mac:{key[1]}|{key[2]}"
+    if kind == "ip":
+        return f"ip:{key[1]}"
+    if kind == "ch":
+        return f"ch:{key[1]}>{key[2]}"
+    return f"sk:{key[1]}:{key[2]}>{key[3]}:{key[4]}"
+
+
+def _tracked(extractor: NetStat) -> tuple[list[str], list[str]]:
+    """Stream and covariance keys in table order, as scalar strings."""
+    db = extractor._db
+    if isinstance(db, IncStatDB):
+        return list(db._streams), list(db._covs)
+    return (
+        [_scalar_key(key) for key in db._keys],
+        [_scalar_key(key) for key in db._cov_keys],
+    )
+
+
+def _assert_lockstep(packets, max_streams: int) -> NetStat:
+    """Feed ``packets`` through both engines, comparing after each one;
+    the batched path must then reproduce the whole matrix. Returns the
+    scalar extractor for further assertions."""
+    scalar = NetStat(engine="scalar", max_streams=max_streams)
+    vector = NetStat(engine="vector-native", max_streams=max_streams)
+    rows = []
+    for index, packet in enumerate(packets):
+        expected = scalar.update(packet)
+        got = vector.update(packet)
+        assert np.array_equal(expected, got), f"features at packet {index}"
+        assert len(vector._db) == len(scalar._db), f"len at packet {index}"
+        assert _tracked(vector) == _tracked(scalar), f"keys at packet {index}"
+        rows.append(expected)
+    batched = NetStat(engine="vector-native", max_streams=max_streams)
+    assert np.array_equal(np.vstack(rows), batched.extract_all(packets))
+    assert _tracked(batched) == _tracked(scalar)
+    return scalar
+
+
+def _fan_in(times, dst: str = "10.0.9.9") -> list:
+    """Source ``10.0.0.i`` sends one packet to ``dst`` at ``times[i]``;
+    each packet creates six streams (MAC, IP, both channel and both
+    socket directions)."""
+    return [
+        make_tcp_packet(ts, src=f"10.0.0.{i}", dst=dst, payload=b"x" * i)
+        for i, ts in enumerate(times)
+    ]
+
+
+@needs_native
 class TestVectorIncStatDB:
-    def test_1d_output_size(self):
-        db = VectorIncStatDB()
-        out = db.update_get_1d("k", 100.0, 0.0)
-        assert len(out) == 3 * len(DEFAULT_DECAYS)
-
-    def test_2d_output_size(self):
-        db = VectorIncStatDB()
-        out = db.update_get_2d("a>b", "b>a", 100.0, 0.0)
-        assert len(out) == 7 * len(DEFAULT_DECAYS)
+    def _update(self, db: VectorIncStatDB, packet) -> np.ndarray:
+        entry = db.packet_entry(
+            packet.ether.src_mac, packet.src_ip, packet.dst_ip,
+            packet.src_port, packet.dst_port, packet.timestamp,
+        )
+        out = np.empty(db.feature_count)
+        db.update_packet(entry, float(packet.wire_len), packet.timestamp, out)
+        return out
 
     def test_stream_reuse(self):
         db = VectorIncStatDB()
-        db.update_get_1d("k", 100.0, 0.0)
-        db.update_get_1d("k", 100.0, 0.0)
-        assert len(db) == 1
+        packet = make_tcp_packet(0.0)
+        first = db.packet_entry("m", "10.0.0.1", "10.0.0.2", 1, 2, 0.0)
+        again = db.packet_entry("m", "10.0.0.1", "10.0.0.2", 1, 2, 0.5)
+        # MAC, IP, two channel and two socket directions.
+        assert len(db) == 6
+        assert first.rows == again.rows
+        assert self._update(db, packet).shape == (20 * len(DEFAULT_DECAYS),)
 
     def test_rejects_empty_decays(self):
         with pytest.raises(ValueError):
             VectorIncStatDB(())
 
-    def test_rejects_unknown_kernel(self):
-        with pytest.raises(ValueError):
-            VectorIncStatDB(kernel="simd")
-
     def test_native_kernel_request_without_support(self, monkeypatch):
         monkeypatch.setattr(_native, "load_kernel", lambda: None)
-        with pytest.raises(RuntimeError):
-            VectorIncStatDB(kernel="native")
+        with pytest.raises(RuntimeError, match="unavailable"):
+            VectorIncStatDB()
+
+    def test_rejects_more_decays_than_the_kernel_supports(self):
+        with pytest.raises(RuntimeError, match="at most"):
+            VectorIncStatDB((1.0,) * (_native.MAX_DECAYS + 1))
 
     def test_pruning_bounds_memory(self):
-        db = VectorIncStatDB(max_streams=10)
-        for i in range(50):
-            db.update_get_1d(f"k{i}", 1.0, float(i))
-        assert len(db) <= 30
+        extractor = NetStat(engine="vector-native", max_streams=10)
+        for packet in _fan_in([float(i) for i in range(50)]):
+            extractor.update(packet)
+            assert len(extractor._db) <= 10
 
     def test_capacity_growth(self):
         db = VectorIncStatDB(capacity=8)
-        for i in range(100):
-            db.update_get_1d(f"k{i}", 1.0, float(i))
-        assert len(db) == 100
-        # Values survive the growth reallocations: the slowest-decay
-        # weight of the first stream still reflects its first insert
-        # (2^(-0.01 * 100) = 0.5 of it) plus the new one.
-        out = db.update_get_1d("k0", 1.0, 100.0)
-        assert out[12] == 1.5
+        scalar = NetStat(engine="scalar")
+        packets = _fan_in([float(i) for i in range(40)])
+        packets.append(make_tcp_packet(100.0, src="10.0.0.0", dst="10.0.9.9"))
+        for packet in packets:
+            expected = scalar.update(packet)
+            assert np.array_equal(expected, self._update(db, packet))
+        # Six streams per source, none shared.
+        assert len(db) == 6 * 40
+        assert db._capacity > 8
 
     def test_pickle_roundtrip(self):
         db = VectorIncStatDB()
-        db.update_get_1d("k", 64.0, 1.0)
+        packet = make_tcp_packet(1.0, payload=b"p" * 64)
+        self._update(db, packet)
         clone = pickle.loads(pickle.dumps(db))
-        assert db.update_get_1d("k", 64.0, 2.0) == clone.update_get_1d(
-            "k", 64.0, 2.0
-        )
-
-    def test_kernel_name_reported(self):
-        assert VectorIncStatDB(kernel="numpy").kernel_name == "numpy"
-        if NATIVE_AVAILABLE:
-            assert VectorIncStatDB(kernel="auto").kernel_name == "native"
+        later = make_tcp_packet(2.0, payload=b"p" * 64)
+        assert np.array_equal(self._update(db, later),
+                              self._update(clone, later))
 
 
+@needs_native
 class TestScalarVectorDBParity:
-    """update_get_1d/2d must be bit-for-bit identical to IncStatDB."""
+    """Random packet streams, bit-for-bit against the scalar engine."""
 
-    def _random_ops(self, seed, n=400):
+    def _random_packets(self, seed, n=400):
         rng = random.Random(seed)
+        ips = [f"10.2.0.{i}" for i in range(12)]
         ts = 0.0
-        ops = []
+        packets = []
         for _ in range(n):
             if rng.random() < 0.6:
                 ts += rng.choice([0.0, 0.001, 0.5, 40.0])
-            key_a = f"s{rng.randrange(12)}"
-            key_b = f"s{rng.randrange(12)}"
-            value = float(rng.randrange(40, 1500))
-            if rng.random() < 0.5:
-                ops.append(("1d", key_a, None, value, ts))
-            else:
-                ops.append(("2d", f"{key_a}>{key_b}", f"{key_b}>{key_a}",
-                            value, ts))
-        return ops
+            src, dst = rng.choice(ips), rng.choice(ips)
+            sport = rng.choice([53, 80, 4242])
+            make = make_tcp_packet if rng.random() < 0.5 else make_udp_packet
+            packets.append(make(
+                ts, src=src, dst=dst, sport=sport,
+                dport=rng.choice([53, 80, sport]),
+                payload=b"r" * rng.randrange(0, 1400),
+            ))
+        return packets
 
     @pytest.mark.parametrize("max_streams", [6, 100_000])
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_parity(self, seed, max_streams):
-        scalar = IncStatDB(max_streams=max_streams)
-        vectors = {
-            kernel: VectorIncStatDB(max_streams=max_streams, kernel=kernel)
-            for kernel in KERNELS
-        }
-        for kind, key_a, key_b, value, ts in self._random_ops(seed):
-            if kind == "1d":
-                expected = scalar.update_get_1d(key_a, value, ts)
-                for kernel, db in vectors.items():
-                    got = db.update_get_1d(key_a, value, ts)
-                    assert got == expected, kernel
-            else:
-                expected = scalar.update_get_2d(key_a, key_b, value, ts)
-                for kernel, db in vectors.items():
-                    got = db.update_get_2d(key_a, key_b, value, ts)
-                    assert got == expected, kernel
-            for kernel, db in vectors.items():
-                assert len(db) == len(scalar), kernel
+        _assert_lockstep(self._random_packets(seed), max_streams)
 
     def test_self_conversation_aliasing(self):
-        """src == dst makes both direction keys one stream."""
-        scalar = IncStatDB()
-        expected = [
-            scalar.update_get_2d("x>x", "x>x", 100.0, step * 0.1)
-            for step in range(5)
+        """src == dst makes both channel keys one stream; equal ports
+        do the same for the socket keys."""
+        packets = [
+            make_tcp_packet(step * 0.1, src="10.0.0.7", dst="10.0.0.7",
+                            sport=7777, dport=7777 if step % 2 else 80,
+                            payload=b"s" * step)
+            for step in range(6)
         ]
-        for kernel in KERNELS:
-            db = VectorIncStatDB(kernel=kernel)
-            got = [
-                db.update_get_2d("x>x", "x>x", 100.0, step * 0.1)
-                for step in range(5)
-            ]
-            assert got == expected, kernel
-            assert len(db) == 1
+        scalar = _assert_lockstep(packets, 100_000)
+        assert "ch:10.0.0.7>10.0.0.7" in scalar._db._streams
+        assert "sk:10.0.0.7:7777>10.0.0.7:7777" in scalar._db._streams
 
 
+@needs_native
 class TestEvictionOrder:
     """The prune must evict exactly the scalar reference's victims."""
 
-    def _surviving_keys(self, db, keys):
-        if isinstance(db, IncStatDB):
-            return [key for key in keys if key in db._streams]
-        return [key for key in keys if key in db._keys]
-
     def test_stalest_half_evicted(self):
-        keys = [f"k{i}" for i in range(9)]
         times = [5.0, 1.0, 8.0, 0.5, 3.0, 9.0, 2.0, 7.0, 6.0]
-        survivors = {}
-        for name, db in [("scalar", IncStatDB(max_streams=8)),
-                         ("vector", VectorIncStatDB(max_streams=8))]:
-            for key, ts in zip(keys, times):
-                db.update_get_1d(key, 1.0, ts)
-            survivors[name] = self._surviving_keys(db, keys)
-        # 9 streams > 8 => the 4 stalest (times 0.5, 1, 2, 3) go.
-        assert survivors["scalar"] == ["k0", "k2", "k5", "k7", "k8"]
-        assert survivors["vector"] == survivors["scalar"]
+        # Revisiting every source afterwards turns a wrong eviction set
+        # into wrong features (a recreated stream restarts at weight 1).
+        packets = _fan_in(times) + _fan_in([10.0] * len(times))
+        scalar = _assert_lockstep(packets, 20)
+        streams, _ = _tracked(scalar)
+        assert len(streams) < 6 * len(times)  # prunes really fired
 
     def test_tie_break_matches_insertion_order(self):
-        # All streams share one timestamp: ties must evict the earliest
-        # inserted keys first, exactly like heapq.nsmallest.
-        keys = [f"t{i}" for i in range(9)]
-        survivors = {}
-        for name, db in [("scalar", IncStatDB(max_streams=8)),
-                         ("vector", VectorIncStatDB(max_streams=8))]:
-            for key in keys:
-                db.update_get_1d(key, 1.0, 1.0)
-            survivors[name] = self._surviving_keys(db, keys)
-        assert survivors["scalar"] == ["t4", "t5", "t6", "t7", "t8"]
-        assert survivors["vector"] == survivors["scalar"]
+        # Every stream shares one timestamp: ties must evict the
+        # earliest inserted keys first, exactly like heapq.nsmallest.
+        packets = _fan_in([1.0] * 9) + _fan_in([1.0] * 9)
+        _assert_lockstep(packets, 20)
 
     def test_cov_evicted_with_either_endpoint(self):
-        scalar = IncStatDB(max_streams=4)
-        vector = VectorIncStatDB(max_streams=4)
-        for db in (scalar, vector):
-            db.update_get_2d("a>b", "b>a", 10.0, 0.0)   # a>b, b>a
-            db.update_get_1d("c", 10.0, 1.0)
-            db.update_get_1d("d", 10.0, 2.0)
-            # Fifth stream prunes the two stalest (a>b and b>a).
-            db.update_get_1d("e", 10.0, 3.0)
-        assert "a>b" not in scalar._streams
-        assert "a>b" not in scalar._covs and "a>b" not in scalar._cov_pair
-        assert "a>b" not in vector._keys
-        assert "a>b" not in vector._cov_keys and "a>b" not in vector._cov_pair
-        # Re-seen channel re-pairs against fresh streams identically.
-        out_s = scalar.update_get_2d("a>b", "b>a", 10.0, 4.0)
-        out_v = vector.update_get_2d("a>b", "b>a", 10.0, 4.0)
-        assert out_s == out_v
+        a, b, c, d = "10.0.0.1", "10.0.0.2", "10.0.1.1", "10.0.1.2"
+        packets = [
+            make_tcp_packet(0.0, src=a, dst=b),
+            make_tcp_packet(1.0, src=c, dst=d),
+            # Refreshes a's forward streams; b>a stays at t=0.
+            make_tcp_packet(5.0, src=a, dst=b),
+            # A 13th stream prunes six: both t=0 reverse streams of
+            # a>b, then the first four of c's t=1 ties.
+            make_tcp_packet(6.0, src="10.0.2.1", dst="10.0.2.2"),
+        ]
+        scalar = _assert_lockstep(packets, 12)
+        streams, covs = _tracked(scalar)
+        assert f"ch:{a}>{b}" in streams and f"ch:{b}>{a}" not in streams
+        assert f"ch:{a}>{b}" not in covs  # its reverse endpoint went
+        assert f"ch:{c}>{d}" not in covs  # its forward endpoint went
+        assert f"sk:{c}:1234>{d}:80" in covs  # both endpoints survive
+        # The re-seen channel re-pairs against a fresh reverse stream.
+        _assert_lockstep(packets + [make_tcp_packet(8.0, src=a, dst=b)], 12)
 
     def test_prune_after_churn_stays_bit_identical(self):
         rng = random.Random(7)
-        scalar = IncStatDB(max_streams=5)
-        vector = VectorIncStatDB(max_streams=5)
-        for step in range(300):
-            key = f"k{rng.randrange(20)}"
-            ts = step * rng.choice([0.0, 0.01, 1.0])
-            expected = scalar.update_get_1d(key, 50.0, ts)
-            assert vector.update_get_1d(key, 50.0, ts) == expected
-            assert len(vector) == len(scalar)
+        ts = 0.0
+        packets = []
+        for _ in range(300):
+            ts += rng.choice([0.0, 0.01, 1.0])
+            packets.append(make_udp_packet(
+                ts, src=f"10.3.0.{rng.randrange(20)}",
+                dst=f"10.3.1.{rng.randrange(3)}", payload=b"c" * 50,
+            ))
+        _assert_lockstep(packets, 12)
+
+
+def _checkpoint_stream() -> list:
+    """The stream behind ``fixtures/legacy_netstat_checkpoints.pkl.gz``."""
+    return [
+        make_tcp_packet(0.1 * i, src=f"10.0.0.{i % 7}", dst="10.0.9.9",
+                        sport=1000 + i % 3, payload=b"x" * i)
+        for i in range(30)
+    ]
+
+
+def _legacy_checkpoints() -> dict[str, bytes]:
+    """Pickled ``NetStat(engine=E, max_streams=40)`` objects after the
+    first 15 packets of :func:`_checkpoint_stream`, one per engine of
+    the multi-kernel feature engine (a NumPy row kernel, a thread-pool
+    kernel and the ``"vector"`` auto alias). They were written by that
+    engine, so their state still carries its ``kernel`` choice and
+    row-kernel slice layout."""
+    with gzip.open(LEGACY_CHECKPOINTS, "rb") as handle:
+        return pickle.load(handle)
+
+
+class TestCheckpointCompat:
+    """Checkpoints whose state still names a removed kernel revive on
+    the native kernel and continue bit-identically."""
+
+    @needs_native
+    def test_revives_on_native_kernel(self):
+        packets = _checkpoint_stream()
+        scalar = NetStat(engine="scalar", max_streams=40)
+        scalar.update_batch(packets[:15])
+        expected = scalar.update_batch(packets[15:])
+        checkpoints = _legacy_checkpoints()
+        assert len(checkpoints) == 3
+        for engine, blob in checkpoints.items():
+            assert b"kernel" in blob, engine
+            revived = pickle.loads(blob)
+            assert revived.backend == "vector-native", engine
+            for stale in ("kernel", "_block_1d", "_block_2d"):
+                assert stale not in vars(revived._db), engine
+            assert np.array_equal(
+                expected, revived.update_batch(packets[15:])
+            ), engine
+
+    def test_refuses_to_load_without_the_kernel(self, monkeypatch):
+        monkeypatch.setattr(_native, "load_kernel", lambda: None)
+        for blob in _legacy_checkpoints().values():
+            with pytest.raises(RuntimeError, match="unavailable"):
+                pickle.loads(blob)
 
 
 def test_scalar_prune_uses_partial_selection():
@@ -219,29 +305,3 @@ def test_scalar_prune_uses_partial_selection():
     }
     assert set(times_key for times_key, _ in times) - set(db._streams) \
         == expected_evicted
-
-
-def _submit_to_mt_pool() -> None:
-    from repro.features import vector
-
-    vector._mt_pool().submit(int).result(timeout=20)
-
-
-def test_mt_pool_works_in_forked_child():
-    """Sharded stream workers are forked after the parent may have
-    started the group-parallel pool; the child must get a fresh pool
-    rather than wait forever on the parent's threads."""
-    import multiprocessing
-
-    from repro.features import vector
-
-    vector._mt_pool().submit(int).result()
-    child = multiprocessing.get_context("fork").Process(
-        target=_submit_to_mt_pool
-    )
-    child.start()
-    child.join(timeout=30)
-    if child.is_alive():
-        child.kill()
-        child.join()
-    assert child.exitcode == 0

@@ -160,7 +160,7 @@ class TestColumnDecodeParity:
 
         objects = read_pcap(capture)
         reference = NetStat(engine="vector").extract_all(objects)
-        for engine in ("vector", "vector-numpy", "scalar"):
+        for engine in ("vector", "scalar"):
             batch = _one_batch(capture)
             columnar = NetStat(engine=engine).extract_all(batch)
             assert np.array_equal(columnar, reference), engine
