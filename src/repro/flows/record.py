@@ -16,6 +16,14 @@ from repro.flows.key import FlowKey
 from repro.net.packet import Packet
 from repro.net.tcp import TCPFlags, TCPHeader
 
+#: ``(name, mask)`` per TCP flag in :class:`TCPFlags` order, so flag
+#: tests stay plain int ``&`` (no enum objects per packet) and
+#: ``flag_counts`` keeps that insertion order.
+FLAG_MASKS = tuple((flag.name, flag.value) for flag in TCPFlags)
+CLOSE_MASK = TCPFlags.FIN.value | TCPFlags.RST.value
+_PSH = TCPFlags.PSH.value
+_URG = TCPFlags.URG.value
+
 
 class RunningStats:
     """Streaming count/mean/std/min/max via Welford's algorithm.
@@ -116,9 +124,10 @@ class DirectionStats:
         if isinstance(transport, TCPHeader):
             if self.init_window < 0:
                 self.init_window = transport.window
-            if transport.has(TCPFlags.PSH):
+            flags = int(transport.flags)
+            if flags & _PSH:
                 self.psh_count += 1
-            if transport.has(TCPFlags.URG):
+            if flags & _URG:
                 self.urg_count += 1
 
 
@@ -194,11 +203,12 @@ class FlowRecord:
 
         transport = packet.transport
         if isinstance(transport, TCPHeader):
-            for flag in TCPFlags:
-                if transport.has(flag):
-                    name = flag.name or ""
-                    self.flag_counts[name] = self.flag_counts.get(name, 0) + 1
-            if transport.has(TCPFlags.FIN) or transport.has(TCPFlags.RST):
+            flags = int(transport.flags)
+            counts = self.flag_counts
+            for name, mask in FLAG_MASKS:
+                if flags & mask:
+                    counts[name] = counts.get(name, 0) + 1
+            if flags & CLOSE_MASK:
                 self.terminated = True
 
         if packet.label:

@@ -5,8 +5,8 @@
 more *completed* flows out. Flow boundaries (idle timeout, active
 timeout, TCP FIN/RST) are exactly the assembler's — the tracker is a
 thin per-packet driver over the same state machine, so streaming and
-batch flow exports agree flow-for-flow
-(``tests/test_stream_tracker.py``).
+batch flow exports agree flow-for-flow, and completed flows come out in
+the assembler's ``process()`` order (``tests/test_stream_tracker.py``).
 """
 
 from __future__ import annotations

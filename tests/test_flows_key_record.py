@@ -135,6 +135,24 @@ class TestFlowRecord:
         assert record.flag_count("RST") == 0
         assert record.terminated
 
+    def test_int_masks_match_enum_flag_tests(self):
+        """Every 9-bit flag field (the parser keeps the NS bit too)
+        counts, orders and terminates exactly as testing each
+        ``TCPFlags`` member with ``TCPHeader.has`` would."""
+        from repro.flows.assembler import FlowAssembler
+
+        for value in range(0x200):
+            packet = make_tcp_packet(0.0, flags=TCPFlags(value))
+            header = packet.transport
+            record = FlowRecord.open(flow_key_for_packet(packet), packet)
+            expected = [(flag.name, 1) for flag in TCPFlags if header.has(flag)]
+            closes = header.has(TCPFlags.FIN) or header.has(TCPFlags.RST)
+            assert list(record.flag_counts.items()) == expected, value
+            assert record.terminated is closes
+            assert FlowAssembler._tcp_closed(packet) is closes
+            assert record.forward.psh_count == header.has(TCPFlags.PSH)
+            assert record.forward.urg_count == header.has(TCPFlags.URG)
+
     def test_label_any_attack_packet(self):
         record = self._flow([
             make_tcp_packet(0.0),

@@ -8,6 +8,7 @@ from repro.net.tcp import TCPFlags
 from repro.stream.tracker import StreamingFlowTracker
 
 from tests.conftest import make_tcp_packet, make_udp_packet
+from tests.flow_oracle import ScanFlowAssembler
 
 
 def _flow_signature(flow):
@@ -33,6 +34,13 @@ def _assert_same_flows(packets, **timeouts):
         map(_flow_signature, batch)
     )
     assert tracker.flows_completed == len(batch)
+    # Completion order itself is part of the streaming contract (live
+    # DNN/Slips scores follow it): the scan oracle's process() order.
+    oracle = ScanFlowAssembler(**timeouts)
+    expected = list(oracle.process(packets)) + list(oracle.flush())
+    assert list(map(_flow_signature, streamed)) == list(
+        map(_flow_signature, expected)
+    )
     return streamed
 
 
