@@ -1,18 +1,25 @@
-"""HELAD scoring throughput: per-packet reference vs batched.
+"""HELAD fit and scoring throughput: per-packet references vs batched.
 
-HELAD's LSTM reads the history of *autoencoder components*, so once
-``score_batch`` has the batched autoencoder column every packet's
-window is known and one stacked ``LSTMRegressor.predict_windows`` call
-replaces the per-packet recurrence. This bench builds the real Table IV
-BoT-IoT cell (same adaptation and seed as ``run_experiment``), fits
-HELAD once, then scores the test packets from identical copies of the
-fitted detector: through :meth:`HELAD.anomaly_scores` (the per-packet
-reference loop) and through :meth:`HELAD.score_batch`, as one batch and
-in live micro-batches.
+Fit: ``HELAD.fit`` trains the autoencoder on KitNET's one-lane stacked
+online engine and the LSTM through ``LSTMRegressor.train_windows``
+(fused-gate steps). The fit row times it against the per-packet
+reference fit (``tests/lstm_oracle.py``) on copies of the same
+untrained detector, best of ``FIT_REPEATS`` alternating runs, and fails
+unless the fitted state is byte-equal.
 
-Every path must match the reference bit for bit and leave the same
-LSTM history behind (a fast-but-wrong engine must not pass). The
-speedup lands in ``BENCH_helad_batch.json``.
+Scoring: HELAD's LSTM reads the history of *autoencoder components*,
+so once ``score_batch`` has the batched autoencoder column every
+packet's window is known and one stacked
+``LSTMRegressor.predict_windows`` call replaces the per-packet
+recurrence. The fitted detector scores the test packets from identical
+copies: through :meth:`HELAD.anomaly_scores` (the per-packet reference
+loop) and through :meth:`HELAD.score_batch`, as one batch and in live
+micro-batches.
+
+Both use the real Table IV BoT-IoT cell (same adaptation and seed as
+``run_experiment``). Every path must match its reference bit for bit
+and leave the same LSTM history behind (a fast-but-wrong engine must
+not pass). The speedups land in ``BENCH_helad_batch.json``.
 
 Run the acceptance configuration with::
 
@@ -33,6 +40,7 @@ from repro.core.experiment import ExperimentConfig, build_packet_cell
 from repro.datasets.registry import generate_dataset_uncached
 
 from benchmarks.conftest import save_bench_json, save_result, scale_or
+from tests.lstm_oracle import helad_fit, helad_state
 
 DEFAULT_SCALE = 1.0
 SEED = 0
@@ -40,16 +48,15 @@ DATASET = "BoT-IoT"
 BATCH_SIZES = (256,)
 #: Acceptance gate for ``score_batch`` at scale >= 1.0.
 FULL_SCALE_SPEEDUP = 5.0
+#: Alternating oracle/shipped fit runs; each side keeps its best.
+FIT_REPEATS = 3
 
 
-def _fitted_cell(scale: float):
-    """HELAD fitted on the Table IV cell's training packets, plus the
-    cell's test packets."""
+def _cell(scale: float):
+    """The Table IV cell's untrained HELAD and its adapted data."""
     config = ExperimentConfig("HELAD", DATASET, seed=SEED, scale=scale)
     dataset = generate_dataset_uncached(DATASET, seed=SEED, scale=scale)
-    ids, data = build_packet_cell(config, dataset)
-    ids.fit(data.train_packets)
-    return ids, data.test_packets
+    return build_packet_cell(config, dataset)
 
 
 def _timed(fn):
@@ -58,9 +65,32 @@ def _timed(fn):
     return result, time.perf_counter() - start
 
 
+def _fit_rows(untrained, train_packets):
+    """Best-of-``FIT_REPEATS`` oracle and shipped fit seconds, and the
+    shipped-fitted detector; fails unless both fits leave the same
+    state."""
+    seconds = {"oracle": [], "shipped": []}
+    for _ in range(FIT_REPEATS):
+        reference = copy.deepcopy(untrained)
+        _, oracle_seconds = _timed(lambda: helad_fit(reference, train_packets))
+        detector = copy.deepcopy(untrained)
+        _, shipped_seconds = _timed(lambda: detector.fit(train_packets))
+        seconds["oracle"].append(oracle_seconds)
+        seconds["shipped"].append(shipped_seconds)
+        # Parity gate: the fitted state is byte-equal.
+        assert helad_state(detector) == helad_state(reference), (
+            "HELAD.fit diverged from the per-packet reference fit"
+        )
+    return detector, min(seconds["oracle"]), min(seconds["shipped"])
+
+
 def test_helad_batch_throughput(bench_scale):
     scale = scale_or(bench_scale, DEFAULT_SCALE)
-    detector, packets = _fitted_cell(scale)
+    untrained, data = _cell(scale)
+    n_train = len(data.train_packets)
+    detector, oracle_fit_s, fit_s = _fit_rows(untrained, data.train_packets)
+    fit_speedup = oracle_fit_s / fit_s
+    packets = data.test_packets
     n_packets = len(packets)
     assert n_packets > 0, f"no test packets at scale {scale}"
 
@@ -102,6 +132,11 @@ def test_helad_batch_throughput(bench_scale):
     speedup = rows["batched"]["pps"] / reference_pps
 
     lines = [
+        f"HELAD fit @ scale={scale} dataset={DATASET} seed={SEED} "
+        f"({n_train} training packets, best of {FIT_REPEATS})",
+        f"  per-packet oracle {oracle_fit_s:9.3f} s",
+        f"  shipped fit       {fit_s:9.3f} s",
+        f"  fit speedup: {fit_speedup:.2f}x (fitted state byte-equal)",
         f"HELAD scoring throughput @ scale={scale} dataset={DATASET} "
         f"seed={SEED} ({n_packets} test packets, window "
         f"{detector.window})",
@@ -123,8 +158,15 @@ def test_helad_batch_throughput(bench_scale):
         scale=scale,
         dataset=DATASET,
         test_packets=n_packets,
+        train_packets=n_train,
         window=detector.window,
         parity=True,
+        fit_parity=True,
+        fit_speedup=round(fit_speedup, 3),
+        fit_seconds={
+            "oracle": round(oracle_fit_s, 4),
+            "shipped": round(fit_s, 4),
+        },
         packets_per_second={
             path: round(row["pps"]) for path, row in rows.items()
         },

@@ -11,6 +11,7 @@ from repro.features.netstat import NetStat
 from repro.features.normalize import OnlineMinMaxScaler
 from repro.ids.base import PacketIDS
 from repro.ml.autoencoder import Autoencoder
+from repro.ml.batched_train import ROWS_PER_PASS, OnlineEnsembleTrainer
 from repro.ml.lstm import LSTMRegressor
 from repro.net.packet import Packet
 from repro.utils.rng import SeededRNG
@@ -83,7 +84,6 @@ class HELAD(PacketIDS):
         )
         self._score_history: list[float] = []
         self._ae_scale = 1e-9
-        self._lstm_scale = 1e-9
         self.trained = False
 
     @classmethod
@@ -118,21 +118,34 @@ class HELAD(PacketIDS):
         """
         if len(packets) == 0:
             raise ValueError("HELAD.fit needs at least one training packet")
-        rmses: list[float] = []
-        for packet in packets:
-            features = self.netstat.update(packet)
-            scaled = self.scaler.fit_transform(features)
-            rmses.append(self.autoencoder.train_score(scaled))
+        # The autoencoder half on KitNET's engines: batched features,
+        # the running scaler trajectory and the one-lane stacked online
+        # trainer, each bit-identical to the per-packet loop.
+        features = self.netstat.update_batch(packets)
+        trainer = OnlineEnsembleTrainer(
+            [self.autoencoder], [np.arange(features.shape[1])]
+        )
+        series = np.empty(features.shape[0])
+        for start in range(0, features.shape[0], ROWS_PER_PASS):
+            scaled = self.scaler.fit_transform_running(
+                features[start : start + ROWS_PER_PASS]
+            )
+            series[start : start + scaled.shape[0]] = trainer.train_rows(
+                scaled
+            )[:, 0]
+        trainer.sync()
         self.scaler.freeze()
-        series = np.asarray(rmses, dtype=np.float64)
         self._ae_scale = max(float(np.quantile(series, 0.98)), 1e-9)
         # Train the LSTM to predict the squashed score series one step
         # ahead; only the second half of the series is used, after the
         # autoencoder's online training has mostly converged.
         squashed = self._squash(series)
         start = max(self.window, squashed.size // 2)
-        for i in range(start, squashed.size):
-            self.lstm.train_window(squashed[i - self.window : i], squashed[i])
+        if start < squashed.size:
+            windows = sliding_window_view(squashed[:-1], self.window)
+            self.lstm.train_windows(
+                windows[start - self.window :], squashed[start:]
+            )
         self._score_history = list(squashed[-self.window :])
         self.trained = True
 

@@ -1,5 +1,7 @@
 """Tests for the HELAD and DNN IDSs."""
 
+import copy
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from repro.ids.dnn import DNNClassifierIDS
 from repro.ids.helad import HELAD
 
 from tests.conftest import make_udp_packet
+from tests.lstm_oracle import helad_fit, helad_state
 
 
 class TestHELAD:
@@ -92,6 +95,61 @@ def _varied_packets(n, start=0.0):
                         payload=b"p" * (20 + (i * 37) % 900))
         for i in range(n)
     ]
+
+
+class TestHELADFitParity:
+    """``fit`` on the stacked engines leaves exactly the state of the
+    per-packet reference fit (``tests/lstm_oracle.py``): LSTM, AE
+    weights and ``samples_trained``, scaler, ``_ae_scale``,
+    ``_score_history`` and the features of the packets that follow."""
+
+    WINDOW = 12
+
+    @staticmethod
+    def _assert_same_fit(detector, packets, after):
+        reference = copy.deepcopy(detector)
+        helad_fit(reference, packets)
+        detector.fit(packets)
+        assert helad_state(detector) == helad_state(reference)
+        assert detector.netstat.update_batch(after).tobytes() == (
+            reference.netstat.update_batch(after).tobytes()
+        )
+
+    @pytest.mark.parametrize("dataset", ["BoT-IoT", "Stratosphere"])
+    def test_table4_iot_cells(self, dataset):
+        from repro.core.experiment import ExperimentConfig, build_packet_cell
+        from repro.datasets.registry import generate_dataset_uncached
+
+        config = ExperimentConfig("HELAD", dataset, seed=301, scale=0.05)
+        detector, data = build_packet_cell(
+            config, generate_dataset_uncached(dataset, seed=301, scale=0.05)
+        )
+        assert len(data.train_packets) > 4 * detector.window
+        self._assert_same_fit(
+            detector, data.train_packets, data.test_packets[:50]
+        )
+
+    @pytest.mark.parametrize(
+        "n_train",
+        [1, WINDOW - 1, WINDOW, WINDOW + 1, 2 * WINDOW + 1],
+    )
+    def test_short_streams(self, n_train):
+        """Streams where the LSTM half trains zero, one or a few
+        windows."""
+        packets = _varied_packets(n_train + 20)
+        self._assert_same_fit(
+            HELAD(seed=4, window=self.WINDOW), packets[:n_train],
+            packets[n_train:],
+        )
+
+    def test_second_fit_on_fitted_detector(self):
+        """A refit sees a frozen scaler: ``fit_transform_running`` must
+        follow ``partial_fit``'s frozen no-op."""
+        packets = _varied_packets(200)
+        detector = HELAD(seed=6, window=self.WINDOW)
+        detector.fit(packets[:80])
+        assert detector.scaler.frozen
+        self._assert_same_fit(detector, packets[80:180], packets[180:])
 
 
 class TestHELADBatchCarry:

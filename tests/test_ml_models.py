@@ -1,12 +1,17 @@
 """Tests for the autoencoder, LSTM and MLP models."""
 
+import copy
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.ml.autoencoder import Autoencoder
 from repro.ml.lstm import LSTMRegressor
 from repro.ml.mlp import MLPClassifier
 from repro.utils.rng import SeededRNG
+
+from tests.lstm_oracle import train_window as oracle_train_window
 
 
 class TestAutoencoder:
@@ -132,6 +137,87 @@ class TestLSTMPredictWindows:
             lstm.predict_windows(np.zeros((4, 5)))  # implies d=1
         with pytest.raises(ValueError, match="windows shape"):
             lstm.predict_windows(np.zeros(5))
+
+
+def _assert_same_lstm(got, want):
+    for gate in ("i", "f", "o", "g"):
+        assert got.w[gate].tobytes() == want.w[gate].tobytes(), gate
+        assert got.b[gate].tobytes() == want.b[gate].tobytes(), gate
+    assert got.w_head.tobytes() == want.w_head.tobytes()
+    assert type(got.b_head) is float
+    assert np.float64(got.b_head).tobytes() == (
+        np.float64(want.b_head).tobytes()
+    )
+
+
+@st.composite
+def _training_run(draw):
+    """An LSTM, N windows and N targets for one training run. Large
+    rates saturate the +-1 gradient clip; targets reach outside [0, 1];
+    some runs use all-zero windows."""
+    input_dim = draw(st.sampled_from((1, 3)))
+    hidden_dim = draw(st.integers(1, 32))
+    steps = draw(st.integers(2, 16))
+    n = draw(st.integers(1, 6))
+    learning_rate = draw(st.sampled_from((0.001, 0.03, 0.5, 5.0, 40.0)))
+    seed = draw(st.integers(0, 2**16))
+    rng = np.random.default_rng(seed)
+    if draw(st.booleans()):
+        windows = rng.uniform(-2.0, 3.0, size=(n, steps, input_dim))
+    else:
+        windows = np.zeros((n, steps, input_dim))
+    targets = rng.uniform(-2.0, 3.0, size=n)
+    lstm = LSTMRegressor(input_dim=input_dim, hidden_dim=hidden_dim,
+                         learning_rate=learning_rate, rng=SeededRNG(seed))
+    return lstm, windows, targets
+
+
+class TestLSTMTrainWindows:
+    """``train_windows`` is bit-identical to a loop of the per-step
+    reference ``train_window`` (``tests/lstm_oracle.py``)."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(run=_training_run())
+    def test_matches_oracle_loop(self, run):
+        lstm, windows, targets = run
+        reference = copy.deepcopy(lstm)
+        expected = np.array([
+            oracle_train_window(reference, window, target)
+            for window, target in zip(windows, targets)
+        ], dtype=np.float64)
+        errors = lstm.train_windows(windows, targets)
+        assert errors.tobytes() == expected.tobytes()
+        _assert_same_lstm(lstm, reference)
+
+    @settings(max_examples=30, deadline=None)
+    @given(run=_training_run(), data=st.data())
+    def test_consecutive_calls_equal_one_call(self, run, data):
+        lstm, windows, targets = run
+        split = data.draw(st.integers(0, len(windows)))
+        whole = copy.deepcopy(lstm)
+        expected = whole.train_windows(windows, targets)
+        first = lstm.train_windows(windows[:split], targets[:split])
+        second = lstm.train_windows(windows[split:], targets[split:])
+        assert np.concatenate([first, second]).tobytes() == (
+            expected.tobytes()
+        )
+        _assert_same_lstm(lstm, whole)
+
+    def test_train_window_is_one_window_of_train_windows(self):
+        lstm = LSTMRegressor(hidden_dim=8, rng=SeededRNG(3))
+        reference = copy.deepcopy(lstm)
+        window = np.linspace(0.0, 1.0, 10)
+        error = lstm.train_window(window, 0.25)
+        assert type(error) is float
+        assert error == oracle_train_window(reference, window, 0.25)
+        _assert_same_lstm(lstm, reference)
+
+    def test_rejects_bad_shapes(self):
+        lstm = LSTMRegressor(input_dim=2, rng=SeededRNG(8))
+        with pytest.raises(ValueError, match="windows shape"):
+            lstm.train_windows(np.zeros((4, 5, 3)), np.zeros(4))
+        with pytest.raises(ValueError, match="targets"):
+            lstm.train_windows(np.zeros((4, 5, 2)), np.zeros(3))
 
 
 class TestMLP:
