@@ -200,21 +200,27 @@ class _ThrottleProbeDetector:
     def warmup(self, packets) -> None:
         pass
 
-    def process(self, packet):
+    def process_columns(self, batch):
         import time
 
-        time.sleep(self.delay_seconds)
-        index = self.items_scored
-        self.items_scored += 1
         from repro.stream.detector import StreamScore
 
-        return [StreamScore(
-            index=index,
-            timestamp=packet.timestamp,
-            score=(packet.timestamp * 7.0) % 1.0,
-            label=packet.label,
-            attack_type=packet.attack_type,
-        )]
+        time.sleep(self.delay_seconds * len(batch))
+        base = self.items_scored
+        self.items_scored += len(batch)
+        return [
+            StreamScore(
+                index=base + row,
+                timestamp=stamp,
+                score=(stamp * 7.0) % 1.0,
+                label=label,
+                attack_type=attack,
+            )
+            for row, (stamp, label, attack) in enumerate(zip(
+                batch.timestamps.tolist(), batch.row_labels(),
+                batch.row_attack_types(),
+            ))
+        ]
 
     def finish(self):
         return []

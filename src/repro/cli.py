@@ -741,14 +741,15 @@ def build_parser() -> argparse.ArgumentParser:
                                    "columnar-mmap"),
                           default=None,
                           help="how capture bytes become features "
-                               "(pcap mode, packet IDSs): "
-                               "'packet-objects' replays Packet "
-                               "objects one by one (default); "
-                               "'columnar-mmap' mmaps the capture and "
-                               "decodes straight into column batches "
-                               "(bit-identical scores, several times "
-                               "faster); 'auto' picks columnar when "
-                               "the source and detector support it. "
+                               "(pcap mode): "
+                               "'packet-objects' decodes Packet "
+                               "objects and columnizes them "
+                               "(default); 'columnar-mmap' mmaps the "
+                               "capture and decodes straight into "
+                               "column batches (bit-identical scores, "
+                               "several times faster); 'auto' picks "
+                               "columnar when the source has a "
+                               "capture file. "
                                "The report's ingest_backend note "
                                "records the resolved choice")
     p_stream.add_argument("--workers", type=_positive_int,

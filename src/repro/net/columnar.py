@@ -17,8 +17,9 @@ path.
 * :class:`ColumnarPcapReader` — mmap + vectorized decode of a libpcap
   file into ``ColumnBatch`` chunks.
 * :meth:`ColumnBatch.from_packets` — the adapter for in-memory packet
-  sequences (dataset replays), so sharded streaming can use column-slice
-  IPC for any source.
+  sequences, and :func:`iter_column_batches` — the one adapter the live
+  stream path uses, so every source reaches detectors and shard workers
+  as column batches.
 
 Parity contract (enforced by tests and ``bench_ingest_throughput``):
 every value the columnar path exposes — timestamps, wire lengths,
@@ -66,6 +67,21 @@ class FlowKey(NamedTuple):
     dst_port: int
     has_ether: bool
     ip_present: bool
+
+
+class _ParseOnce(dict):
+    """Address string → parsed value, parsing each distinct string once
+    (a malformed one still raises on its first sighting)."""
+
+    __slots__ = ("parse",)
+
+    def __init__(self, parse) -> None:
+        super().__init__()
+        self.parse = parse
+
+    def __missing__(self, key):
+        value = self[key] = self.parse(key)
+        return value
 
 
 class ColumnBatch:
@@ -157,59 +173,57 @@ class ColumnBatch:
     def from_packets(cls, packets: Iterable[Packet]) -> "ColumnBatch":
         """Columnize an in-memory packet sequence.
 
-        Accepts anything packet-shaped (``Packet``, ``WirePacket``):
-        only ``timestamp``, ``ether``, ``src_ip``/``dst_ip``,
-        ``src_port``/``dst_port``, ``wire_len``, ``label`` and
-        ``attack_type`` are read. The originals are retained so
+        The one place packet objects become columns: every live source
+        without a capture file to decode (datasets, lists, mixes, or a
+        pcap under ``packet-objects`` ingest) reaches detectors and
+        workers through here. Only ``timestamp``, ``ether``,
+        ``src_ip``/``dst_ip``, ``src_port``/``dst_port``, ``wire_len``,
+        ``label`` and ``attack_type`` are read. Each column is built as
+        one Python list and converted once; each distinct address string
+        is parsed (and validated) once. The originals are retained so
         :meth:`hydrate` is free and exact."""
         packets = list(packets)
-        n = len(packets)
-        timestamps = np.empty(n)
-        wire_len = np.empty(n)
-        kind = np.zeros(n, dtype=np.uint8)
-        has_ether = np.zeros(n, dtype=bool)
-        ip_present = np.zeros(n, dtype=bool)
-        src_mac = np.zeros((n, 6), dtype=np.uint8)
-        dst_mac = np.zeros((n, 6), dtype=np.uint8)
-        src_ip = np.zeros(n, dtype=np.uint32)
-        dst_ip = np.zeros(n, dtype=np.uint32)
-        src_port = np.zeros(n, dtype=np.uint16)
-        dst_port = np.zeros(n, dtype=np.uint16)
-        labels: list = []
-        attacks: list = []
-        for i, packet in enumerate(packets):
-            timestamps[i] = packet.timestamp
-            wire_len[i] = packet.wire_len
+        mac_raw = _ParseOnce(mac_to_bytes)
+        ip_int = _ParseOnce(ip_to_int)
+        ip_int[None] = 0
+        no_macs = bytes(12)
+        timestamps, wire_len, has_ether, ip_present, macs = [], [], [], [], []
+        src_ip, dst_ip, src_port, dst_port = [], [], [], []
+        for packet in packets:
+            timestamps.append(packet.timestamp)
+            wire_len.append(packet.wire_len)
             ether = packet.ether
-            if ether is not None:
-                has_ether[i] = True
-                src_mac[i] = np.frombuffer(
-                    mac_to_bytes(ether.src_mac), dtype=np.uint8
-                )
-                dst_mac[i] = np.frombuffer(
-                    mac_to_bytes(ether.dst_mac), dtype=np.uint8
-                )
+            has_ether.append(ether is not None)
+            macs.append(
+                no_macs if ether is None
+                else mac_raw[ether.src_mac] + mac_raw[ether.dst_mac]
+            )
             sip = packet.src_ip
             dip = packet.dst_ip
-            if sip is not None or dip is not None:
-                ip_present[i] = True
-                kind[i] = KIND_IPV4
-            if sip is not None:
-                src_ip[i] = ip_to_int(sip)
-            if dip is not None:
-                dst_ip[i] = ip_to_int(dip)
+            ip_present.append(sip is not None or dip is not None)
+            src_ip.append(ip_int[sip])
+            dst_ip.append(ip_int[dip])
             sport = packet.src_port
-            if sport is not None:
-                src_port[i] = sport
+            src_port.append(0 if sport is None else sport)
             dport = packet.dst_port
-            if dport is not None:
-                dst_port[i] = dport
-            labels.append(packet.label)
-            attacks.append(packet.attack_type)
+            dst_port.append(0 if dport is None else dport)
+        present = np.array(ip_present, dtype=bool)
+        mac = np.frombuffer(b"".join(macs), dtype=np.uint8).reshape(-1, 12)
         return cls(
-            timestamps, wire_len, kind, has_ether, ip_present,
-            src_mac, dst_mac, src_ip, dst_ip, src_port, dst_port,
-            labels=labels, attack_types=attacks, packets=packets,
+            np.array(timestamps, dtype=np.float64),
+            np.array(wire_len, dtype=np.float64),
+            present.astype(np.uint8) * np.uint8(KIND_IPV4),
+            np.array(has_ether, dtype=bool),
+            present,
+            mac[:, :6],
+            mac[:, 6:],
+            np.array(src_ip, dtype=np.uint32),
+            np.array(dst_ip, dtype=np.uint32),
+            np.array(src_port, dtype=np.uint16),
+            np.array(dst_port, dtype=np.uint16),
+            labels=[packet.label for packet in packets],
+            attack_types=[packet.attack_type for packet in packets],
+            packets=packets,
         )
 
     # -- reshaping -------------------------------------------------------
@@ -539,17 +553,20 @@ class ColumnarPcapReader:
 
 
 def iter_column_batches(
-    source, batch_size: int = DEFAULT_BATCH_SIZE
+    source, batch_size: int = DEFAULT_BATCH_SIZE, *, native: bool = True
 ) -> Iterator[ColumnBatch]:
     """Column batches from any packet source.
 
-    Sources exposing ``iter_batches`` (``PcapReplaySource``) decode
-    columns natively; anything else is columnized from its object
-    packets — slower, but it gives dataset replays the same column-slice
-    IPC path in sharded streaming."""
+    With ``native`` (the ``columnar-mmap`` ingest) a source exposing
+    ``iter_batches`` (``PcapReplaySource``) decodes its capture straight
+    into columns, in the reader's own batches. Every other source — and
+    any source under ``packet-objects`` ingest — is iterated as packet
+    objects and columnized in chunks of ``batch_size`` through
+    :meth:`ColumnBatch.from_packets`, which keeps the packets, so
+    hydrating a chunk's rows is free."""
     iter_batches = getattr(source, "iter_batches", None)
-    if iter_batches is not None:
-        yield from iter_batches(batch_size)
+    if native and iter_batches is not None:
+        yield from iter_batches()
         return
     buffered: list[Packet] = []
     for packet in source:

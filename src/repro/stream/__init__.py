@@ -57,6 +57,7 @@ from repro.stream.service import (
 from repro.stream.shard import (
     shard_for_packet,
     shard_ids_for_batch,
+    shard_key_for_flow,
     shard_key_for_packet,
     shard_of_key,
 )
@@ -89,6 +90,7 @@ __all__ = [
     "stream_experiment",
     "shard_for_packet",
     "shard_ids_for_batch",
+    "shard_key_for_flow",
     "shard_key_for_packet",
     "shard_of_key",
     "FaultInjection",

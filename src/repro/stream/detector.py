@@ -3,7 +3,9 @@
 A :class:`StreamingDetector` turns a batch-interface IDS
 (:class:`~repro.ids.base.PacketIDS` / :class:`~repro.ids.base.FlowIDS`)
 into a push-based scorer: train on a prefix (``warmup``), then score
-the live stream with micro-batched ``process`` calls.
+the live stream as it arrives in column batches (``process_columns``,
+see :class:`~repro.net.columnar.ColumnBatch`) — every source reaches a
+detector that way, whatever its ingest backend.
 
 **Parity contract.** The evaluated packet IDSs (Kitsune, HELAD) are
 online systems: their internal state advances one packet at a time, so
@@ -35,6 +37,7 @@ from repro.features.encoding import FlowVectorEncoder
 from repro.flows.record import FlowRecord
 from repro.ids.base import FlowIDS, InputKind, PacketIDS
 from repro.ids.registry import evaluated_ids_factories
+from repro.net.columnar import ColumnBatch
 from repro.net.packet import Packet
 from repro.stream.tracker import StreamingFlowTracker
 from repro.utils.validation import check_positive
@@ -86,8 +89,9 @@ class StreamingDetector(abc.ABC):
         """Train on the stream's prefix (fit-on-prefix regime)."""
 
     @abc.abstractmethod
-    def process(self, packet: Packet) -> list[StreamScore]:
-        """Consume one live packet; return any scores it released."""
+    def process_columns(self, batch: ColumnBatch) -> list[StreamScore]:
+        """Consume a column batch of live packets; return any scores it
+        released."""
 
     @abc.abstractmethod
     def finish(self) -> list[StreamScore]:
@@ -108,31 +112,23 @@ class PacketStreamDetector(StreamingDetector):
             "batched" if getattr(ids, "supports_batch", False)
             else "per-packet"
         )
-        self._buffer: list[Packet] = []
 
     def warmup(self, packets: Sequence[Packet]) -> None:
         self.ids.fit(packets)
 
-    def process(self, packet: Packet) -> list[StreamScore]:
-        self._buffer.append(packet)
-        if len(self._buffer) >= self.batch_size:
-            return self._drain()
+    def finish(self) -> list[StreamScore]:
+        # process_columns scores every row it is given; nothing waits.
         return []
 
-    def finish(self) -> list[StreamScore]:
-        return self._drain()
+    def process_columns(self, batch: ColumnBatch) -> list[StreamScore]:
+        """Score a column batch in ``batch_size`` micro-batches.
 
-    def process_columns(self, batch) -> list[StreamScore]:
-        """Consume a :class:`~repro.net.columnar.ColumnBatch` in
-        ``batch_size`` micro-batches.
-
-        Any per-packet buffer is drained first so interleaving
-        ``process`` and ``process_columns`` preserves stream order.
-        Scores are bit-identical to hydrating the batch and pushing
-        each packet through :meth:`process` — the IDSs' ``score_batch``
-        accepts column batches natively (NetStat's columnar path).
+        The IDSs' ``score_batch`` accepts column batches natively
+        (NetStat's columnar path), bit-identical to scoring the
+        batch's packets as objects, and micro-batch boundaries do not
+        change the scores of these online IDSs.
         """
-        emitted = self._drain()
+        emitted: list[StreamScore] = []
         n = len(batch)
         obs_on = obs.is_enabled()
         for start in range(0, n, self.batch_size):
@@ -164,37 +160,6 @@ class PacketStreamDetector(StreamingDetector):
                 for offset, score in enumerate(scores)
             )
             self.items_scored = base + len(scores)
-        return emitted
-
-    def _drain(self) -> list[StreamScore]:
-        if not self._buffer:
-            return []
-        batch, self._buffer = self._buffer, []
-        # Bit-identical to anomaly_scores; batch-capable IDSs score the
-        # whole micro-batch through their packed execute engine.
-        if obs.is_enabled():
-            started = time.perf_counter()
-            scores = self.ids.score_batch(batch)
-            registry = obs.get_registry()
-            registry.histogram("stream.detector.score_seconds").observe(
-                time.perf_counter() - started
-            )
-            registry.histogram("stream.detector.batch_size").observe(
-                len(batch)
-            )
-        else:
-            scores = self.ids.score_batch(batch)
-        emitted = [
-            StreamScore(
-                index=self.items_scored + offset,
-                timestamp=packet.timestamp,
-                score=float(score),
-                label=packet.label,
-                attack_type=packet.attack_type,
-            )
-            for offset, (packet, score) in enumerate(zip(batch, scores))
-        ]
-        self.items_scored += len(emitted)
         return emitted
 
 
@@ -291,10 +256,17 @@ class FlowStreamDetector(StreamingDetector):
         """Fit directly on pre-assembled (batch-adapted) flows."""
         self.ids.fit(list(flows), features, labels)
 
-    def process(self, packet: Packet) -> list[StreamScore]:
+    def process_columns(self, batch: ColumnBatch) -> list[StreamScore]:
+        """Feed each row to the flow tracker; score flows as they close.
+
+        Flow assembly reads full headers (TCP flags, payloads), so rows
+        are hydrated: free for batches columnized from packet objects,
+        one frame decode per row for batches read off a capture file.
+        """
         emitted: list[StreamScore] = []
-        for flow in self.tracker.add(packet):
-            emitted.extend(self.process_flow(flow))
+        for packet in batch.iter_packets():
+            for flow in self.tracker.add(packet):
+                emitted.extend(self.process_flow(flow))
         return emitted
 
     def process_flow(self, flow: FlowRecord) -> list[StreamScore]:

@@ -13,8 +13,9 @@ Two entry points:
   streaming is an execution mode, not a different experiment.
 * :func:`stream_capture` — the live path: any
   :class:`~repro.stream.sources.PacketSource` (pcap replay, synthetic
-  generator, multi-attack mix), train-on-first-N packets, score the
-  rest. Unlabelled sources report alert rates only.
+  generator, multi-attack mix), streamed as column batches,
+  train-on-first-N packets, score the rest. Unlabelled sources report
+  alert rates only.
 
 Both produce a :class:`StreamReport`: overall metrics, per-window
 snapshots, alert episodes and throughput, JSON-exportable for CI.
@@ -22,9 +23,11 @@ snapshots, alert episodes and throughput, JSON-exportable for CI.
 
 from __future__ import annotations
 
+import hashlib
+import itertools
 import time
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -48,7 +51,7 @@ from repro.stream.detector import (
 )
 from repro.stream.metrics import WindowedMetrics, WindowSnapshot
 from repro.stream.sources import PacketSource
-from repro.net.packet import Packet
+from repro.net.columnar import ColumnBatch, iter_column_batches
 
 #: Fired with each closed window — the CLI's live summary hook.
 WindowCallback = Callable[[WindowSnapshot], None]
@@ -253,7 +256,11 @@ def stream_experiment(
         )
         train_items = data.train_packets
         stream_items = data.test_packets
-        feed = detector.process
+        units = (
+            ColumnBatch.from_packets(stream_items[start:start + batch_size])
+            for start in range(0, len(stream_items), batch_size)
+        )
+        feed = detector.process_columns
     else:
         train_dataset = None
         requirement = cross_corpus_requirement(config)
@@ -270,6 +277,7 @@ def stream_experiment(
         detector = flow_detector
         train_items = data.train_flows
         stream_items = data.test_flows
+        units = stream_items
         feed = flow_detector.process_flow
 
     warmup_start = time.perf_counter()
@@ -284,8 +292,8 @@ def stream_experiment(
 
     emitted: list[StreamScore] = []
     stream_start = time.perf_counter()
-    for item in stream_items:
-        released = feed(item)
+    for unit in units:
+        released = feed(unit)
         if released:
             emitted.extend(released)
             if exporter is not None:
@@ -353,54 +361,119 @@ def stream_experiment(
 
 def resolve_ingest_backend(
     source: PacketSource,
-    detector: StreamingDetector,
     ingest_backend: str | None,
 ) -> str:
     """Resolve the ingest backend one streaming session will use.
 
-    ``None`` keeps the packet-object path (status quo). ``"auto"``
+    ``None`` keeps the packet-object ingest (status quo). ``"auto"``
     picks the registry's best backend but quietly falls back to
-    packet objects when the source cannot produce column batches or
-    the detector is flow-level (columns carry no payloads to assemble
-    flows from). An *explicit* ``"columnar-mmap"`` on an unsupported
-    combination raises instead of silently changing meaning.
+    packet objects when the source has no capture file to decode
+    column batches from. An *explicit* ``"columnar-mmap"`` on such a
+    source raises instead of silently changing meaning.
     """
     if ingest_backend is None:
         return "packet-objects"
     resolved = backends.resolve(backends.INGEST, ingest_backend).name
-    if resolved != "columnar-mmap":
-        return resolved
-    supported = hasattr(source, "iter_batches") and detector.unit == "packet"
-    if supported:
+    if resolved != "columnar-mmap" or hasattr(source, "iter_batches"):
         return resolved
     if ingest_backend == "auto":
         return "packet-objects"
-    if not hasattr(source, "iter_batches"):
-        raise ValueError(
-            f"ingest backend {resolved!r} needs a source with column "
-            f"batches (iter_batches); {source.describe()} has none"
-        )
     raise ValueError(
-        f"ingest backend {resolved!r} drives packet-level detectors; "
-        f"this detector scores {detector.unit}s"
+        f"ingest backend {resolved!r} needs a source with column "
+        f"batches (iter_batches); {source.describe()} has none"
     )
 
 
-def _score_digests(emitted: list[StreamScore], scores: np.ndarray) -> dict:
-    """Parity digests over what was scored and the scores themselves.
+def _warm_up(
+    detector: StreamingDetector,
+    batches: Iterator[ColumnBatch],
+    warmup_packets: int,
+) -> tuple[int, float, Iterator[ColumnBatch]]:
+    """Train ``detector`` on the first ``warmup_packets`` rows.
 
-    ``coverage_digest`` matches the sharded engine's (worker-count- and
-    ingest-backend-invariant); ``score_digest`` hashes the raw float64
-    score bytes, so two ingest paths agree iff they are bit-identical.
+    The prefix is hydrated into full packets (training happens once,
+    off the hot path; batches columnized from objects hand back their
+    originals). Returns ``(n_warmup, warmup_seconds, live)``: ``live``
+    yields the batches after the prefix, the straddling one sliced.
+    With ``warmup_packets == 0`` this fits on an empty prefix:
+    training-free IDSs accept that, supervised ones raise their clear
+    error up front instead of failing mid-stream.
     """
-    from repro.stream.sharded import coverage_digest
+    batches = iter(batches)
+    live: Iterator[ColumnBatch] = batches
+    prefix: list = []
+    for batch in batches:
+        take = min(warmup_packets - len(prefix), len(batch))
+        prefix.extend(batch.hydrate_range(0, take))
+        if take < len(batch):
+            rest = batch.slice(take, len(batch)) if take else batch
+            live = itertools.chain([rest], batches)
+            break
+    started = time.perf_counter()
+    with obs.span("stream.warmup"):
+        detector.warmup(prefix)
+    return len(prefix), time.perf_counter() - started, live
 
-    import hashlib
 
-    return {
-        "coverage_digest": coverage_digest(emitted),
-        "score_digest": hashlib.sha256(scores.tobytes()).hexdigest(),
-    }
+def _capture_report(
+    source: PacketSource,
+    detector: StreamingDetector,
+    emitted: list[StreamScore],
+    scores: np.ndarray,
+    *,
+    threshold: float | None,
+    window_seconds: float,
+    on_window: WindowCallback | None,
+    n_warmup: int,
+    packets_streamed: int,
+    warmup_seconds: float,
+    stream_seconds: float,
+    notes: dict,
+) -> StreamReport:
+    """Threshold, window and alert a live session's scores into its
+    report — shared by the in-process and sharded capture engines."""
+    labelled = source.labelled
+    y_true = (
+        np.array([item.label for item in emitted], dtype=int)
+        if labelled else None
+    )
+    if threshold is None:
+        assert y_true is not None
+        resolved = standard_threshold(y_true, scores, strategy="fpr-budget")
+        threshold_source = "posthoc:fpr-budget"
+    else:
+        resolved = float(threshold)
+        threshold_source = "fixed"
+
+    windows, alerter = _evaluate_stream(
+        emitted,
+        labelled=labelled,
+        threshold=resolved,
+        window_seconds=window_seconds,
+        on_window=on_window,
+    )
+    return StreamReport(
+        ids_name=getattr(detector, "ids", detector).name,
+        source=source.describe(),
+        unit=detector.unit,
+        labelled=labelled,
+        batch_size=detector.batch_size,
+        window_seconds=window_seconds,
+        threshold=resolved,
+        threshold_source=threshold_source,
+        n_warmup=n_warmup,
+        n_scored=len(emitted),
+        packets_streamed=packets_streamed,
+        warmup_seconds=warmup_seconds,
+        stream_seconds=stream_seconds,
+        metrics=windows.overall(),
+        alert_rate=windows.alert_rate,
+        windows=windows.windows,
+        alerts=alerter.episodes,
+        scores=scores,
+        y_true=y_true,
+        notes=notes,
+    )
 
 
 def stream_capture(
@@ -422,16 +495,18 @@ def stream_capture(
     and report alert rates instead of precision/recall.
 
     ``exporter`` (a :class:`repro.obs.SnapshotExporter`) enables the
-    metrics registry and emits periodic snapshots at micro-batch
-    boundaries plus one final snapshot.
+    metrics registry and emits periodic snapshots at batch boundaries
+    plus one final snapshot.
 
-    ``ingest_backend`` selects how packets reach the detector: the
-    default ``None`` (or ``"packet-objects"``) iterates decoded
-    :class:`Packet` objects; ``"columnar-mmap"`` streams column batches
-    straight off the capture file into the detector's batched scoring
-    path (``"auto"`` lets the registry decide). Scores, coverage and
-    digests are bit-identical across backends — ingest is a throughput
-    knob, not a semantic one.
+    Every source reaches the detector as column batches
+    (:func:`~repro.net.columnar.iter_column_batches`);
+    ``ingest_backend`` selects how they are made. The default ``None``
+    (or ``"packet-objects"``) iterates decoded :class:`Packet` objects
+    and columnizes them one micro-batch at a time; ``"columnar-mmap"``
+    decodes column batches straight off the capture file (``"auto"``
+    lets the registry decide). Scores, coverage and digests are
+    bit-identical across backends — ingest is a throughput knob, not a
+    semantic one.
     """
     if warmup_packets < 0:
         raise ValueError(f"warmup_packets must be >= 0, got {warmup_packets}")
@@ -442,247 +517,64 @@ def stream_capture(
         )
     if exporter is not None and not obs.is_enabled():
         obs.enable()
-    resolved_ingest = resolve_ingest_backend(source, detector, ingest_backend)
-    if resolved_ingest == "columnar-mmap":
-        return _stream_capture_columnar(
-            source, detector,
-            warmup_packets=warmup_packets,
-            threshold=threshold,
-            window_seconds=window_seconds,
-            on_window=on_window,
-            exporter=exporter,
-        )
+    resolved_ingest = resolve_ingest_backend(source, ingest_backend)
+    batches = iter_column_batches(
+        source, detector.batch_size,
+        native=resolved_ingest == "columnar-mmap",
+    )
+    n_warmup, warmup_seconds, live = _warm_up(
+        detector, batches, warmup_packets
+    )
     obs_on = obs.is_enabled()
     packet_counter = (
         obs.counter("stream.packets_streamed") if obs_on else None
     )
-
-    prefix: list[Packet] = []
     emitted: list[StreamScore] = []
     packets_streamed = 0
-    warmup_seconds = 0.0
-    warmed = False
-    stream_start: float | None = None
-
-    def warm_now() -> None:
-        # With warmup_packets == 0 this fits on an empty prefix:
-        # training-free IDSs accept that, supervised ones raise their
-        # clear error up front instead of failing mid-stream.
-        nonlocal warmup_seconds, warmed
-        warmup_start = time.perf_counter()
-        with obs.span("stream.warmup"):
-            detector.warmup(prefix)
-        warmup_seconds = time.perf_counter() - warmup_start
-        warmed = True
-
-    for packet in source:
-        if len(prefix) < warmup_packets:
-            prefix.append(packet)
-            if len(prefix) == warmup_packets:
-                warm_now()
-            continue
-        if not warmed:
-            warm_now()
-        if stream_start is None:
-            stream_start = time.perf_counter()
-        packets_streamed += 1
+    stream_start = time.perf_counter()
+    for batch in live:
+        packets_streamed += len(batch)
         if packet_counter is not None:
-            packet_counter.inc()
-        released = detector.process(packet)
+            packet_counter.inc(len(batch))
+        released = detector.process_columns(batch)
         if released:
             emitted.extend(released)
             if exporter is not None:
                 exporter.maybe_export()
-    if not warmed:
-        # Short (or empty) capture: everything fell into the prefix.
-        warm_now()
-    if stream_start is None:
-        stream_start = time.perf_counter()
     emitted.extend(detector.finish())
     stream_seconds = time.perf_counter() - stream_start
     if obs_on:
         registry = obs.get_registry()
         registry.counter("stream.items_scored").inc(len(emitted))
-        registry.gauge("stream.warmup_items").set(len(prefix))
+        registry.gauge("stream.warmup_items").set(n_warmup)
+
+    from repro.stream.sharded import coverage_digest
 
     scores = np.array([item.score for item in emitted], dtype=np.float64)
-    labelled = source.labelled
-    y_true = (
-        np.array([item.label for item in emitted], dtype=int)
-        if labelled else None
-    )
-    if threshold is None:
-        assert y_true is not None
-        resolved = standard_threshold(y_true, scores, strategy="fpr-budget")
-        threshold_source = "posthoc:fpr-budget"
-    else:
-        resolved = float(threshold)
-        threshold_source = "fixed"
-
-    windows, alerter = _evaluate_stream(
-        emitted,
-        labelled=labelled,
-        threshold=resolved,
+    report = _capture_report(
+        source, detector, emitted, scores,
+        threshold=threshold,
         window_seconds=window_seconds,
         on_window=on_window,
-    )
-    if exporter is not None:
-        exporter.export()
-    return StreamReport(
-        ids_name=getattr(detector, "ids", detector).name,
-        source=source.describe(),
-        unit=detector.unit,
-        labelled=labelled,
-        batch_size=detector.batch_size,
-        window_seconds=window_seconds,
-        threshold=resolved,
-        threshold_source=threshold_source,
-        n_warmup=len(prefix),
-        n_scored=len(emitted),
+        n_warmup=n_warmup,
         packets_streamed=packets_streamed,
         warmup_seconds=warmup_seconds,
         stream_seconds=stream_seconds,
-        metrics=windows.overall(),
-        alert_rate=windows.alert_rate,
-        windows=windows.windows,
-        alerts=alerter.episodes,
-        scores=scores,
-        y_true=y_true,
         notes={
             "non_ip_packets": getattr(
                 getattr(detector, "tracker", None), "non_ip_packets", 0
             ),
             "scoring_path": detector.scoring_path,
             "ingest_backend": resolved_ingest,
-            **_score_digests(emitted, scores),
+            # coverage_digest matches the sharded engine's (worker-count-
+            # and ingest-invariant); score_digest hashes the raw float64
+            # scores, so two ingest paths agree iff bit-identical.
+            "coverage_digest": coverage_digest(emitted),
+            "score_digest": hashlib.sha256(scores.tobytes()).hexdigest(),
             **backends.backend_notes(getattr(detector, "ids", None)),
             "run_id": obs.run_id(),
         },
-    )
-
-
-def _stream_capture_columnar(
-    source: PacketSource,
-    detector: StreamingDetector,
-    *,
-    warmup_packets: int,
-    threshold: float | None,
-    window_seconds: float,
-    on_window: WindowCallback | None,
-    exporter: "obs.SnapshotExporter | None",
-) -> StreamReport:
-    """The columnar-mmap body of :func:`stream_capture`.
-
-    The warmup prefix is hydrated into full packets (training happens
-    once, off the hot path); everything after it is scored as column
-    slices through :meth:`PacketStreamDetector.process_columns` without
-    ever materialising per-packet objects.
-    """
-    obs_on = obs.is_enabled()
-    packet_counter = (
-        obs.counter("stream.packets_streamed") if obs_on else None
-    )
-
-    prefix: list[Packet] = []
-    emitted: list[StreamScore] = []
-    packets_streamed = 0
-    warmup_seconds = 0.0
-    warmed = False
-    stream_start: float | None = None
-
-    def warm_now() -> None:
-        nonlocal warmup_seconds, warmed
-        warmup_start = time.perf_counter()
-        with obs.span("stream.warmup"):
-            detector.warmup(prefix)
-        warmup_seconds = time.perf_counter() - warmup_start
-        warmed = True
-
-    for batch in source.iter_batches():
-        position = 0
-        if len(prefix) < warmup_packets:
-            take = min(warmup_packets - len(prefix), len(batch))
-            prefix.extend(batch.hydrate_range(0, take))
-            position = take
-            if len(prefix) == warmup_packets:
-                warm_now()
-        if position >= len(batch):
-            continue
-        if not warmed:
-            warm_now()
-        if stream_start is None:
-            stream_start = time.perf_counter()
-        live = batch.slice(position, len(batch)) if position else batch
-        packets_streamed += len(live)
-        if packet_counter is not None:
-            packet_counter.inc(len(live))
-        released = detector.process_columns(live)
-        if released:
-            emitted.extend(released)
-            if exporter is not None:
-                exporter.maybe_export()
-    if not warmed:
-        warm_now()
-    if stream_start is None:
-        stream_start = time.perf_counter()
-    emitted.extend(detector.finish())
-    stream_seconds = time.perf_counter() - stream_start
-    if obs_on:
-        registry = obs.get_registry()
-        registry.counter("stream.items_scored").inc(len(emitted))
-        registry.gauge("stream.warmup_items").set(len(prefix))
-
-    scores = np.array([item.score for item in emitted], dtype=np.float64)
-    labelled = source.labelled
-    y_true = (
-        np.array([item.label for item in emitted], dtype=int)
-        if labelled else None
-    )
-    if threshold is None:
-        assert y_true is not None
-        resolved = standard_threshold(y_true, scores, strategy="fpr-budget")
-        threshold_source = "posthoc:fpr-budget"
-    else:
-        resolved = float(threshold)
-        threshold_source = "fixed"
-
-    windows, alerter = _evaluate_stream(
-        emitted,
-        labelled=labelled,
-        threshold=resolved,
-        window_seconds=window_seconds,
-        on_window=on_window,
     )
     if exporter is not None:
         exporter.export()
-    return StreamReport(
-        ids_name=getattr(detector, "ids", detector).name,
-        source=source.describe(),
-        unit=detector.unit,
-        labelled=labelled,
-        batch_size=detector.batch_size,
-        window_seconds=window_seconds,
-        threshold=resolved,
-        threshold_source=threshold_source,
-        n_warmup=len(prefix),
-        n_scored=len(emitted),
-        packets_streamed=packets_streamed,
-        warmup_seconds=warmup_seconds,
-        stream_seconds=stream_seconds,
-        metrics=windows.overall(),
-        alert_rate=windows.alert_rate,
-        windows=windows.windows,
-        alerts=alerter.episodes,
-        scores=scores,
-        y_true=y_true,
-        notes={
-            "non_ip_packets": getattr(
-                getattr(detector, "tracker", None), "non_ip_packets", 0
-            ),
-            "scoring_path": detector.scoring_path,
-            "ingest_backend": "columnar-mmap",
-            **_score_digests(emitted, scores),
-            **backends.backend_notes(getattr(detector, "ids", None)),
-            "run_id": obs.run_id(),
-        },
-    )
+    return report

@@ -77,15 +77,29 @@ def shard_for_packet(packet: Packet, n_shards: int) -> int:
     return shard_of_key(shard_key_for_packet(packet), n_shards)
 
 
+def shard_key_for_flow(flow) -> tuple[str, str, str]:
+    """The canonical channel key of one column-batch
+    :class:`~repro.net.columnar.FlowKey`.
+
+    Mirrors :func:`shard_key_for_packet` exactly — including the
+    *string* sort of dotted-quad IPs — so a row shards identically
+    whether it arrives as a packet object or a column."""
+    if flow.ip_present:
+        a, b = sorted((flow.src_ip, flow.dst_ip))
+        return (KEY_KIND_IP, a, b)
+    if flow.has_ether:
+        a, b = sorted((flow.src_mac, flow.dst_mac))
+        return (KEY_KIND_MAC, a, b)
+    return (KEY_KIND_NONE, "", "")
+
+
 def shard_ids_for_batch(batch, n_shards: int):
     """Per-row worker indices for a :class:`ColumnBatch`, vectorized.
 
-    Computes :func:`shard_for_packet` once per *unique flow* (the
-    batch's flow table) and broadcasts through the inverse index, so
-    the per-row cost is one fancy-index gather instead of a hash. The
-    key construction mirrors :func:`shard_key_for_packet` exactly —
-    including the *string* sort of dotted-quad IPs — so a row shards
-    identically whether it arrives as a packet object or a column.
+    Computes the shard once per *unique flow* (the batch's flow table,
+    keyed by :func:`shard_key_for_flow`) and broadcasts through the
+    inverse index, so the per-row cost is one fancy-index gather
+    instead of a hash.
     """
     import numpy as np
 
@@ -94,15 +108,8 @@ def shard_ids_for_batch(batch, n_shards: int):
     if n_shards == 1:
         return np.zeros(len(batch), dtype=np.int64)
     inverse, flows = batch.flow_table()
-    flow_shards = np.empty(len(flows), dtype=np.int64)
-    for j, flow in enumerate(flows):
-        if flow.ip_present:
-            a, b = sorted((flow.src_ip, flow.dst_ip))
-            key = (KEY_KIND_IP, a, b)
-        elif flow.has_ether:
-            a, b = sorted((flow.src_mac, flow.dst_mac))
-            key = (KEY_KIND_MAC, a, b)
-        else:
-            key = (KEY_KIND_NONE, "", "")
-        flow_shards[j] = shard_of_key(key, n_shards)
+    flow_shards = np.array(
+        [shard_of_key(shard_key_for_flow(flow), n_shards) for flow in flows],
+        dtype=np.int64,
+    )
     return flow_shards[inverse]

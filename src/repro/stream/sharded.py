@@ -12,15 +12,21 @@ alert sink consumes all workers' scores.
 
 Operational surface:
 
+* **One wire format** — every source reaches the supervisor as column
+  batches (:func:`repro.net.columnar.iter_column_batches`); each
+  worker's rows cross the process boundary as compact column slices
+  (:meth:`~repro.net.columnar.ColumnBatch.take`), shard ids computed
+  once per unique flow (:func:`repro.stream.shard.shard_ids_for_batch`).
 * **Backpressure** — every queue is bounded. A slow worker blocks the
   supervisor's dispatch (which in turn stops consuming the source);
-  a slow supervisor blocks workers' score puts. End-to-end memory is
-  bounded by ``workers x (queue depth + checkpoint interval)`` packets;
-  nothing buffers unboundedly.
+  a slow supervisor blocks workers' score puts. Chunks hold at most
+  ``chunk_packets`` rows, so end-to-end memory is bounded by
+  ``workers x (queue depth + checkpoint interval)`` packets plus one
+  source batch; nothing buffers unboundedly.
 * **Crash-resume** — workers periodically checkpoint their *entire*
-  live state (model + NetStat traffic state + buffered micro-batch)
-  through :mod:`repro.ids.persistence`. The supervisor retains each
-  worker's packets since its last acknowledged checkpoint; a worker
+  live state (model + NetStat traffic state) through
+  :mod:`repro.ids.persistence`. The supervisor retains each worker's
+  column slices since its last acknowledged checkpoint; a worker
   that dies (SIGKILL, OOM) is respawned from its newest valid on-disk
   checkpoint and replayed the retained packets. Scoring is
   deterministic, so the resumed run re-emits exactly the lost scores;
@@ -28,7 +34,8 @@ Operational surface:
   The merged result is bit-identical to an uninterrupted run at the
   same worker count (``tests/test_stream_faultinject.py``).
 * **Pacing** — ``pace=R`` replays the stream at R× capture time
-  (1.0 = wall-clock realistic replay) instead of as fast as possible.
+  (1.0 = wall-clock realistic replay) instead of as fast as possible:
+  no row is dispatched before its capture-clock target.
 * **Telemetry** — per-worker packets, scores, busy seconds, checkpoint
   cadence/age, restarts, retention peaks; exported in the stream JSON.
 
@@ -39,8 +46,9 @@ deterministic failure would simply recur under resume. Only process
 
 Fault injection (``fault=FaultInjection(...)``) is a first-class test
 seam: kill/stall/slow a chosen worker at a chosen packet count,
-deterministically. ``tests/faultinject.py`` builds the test harness on
-top of it.
+deterministically — the worker splits the column slice holding that
+row and fires just before it. ``tests/faultinject.py`` builds the
+test harness on top of it.
 """
 
 from __future__ import annotations
@@ -60,22 +68,21 @@ from typing import Sequence
 import numpy as np
 
 from repro import backends, obs
-from repro.core.thresholds import standard_threshold
 from repro.ids.persistence import (
     latest_stream_checkpoint,
     prune_stream_checkpoints,
     save_stream_checkpoint,
 )
-from repro.net.columnar import ColumnBatch
-from repro.net.packet import Packet
+from repro.net.columnar import ColumnBatch, iter_column_batches
 from repro.stream.detector import StreamingDetector, StreamScore
 from repro.stream.service import (
     StreamReport,
     WindowCallback,
-    _evaluate_stream,
+    _capture_report,
+    _warm_up,
     resolve_ingest_backend,
 )
-from repro.stream.shard import shard_for_packet, shard_ids_for_batch
+from repro.stream.shard import shard_ids_for_batch
 from repro.stream.sources import PacketSource
 from repro.utils.validation import check_positive
 
@@ -83,7 +90,6 @@ import hashlib
 
 __all__ = [
     "FaultInjection",
-    "WirePacket",
     "coverage_digest",
     "stream_capture_sharded",
 ]
@@ -104,8 +110,8 @@ class FaultInjection:
 
     * ``kill``  — SIGKILL the worker process (crash-resume path);
     * ``stall`` — sleep ``seconds`` once (backpressure path);
-    * ``slow``  — sleep ``per_packet_delay`` before every packet from
-      the trigger on (sustained backpressure).
+    * ``slow``  — sleep ``per_packet_delay`` per packet from the
+      trigger on (sustained backpressure).
 
     After a kill-triggered restart the supervisor drops the fault
     unless ``repeat_after_restart`` — with it, the worker dies at the
@@ -130,74 +136,53 @@ class FaultInjection:
             raise ValueError("at_packets must be >= 1 (1-based cursor)")
 
 
-# --------------------------------------------------------------------------
-# Wire transport: the slim packet record crossing the process boundary.
-#
-# Pickling full Packet objects (five nested header dataclasses) costs
-# ~15 us per packet on each side — enough to make the IPC hop the
-# bottleneck. The packet-level detectors consume exactly seven fields
-# (NetStat: timestamp, size, src MAC, IPs, ports; StreamScore: label,
-# attack family), so only those cross the boundary, as primitive tuples
-# that pickle ~5x faster. WirePacket duck-types Packet for that field
-# set; bit parity with the in-process path is enforced by
-# tests/test_stream_sharded.py.
+def _split_rows(
+    items: list[ColumnBatch], rows: int
+) -> tuple[list[ColumnBatch], list[ColumnBatch]]:
+    """Split a list of column slices after its first ``rows`` rows; a
+    slice straddling the cut becomes two views."""
+    head: list[ColumnBatch] = []
+    tail: list[ColumnBatch] = []
+    for item in items:
+        size = len(item)
+        if rows >= size:
+            head.append(item)
+            rows -= size
+        elif rows > 0:
+            head.append(item.slice(0, rows))
+            tail.append(item.slice(rows, size))
+            rows = 0
+        else:
+            tail.append(item)
+    return head, tail
 
 
-class WirePacket:
-    """A decoded wire record, duck-typing ``Packet`` for NetStat."""
-
-    __slots__ = (
-        "timestamp", "src_mac", "src_ip", "dst_ip",
-        "src_port", "dst_port", "wire_len", "label", "attack_type",
-    )
-
-    def __init__(self, timestamp, src_mac, src_ip, dst_ip,
-                 src_port, dst_port, wire_len, label, attack_type) -> None:
-        self.timestamp = timestamp
-        self.src_mac = src_mac
-        self.src_ip = src_ip
-        self.dst_ip = dst_ip
-        self.src_port = src_port
-        self.dst_port = dst_port
-        self.wire_len = wire_len
-        self.label = label
-        self.attack_type = attack_type
-
-    @property
-    def ether(self):
-        # NetStat reads ``packet.ether.src_mac`` (guarding on None);
-        # exposing self keeps that path allocation-free.
-        return self if self.src_mac is not None else None
-
-    def __getstate__(self):
-        return tuple(getattr(self, name) for name in self.__slots__)
-
-    def __setstate__(self, state):
-        for name, value in zip(self.__slots__, state):
-            setattr(self, name, value)
-
-
-def _rows_in(items: Sequence) -> int:
-    """Row count of a dispatch/retention list: a column slice counts
-    its rows, a wire tuple counts one."""
-    return sum(
-        len(item) if isinstance(item, ColumnBatch) else 1 for item in items
-    )
-
-
-def _encode_packet(packet: Packet) -> tuple:
-    ether = packet.ether
-    return (
-        packet.timestamp,
-        ether.src_mac if ether is not None else None,
-        packet.src_ip,
-        packet.dst_ip,
-        packet.src_port,
-        packet.dst_port,
-        packet.wire_len,
-        packet.label,
-        packet.attack_type,
-    )
+def _paced(batches, pace: float):
+    """Row slices of ``batches``, each released no earlier than its
+    rows' capture-clock targets (stream start + elapsed capture time /
+    ``pace``). Rows keep their order: one never overtakes an earlier
+    row with a later target."""
+    clock = origin = None
+    floor = -np.inf
+    for batch in batches:
+        if not len(batch):
+            continue
+        if origin is None:
+            clock = time.perf_counter()
+            origin = float(batch.timestamps[0])
+        release = np.maximum.accumulate(
+            np.maximum(clock + (batch.timestamps - origin) / pace, floor)
+        )
+        start = 0
+        while start < len(batch):
+            now = time.perf_counter()
+            stop = int(np.searchsorted(release, now, side="right"))
+            if stop > start:
+                yield batch.slice(start, stop)
+                start = stop
+            else:
+                time.sleep(release[start] - now)
+        floor = release[-1]
 
 
 def coverage_digest(emitted: Sequence[StreamScore]) -> str:
@@ -269,20 +254,19 @@ def _worker_main(worker_id, checkpoint_dir, inq, outq, fault,
             if kind == "chunk":
                 emitted: list[StreamScore] = []
                 started = time.perf_counter()
-                rows_consumed = 0
-                for row in message[1]:
-                    if isinstance(row, ColumnBatch):
-                        # Column-slice IPC (columnar ingest): the whole
-                        # slice scores in one batched call. Fault
-                        # injection is per-packet and rejected up front
-                        # for this mode.
-                        consumed += len(row)
-                        rows_consumed += len(row)
-                        emitted.extend(detector.process_columns(row))
-                        continue
-                    consumed += 1
-                    rows_consumed += 1
-                    if fault is not None and consumed == fault.at_packets:
+                chunk_start = consumed
+                for rows in message[1]:
+                    if (fault is not None
+                            and consumed < fault.at_packets
+                            <= consumed + len(rows)):
+                        # Score up to the trigger row (1-based shard
+                        # cursor at_packets), then fire just before it.
+                        before = fault.at_packets - consumed - 1
+                        if before:
+                            emitted.extend(detector.process_columns(
+                                rows.slice(0, before)))
+                            consumed += before
+                            rows = rows.slice(before, len(rows))
                         if fault.action == "kill":
                             os.kill(os.getpid(), signal.SIGKILL)
                         elif fault.action == "stall":
@@ -290,11 +274,12 @@ def _worker_main(worker_id, checkpoint_dir, inq, outq, fault,
                         else:  # slow
                             slow_delay = fault.per_packet_delay
                     if slow_delay:
-                        time.sleep(slow_delay)
-                    emitted.extend(detector.process(WirePacket(*row)))
+                        time.sleep(slow_delay * len(rows))
+                    consumed += len(rows)
+                    emitted.extend(detector.process_columns(rows))
                 elapsed = time.perf_counter() - started
                 m_busy.inc(elapsed)
-                m_packets.inc(rows_consumed)
+                m_packets.inc(consumed - chunk_start)
                 if chunk_hist is not None:
                     chunk_hist.observe(elapsed)
                 if emitted:
@@ -434,19 +419,7 @@ def stream_capture_sharded(
             f"fault targets worker {fault.worker}, but there are only "
             f"{workers} worker(s)"
         )
-    resolved_ingest = resolve_ingest_backend(source, detector, ingest_backend)
-    columnar = resolved_ingest == "columnar-mmap"
-    if columnar and fault is not None:
-        raise ValueError(
-            "fault injection fires on per-packet cursors and cannot be "
-            "combined with the columnar ingest backend (column slices "
-            "cross the worker boundary whole)"
-        )
-    if columnar and pace is not None:
-        raise ValueError(
-            "pace replays per-packet timestamps and cannot be combined "
-            "with the columnar ingest backend"
-        )
+    resolved_ingest = resolve_ingest_backend(source, ingest_backend)
 
     if exporter is not None and not obs.is_enabled():
         obs.enable()
@@ -462,35 +435,16 @@ def stream_capture_sharded(
         ctx = multiprocessing.get_context()
 
     # ---- Phase 1: warmup, exactly as the single-process path. --------
-    # Columnar mode hydrates the warmup prefix out of column batches
-    # (training wants full packets, once, off the hot path) and keeps
-    # the first live slice for dispatch.
-    prefix: list[Packet] = []
-    stream = None
-    batch_stream = None
-    leftover: ColumnBatch | None = None
-    if columnar:
-        batch_stream = source.iter_batches()
-        for batch in batch_stream:
-            if len(prefix) >= warmup_packets:
-                leftover = batch
-                break
-            take = min(warmup_packets - len(prefix), len(batch))
-            prefix.extend(batch.hydrate_range(0, take))
-            if take < len(batch):
-                leftover = batch.slice(take, len(batch))
-                break
-    else:
-        stream = iter(source)
-        while len(prefix) < warmup_packets:
-            try:
-                prefix.append(next(stream))
-            except StopIteration:
-                break
-    warmup_start = time.perf_counter()
-    with obs.span("stream.warmup"):
-        detector.warmup(prefix)
-    warmup_seconds = time.perf_counter() - warmup_start
+    # Object sources are columnized chunk_packets packets at a time, so
+    # no row waits on more than one chunk's worth of the source.
+    n_warmup, warmup_seconds, live = _warm_up(
+        detector,
+        iter_column_batches(
+            source, chunk_packets,
+            native=resolved_ingest == "columnar-mmap",
+        ),
+        warmup_packets,
+    )
 
     # ---- Phase 2: genesis checkpoints + spawn. -----------------------
     states = [_WorkerState(worker_id=i) for i in range(workers)]
@@ -562,44 +516,12 @@ def stream_capture_sharded(
             )
 
     def _trim_retained(state: _WorkerState, consumed: int) -> None:
-        # Drop retained rows up to the acked cursor. Wire tuples are
-        # one row each; a column slice may straddle the cursor, in
-        # which case its tail is kept as a view.
-        drop = consumed - state.retained_base
-        retained = state.retained
-        index = 0
-        while index < len(retained) and drop > 0:
-            item = retained[index]
-            size = len(item) if isinstance(item, ColumnBatch) else 1
-            if size <= drop:
-                drop -= size
-                index += 1
-            else:
-                retained[index] = item.slice(drop, size)
-                drop = 0
-        if index:
-            del retained[:index]
+        # Drop retained rows up to the acked cursor.
+        _, state.retained = _split_rows(
+            state.retained, consumed - state.retained_base
+        )
         state.retained_rows -= consumed - state.retained_base
         state.retained_base = consumed
-
-    def _retained_since(state: _WorkerState, resume_from: int) -> list:
-        # The replay slice from an absolute shard-row cursor, again
-        # splitting a straddling column slice on its row boundary.
-        skip = resume_from - state.retained_base
-        if skip <= 0:
-            return list(state.retained)
-        replay: list = []
-        for item in state.retained:
-            size = len(item) if isinstance(item, ColumnBatch) else 1
-            if skip >= size:
-                skip -= size
-                continue
-            if skip:
-                replay.append(item.slice(skip, size))
-                skip = 0
-            else:
-                replay.append(item)
-        return replay
 
     def _pump() -> None:
         # Each worker has its own result queue, so a killed worker can
@@ -668,17 +590,19 @@ def stream_capture_sharded(
         # Replay retention from the checkpoint cursor. Retention covers
         # [retained_base, sent) and the checkpoint can only be newer
         # than the last *acked* one, so the slice is always in range.
-        replay = _retained_since(state, resume_from)
-        m_replayed.inc(_rows_in(replay))
+        _, replay = _split_rows(
+            state.retained, resume_from - state.retained_base
+        )
+        m_replayed.inc(sum(map(len, replay)))
         was_eof = state.eof_sent
         state.sent = resume_from
         state.next_ckpt_at = (
             resume_from // checkpoint_every + 1
         ) * checkpoint_every
         state.eof_sent = False
-        for start in range(0, len(replay), chunk_packets):
-            _dispatch(state, replay[start:start + chunk_packets],
-                      retain=False)
+        while replay:
+            chunk, replay = _split_rows(replay, chunk_packets)
+            _dispatch(state, chunk, retain=False)
         if was_eof:
             _send(state, ("eof",))
             state.eof_sent = True
@@ -696,7 +620,7 @@ def stream_capture_sharded(
 
     def _dispatch(state: _WorkerState, rows: list, *, retain: bool) -> None:
         _send(state, ("chunk", rows))
-        n_rows = _rows_in(rows)
+        n_rows = sum(map(len, rows))
         if retain:
             m_dispatched.inc(n_rows)
             state.retained.extend(rows)
@@ -708,11 +632,11 @@ def stream_capture_sharded(
             _send(state, ("ckpt",))
             state.next_ckpt_at += checkpoint_every
 
-    def _flush_pending(state: _WorkerState) -> None:
-        if state.pending:
-            rows, state.pending = state.pending, []
-            state.pending_rows = 0
-            _dispatch(state, rows, retain=True)
+    def _flush_pending(state: _WorkerState, rows: int) -> None:
+        # Dispatch the first ``rows`` pending rows as one chunk.
+        chunk, state.pending = _split_rows(state.pending, rows)
+        state.pending_rows -= rows
+        _dispatch(state, chunk, retain=True)
 
     def _check_liveness() -> None:
         for state in states:
@@ -721,68 +645,37 @@ def stream_capture_sharded(
                 _on_death(state)
 
     packets_streamed = 0
-    stream_start: float | None = None
-    pace_origin: float | None = None
-
     try:
         for state in states:
             _spawn(state)
 
         # ---- Phase 3: dispatch. --------------------------------------
-        if columnar:
-            # Column-slice IPC: shard ids come vectorized off the flow
-            # table; each worker's rows cross the boundary as one
-            # compact column slice (``take`` drops hydration sources,
-            # so a slice pickles as bare arrays).
-            import itertools
-
-            batches = itertools.chain(
-                [leftover] if leftover is not None else [], batch_stream
-            )
-            for batch in batches:
-                if stream_start is None:
-                    stream_start = time.perf_counter()
-                shard_ids = shard_ids_for_batch(batch, workers)
-                packets_streamed += len(batch)
-                for state in states:
-                    selected = np.nonzero(shard_ids == state.worker_id)[0]
-                    if selected.size == 0:
-                        continue
-                    state.pending.append(batch.take(selected))
-                    state.pending_rows += int(selected.size)
-                    if state.pending_rows >= chunk_packets:
-                        _flush_pending(state)
-                        _pump()
-                        if exporter is not None:
-                            exporter.maybe_export(_obs_tree)
-        else:
-            for packet in stream:
-                if stream_start is None:
-                    stream_start = time.perf_counter()
-                if pace is not None:
-                    if pace_origin is None:
-                        pace_origin = packet.timestamp
-                    target = (
-                        stream_start + (packet.timestamp - pace_origin) / pace
-                    )
-                    delay = target - time.perf_counter()
-                    if delay > 0:
-                        time.sleep(delay)
-                state = states[shard_for_packet(packet, workers)]
-                state.pending.append(_encode_packet(packet))
-                state.pending_rows += 1
-                packets_streamed += 1
-                if state.pending_rows >= chunk_packets:
-                    _flush_pending(state)
+        # Shard ids come vectorized off the flow table; each worker's
+        # rows are gathered into one compact column slice (``take``
+        # drops hydration sources, so it pickles as bare arrays) and
+        # cross the boundary in chunks of chunk_packets rows (the last
+        # one shorter), whatever the decode batch size, so queue depth
+        # and checkpoint cadence are counted in rows.
+        stream_start = time.perf_counter()
+        for batch in live if pace is None else _paced(live, pace):
+            shard_ids = shard_ids_for_batch(batch, workers)
+            packets_streamed += len(batch)
+            for state in states:
+                selected = np.nonzero(shard_ids == state.worker_id)[0]
+                if selected.size == 0:
+                    continue
+                state.pending.append(batch.take(selected))
+                state.pending_rows += int(selected.size)
+                while state.pending_rows >= chunk_packets:
+                    _flush_pending(state, chunk_packets)
                     _pump()
                     if exporter is not None:
                         exporter.maybe_export(_obs_tree)
-        if stream_start is None:
-            stream_start = time.perf_counter()
 
         # ---- Phase 4: EOF + drain. -----------------------------------
         for state in states:
-            _flush_pending(state)
+            if state.pending_rows:
+                _flush_pending(state, state.pending_rows)
             _send(state, ("eof",))
             state.eof_sent = True
         while not all(state.done for state in states):
@@ -823,28 +716,6 @@ def stream_capture_sharded(
         for position, (_, item) in enumerate(merged)
     ]
 
-    scores = np.array([item.score for item in emitted], dtype=np.float64)
-    labelled = source.labelled
-    y_true = (
-        np.array([item.label for item in emitted], dtype=int)
-        if labelled else None
-    )
-    if threshold is None:
-        assert y_true is not None
-        resolved = standard_threshold(y_true, scores, strategy="fpr-budget")
-        threshold_source = "posthoc:fpr-budget"
-    else:
-        resolved = float(threshold)
-        threshold_source = "fixed"
-
-    windows, alerter = _evaluate_stream(
-        emitted,
-        labelled=labelled,
-        threshold=resolved,
-        window_seconds=window_seconds,
-        on_window=on_window,
-    )
-
     worker_rows = []
     for state in states:
         consumed = state.telemetry.get("consumed", 0)
@@ -868,36 +739,16 @@ def stream_capture_sharded(
         max((state.retained_peak for state in states), default=0)
     )
 
-    if exporter is not None:
-        exporter.export(_obs_tree())
-
-    if created_dir:
-        # Successful run: the scratch checkpoints have served their
-        # purpose. An explicit --checkpoint-dir is always kept.
-        for entry in checkpoint_dir.iterdir():
-            entry.unlink()
-        checkpoint_dir.rmdir()
-
-    return StreamReport(
-        ids_name=getattr(detector, "ids", detector).name,
-        source=source.describe(),
-        unit=detector.unit,
-        labelled=labelled,
-        batch_size=detector.batch_size,
+    scores = np.array([item.score for item in emitted], dtype=np.float64)
+    report = _capture_report(
+        source, detector, emitted, scores,
+        threshold=threshold,
         window_seconds=window_seconds,
-        threshold=resolved,
-        threshold_source=threshold_source,
-        n_warmup=len(prefix),
-        n_scored=len(emitted),
+        on_window=on_window,
+        n_warmup=n_warmup,
         packets_streamed=packets_streamed,
         warmup_seconds=warmup_seconds,
         stream_seconds=stream_seconds,
-        metrics=windows.overall(),
-        alert_rate=windows.alert_rate,
-        windows=windows.windows,
-        alerts=alerter.episodes,
-        scores=scores,
-        y_true=y_true,
         notes={
             "scoring_path": detector.scoring_path,
             "ingest_backend": resolved_ingest,
@@ -918,3 +769,14 @@ def stream_capture_sharded(
             "workers": worker_rows,
         },
     )
+
+    if exporter is not None:
+        exporter.export(_obs_tree())
+
+    if created_dir:
+        # Successful run: the scratch checkpoints have served their
+        # purpose. An explicit --checkpoint-dir is always kept.
+        for entry in checkpoint_dir.iterdir():
+            entry.unlink()
+        checkpoint_dir.rmdir()
+    return report

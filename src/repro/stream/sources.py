@@ -71,30 +71,24 @@ class PcapReplaySource:
 
     ``iter_batches`` exposes the same capture as zero-copy column
     batches (:class:`~repro.net.columnar.ColumnBatch`) for the columnar
-    ingest backend; ``ingest_backend`` records the caller's requested
-    backend name so session runners can resolve it once per stream.
+    ingest backend.
     """
 
     labelled = False
 
-    def __init__(
-        self, path: str | Path, *, ingest_backend: str | None = None
-    ) -> None:
+    def __init__(self, path: str | Path) -> None:
         self.path = Path(path)
-        self.ingest_backend = ingest_backend
 
     def __iter__(self) -> Iterator[Packet]:
         from repro.net.pcap import PcapReader
 
         return iter(PcapReader(self.path))
 
-    def iter_batches(self, batch_size: int | None = None):
+    def iter_batches(self):
         """Column batches through the mmap decoder (restartable)."""
-        from repro.net.columnar import DEFAULT_BATCH_SIZE, ColumnarPcapReader
+        from repro.net.columnar import ColumnarPcapReader
 
-        return iter(ColumnarPcapReader(
-            self.path, batch_size=batch_size or DEFAULT_BATCH_SIZE
-        ))
+        return iter(ColumnarPcapReader(self.path))
 
     def describe(self) -> str:
         return f"pcap:{self.path}"

@@ -35,9 +35,11 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.net.columnar import ColumnBatch
 from repro.net.packet import Packet
+from repro.net.pcap import write_pcap
 from repro.stream.detector import StreamScore
-from repro.stream.shard import shard_key_for_packet
+from repro.stream.shard import shard_key_for_flow
 from repro.stream.sharded import FaultInjection, stream_capture_sharded
 from repro.stream.sources import ListSource
 
@@ -48,6 +50,7 @@ __all__ = [
     "FaultInjection",
     "assert_stream_reports_match",
     "conversation_packets",
+    "conversation_pcap",
     "run_sharded",
 ]
 
@@ -57,9 +60,10 @@ class ChannelMeanDetector:
 
     Scores each packet by its size's deviation from the running mean of
     its *channel* (the shard key), so a worker seeing only its shard's
-    channels computes exactly what a single process would. Works on
-    IP-bearing packets (the harness traffic); picklable, so it rides
-    the genesis/periodic checkpoint path unchanged.
+    channels computes exactly what a single process would. Consumes
+    column batches like every streaming detector (``process`` wraps
+    one packet into a batch); picklable, so it rides the
+    genesis/periodic checkpoint path unchanged.
     """
 
     name = "channel-mean"
@@ -71,29 +75,46 @@ class ChannelMeanDetector:
         self.items_scored = 0
         self._state: dict[tuple, tuple[int, float]] = {}
 
-    def _observe(self, packet) -> float:
-        key = shard_key_for_packet(packet)
-        count, mean = self._state.get(key, (0, 0.0))
-        count += 1
-        mean += (packet.wire_len - mean) / count
-        self._state[key] = (count, mean)
-        return mean
+    def _means(self, batch: ColumnBatch) -> list[float]:
+        """Fold each row's size into its channel's running mean; the
+        mean after each row. Rows are keyed through the batch's flow
+        table, with the same channel key the shard key uses."""
+        inverse, flows = batch.flow_table()
+        keys = [shard_key_for_flow(flow) for flow in flows]
+        means = []
+        for flow, size in zip(inverse.tolist(), batch.wire_len.tolist()):
+            key = keys[flow]
+            count, mean = self._state.get(key, (0, 0.0))
+            count += 1
+            mean += (size - mean) / count
+            self._state[key] = (count, mean)
+            means.append(mean)
+        return means
 
     def warmup(self, packets) -> None:
-        for packet in packets:
-            self._observe(packet)
+        self._means(ColumnBatch.from_packets(packets))
 
     def process(self, packet) -> list[StreamScore]:
-        mean = self._observe(packet)
-        index = self.items_scored
-        self.items_scored += 1
-        return [StreamScore(
-            index=index,
-            timestamp=packet.timestamp,
-            score=abs(packet.wire_len - mean) / (1.0 + mean),
-            label=packet.label,
-            attack_type=packet.attack_type,
-        )]
+        return self.process_columns(ColumnBatch.from_packets([packet]))
+
+    def process_columns(self, batch: ColumnBatch) -> list[StreamScore]:
+        means = self._means(batch)
+        stamps = batch.timestamps.tolist()
+        sizes = batch.wire_len.tolist()
+        labels = batch.row_labels()
+        attacks = batch.row_attack_types()
+        base = self.items_scored
+        self.items_scored += len(means)
+        return [
+            StreamScore(
+                index=base + row,
+                timestamp=stamps[row],
+                score=abs(sizes[row] - mean) / (1.0 + mean),
+                label=labels[row],
+                attack_type=attacks[row],
+            )
+            for row, mean in enumerate(means)
+        ]
 
     def finish(self) -> list[StreamScore]:
         return []
@@ -129,6 +150,13 @@ def conversation_packets(
                 attack_type="oversize" if anomalous else "",
             ))
     return packets
+
+
+def conversation_pcap(path, **kwargs):
+    """:func:`conversation_packets` written to a capture file (labels
+    do not survive pcap, so replays of it are unlabelled)."""
+    write_pcap(path, conversation_packets(**kwargs))
+    return path
 
 
 def run_sharded(

@@ -254,8 +254,10 @@ class TestPacketIDSBatchSurface:
         assert detector.scoring_path == "batched"
         packets = self._packets(800)
         detector.warmup(packets[:600])
-        emitted = []
-        for packet in packets[600:]:
-            emitted.extend(detector.process(packet))
+        from repro.net.columnar import ColumnBatch
+
+        emitted = detector.process_columns(
+            ColumnBatch.from_packets(packets[600:])
+        )
         emitted.extend(detector.finish())
         assert len(emitted) == 200

@@ -24,16 +24,18 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro import obs
 from repro.stream.detector import build_streaming_detector
 from repro.stream.service import stream_capture
 from repro.stream.sharded import stream_capture_sharded
-from repro.stream.sources import DatasetSource, ListSource
+from repro.stream.sources import DatasetSource, ListSource, PcapReplaySource
 
 from tests.faultinject import (
     ChannelMeanDetector,
     FaultInjection,
     assert_stream_reports_match,
     conversation_packets,
+    conversation_pcap,
     run_sharded,
 )
 
@@ -139,3 +141,43 @@ class TestStallAndSlow:
                                per_packet_delay=0.002)
         clean, hurt = _faulted_vs_clean(fault)
         assert_stream_reports_match(hurt, clean)
+
+
+class TestColumnarIngestFaults:
+    """The same faults on a capture decoded by the ``columnar-mmap``
+    ingest: the worker splits the column slice holding the trigger row
+    and fires there, so the faulted run matches the clean one."""
+
+    @pytest.mark.parametrize("fault", [
+        FaultInjection(worker=1, at_packets=CHECKPOINT_EVERY + 20,
+                       action="kill"),
+        FaultInjection(worker=1, at_packets=20, action="stall",
+                       seconds=0.3),
+        FaultInjection(worker=1, at_packets=20, action="slow",
+                       per_packet_delay=0.002),
+    ], ids=lambda fault: fault.action)
+    def test_faulted_columnar_replay_matches_clean(self, tmp_path, fault):
+        pcap = conversation_pcap(tmp_path / "conversations.pcap")
+
+        def run(fault=None):
+            return stream_capture_sharded(
+                PcapReplaySource(pcap), ChannelMeanDetector(),
+                workers=WORKERS, warmup_packets=64, threshold=0.5,
+                window_seconds=5.0, checkpoint_every=CHECKPOINT_EVERY,
+                chunk_packets=16, fault=fault,
+                ingest_backend="columnar-mmap",
+            )
+
+        clean = run()
+        replayed = obs.reset_registry().counter(
+            "stream.shard.packets_replayed")
+        hurt = run(fault)
+        assert hurt.notes["ingest_backend"] == "columnar-mmap"
+        assert clean.n_scored > 0
+        assert_stream_reports_match(hurt, clean)
+        if fault.action == "kill":
+            # Chunks hold chunk_packets rows whatever the decode batch,
+            # so a periodic checkpoint precedes the kill and the resume
+            # replays only the rows after it, not the whole shard.
+            assert hurt.notes["workers"][1]["restarts"] == 1
+            assert 0 < replayed.value < hurt.notes["workers"][1]["packets"]

@@ -1,7 +1,8 @@
 """Direct unit tests for the streaming service layer.
 
 ``stream_capture``'s lifecycle contract — warmup on exactly the prefix,
-one ``process`` call per streamed packet, one ``finish`` at end of
+one ``process`` call per streamed packet (the recorder's
+``process_columns`` walks each batch's rows), one ``finish`` at end of
 stream (the sink flush), typed errors instead of hangs — was previously
 only exercised through the CLI and parity suites; these tests pin it
 down at the unit level.
@@ -60,6 +61,12 @@ class RecordingDetector:
                                      if self.hold_back else [])
             return emitted
         return []
+
+    def process_columns(self, batch):
+        emitted = []
+        for packet in batch.iter_packets():
+            emitted.extend(self.process(packet))
+        return emitted
 
     def finish(self):
         self.calls.append("finish")
@@ -192,3 +199,50 @@ class TestThresholding:
         assert report.threshold_source == "posthoc:fpr-budget"
         alerts = report.scores >= report.threshold
         assert np.array_equal(alerts, report.y_true.astype(bool))
+
+
+class TestIngestBackends:
+    def test_flow_ids_over_pcap_match_across_ingest_backends(
+            self, tmp_path):
+        # Flow detectors hydrate each row of the column batches into
+        # their tracker, so columnar ingest feeds them the same packets.
+        from repro.datasets import generate_dataset
+        from repro.ids.dnn import DNNClassifierIDS
+        from repro.stream.detector import FlowStreamDetector
+        from repro.stream.sources import PcapReplaySource
+
+        pcap = tmp_path / "mirai.pcap"
+        generate_dataset("Mirai", seed=0, scale=0.02).to_pcap(pcap)
+        reports = {
+            ingest: stream_capture(
+                PcapReplaySource(pcap),
+                # Labels do not survive pcap: the DNN trains on an
+                # all-benign prefix, which is enough to compare paths.
+                FlowStreamDetector(DNNClassifierIDS(seed=0),
+                                   batch_size=16, labelled=True),
+                warmup_packets=300, threshold=0.5, window_seconds=60.0,
+                ingest_backend=ingest,
+            )
+            for ingest in ("packet-objects", "columnar-mmap")
+        }
+        objects, columns = (reports["packet-objects"],
+                            reports["columnar-mmap"])
+        assert columns.notes["ingest_backend"] == "columnar-mmap"
+        assert objects.n_scored > 0
+        assert columns.n_scored == objects.n_scored
+        assert np.array_equal(columns.scores, objects.scores)
+        assert (columns.notes["coverage_digest"]
+                == objects.notes["coverage_digest"])
+
+    def test_explicit_columnar_ingest_needs_a_capture_file(self):
+        with pytest.raises(ValueError, match="iter_batches"):
+            stream_capture(ListSource(_packets(3)), RecordingDetector(),
+                           warmup_packets=1, threshold=1.0,
+                           ingest_backend="columnar-mmap")
+
+    def test_auto_ingest_falls_back_to_packet_objects(self):
+        report = stream_capture(ListSource(_packets(5)),
+                                RecordingDetector(), warmup_packets=1,
+                                threshold=1.0, ingest_backend="auto")
+        assert report.notes["ingest_backend"] == "packet-objects"
+        assert report.n_scored == 4

@@ -12,12 +12,11 @@ import pickle
 import numpy as np
 import pytest
 
+from repro.net.columnar import ColumnBatch
 from repro.stream.detector import build_streaming_detector
 from repro.stream.service import stream_capture
 from repro.stream.sharded import (
     FaultInjection,
-    WirePacket,
-    _encode_packet,
     coverage_digest,
     stream_capture_sharded,
 )
@@ -38,38 +37,51 @@ class ExplodingDetector(ChannelMeanDetector):
         super().__init__()
         self.trip_at = trip_at
 
-    def process(self, packet):
+    def process_columns(self, batch):
         if self.items_scored >= self.trip_at:
             raise RuntimeError("detector tripped on purpose")
-        return super().process(packet)
+        return super().process_columns(batch)
 
 
 class TestWireTransport:
-    def test_wire_packet_carries_every_field_netstat_reads(self):
+    """Workers receive ``take`` slices of column batches: columns only,
+    every field NetStat and the report read, no packet objects."""
+
+    @staticmethod
+    def _wire(packets):
+        batch = ColumnBatch.from_packets(packets)
+        return pickle.loads(pickle.dumps(
+            batch.take(np.arange(len(batch)))))
+
+    def test_column_slice_carries_every_field_netstat_reads(self):
         packet = make_tcp_packet(ts=4.2, src="10.9.0.1", dst="10.9.0.2",
                                  sport=4444, dport=80, payload=b"z" * 33,
                                  label=1, attack_type="probe")
-        wire = WirePacket(*_encode_packet(packet))
-        assert wire.timestamp == packet.timestamp
-        assert wire.wire_len == packet.wire_len
-        assert wire.ether.src_mac == packet.ether.src_mac
-        assert wire.src_ip == packet.src_ip
-        assert wire.dst_ip == packet.dst_ip
-        assert wire.src_port == packet.src_port
-        assert wire.dst_port == packet.dst_port
-        assert wire.label == 1
-        assert wire.attack_type == "probe"
+        wire = self._wire([packet])
+        flow = wire.flow_table()[1][0]
+        assert wire.timestamps.tolist() == [packet.timestamp]
+        assert wire.wire_len.tolist() == [packet.wire_len]
+        assert flow.src_mac == packet.ether.src_mac
+        assert flow.src_ip == packet.src_ip
+        assert flow.dst_ip == packet.dst_ip
+        assert flow.src_port == packet.src_port
+        assert flow.dst_port == packet.dst_port
+        assert wire.row_labels() == [1]
+        assert wire.row_attack_types() == ["probe"]
 
-    def test_wire_packet_without_ethernet_exposes_no_ether(self):
-        row = (0.0, None, "1.2.3.4", "5.6.7.8", 1, 2, 60, 0, "")
-        assert WirePacket(*row).ether is None
+    def test_column_slice_without_ethernet_keys_no_mac(self):
+        packet = make_tcp_packet(ts=0.0, src="1.2.3.4", dst="5.6.7.8")
+        packet.ether = None
+        flow = self._wire([packet]).flow_table()[1][0]
+        assert not flow.has_ether
+        assert flow.src_mac == "??"
 
-    def test_wire_packet_pickles(self):
-        wire = WirePacket(*_encode_packet(make_tcp_packet(ts=1.0)))
-        clone = pickle.loads(pickle.dumps(wire))
-        assert clone.timestamp == wire.timestamp
-        assert clone.src_ip == wire.src_ip
-        assert clone.wire_len == wire.wire_len
+    def test_column_slice_pickles_without_packets(self):
+        packets = conversation_packets(channels=2, packets_per_channel=4)
+        wire = self._wire(packets)
+        assert not wire.can_hydrate
+        assert wire.timestamps.tolist() == [p.timestamp for p in packets]
+        assert wire.row_labels() == [p.label for p in packets]
 
 
 class TestShardedParity:
@@ -176,6 +188,26 @@ class TestLifecycleAndTelemetry:
         ]
         report = run_sharded(packets, workers=1, warmup_packets=0,
                              pace=4.0)
+        assert report.stream_seconds >= 0.2
+        assert report.notes["pace"] == 4.0
+
+    def test_pacing_stretches_columnar_replay(self, tmp_path):
+        from repro.net.pcap import write_pcap
+        from repro.stream.sources import PcapReplaySource
+
+        pcap = tmp_path / "paced.pcap"
+        write_pcap(pcap, [
+            make_tcp_packet(ts=i * 0.025, src="10.0.0.1",
+                            dst="10.0.0.2")
+            for i in range(40)
+        ])
+        report = stream_capture_sharded(
+            PcapReplaySource(pcap), ChannelMeanDetector(), workers=1,
+            warmup_packets=0, threshold=0.5, pace=4.0,
+            ingest_backend="columnar-mmap",
+        )
+        assert report.notes["ingest_backend"] == "columnar-mmap"
+        assert report.n_scored == 40
         assert report.stream_seconds >= 0.2
         assert report.notes["pace"] == 4.0
 
