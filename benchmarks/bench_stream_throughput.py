@@ -203,12 +203,12 @@ class _ThrottleProbeDetector:
     def process_columns(self, batch):
         import time
 
-        from repro.stream.detector import StreamScore
+        from repro.stream.detector import ScoreBatch, StreamScore
 
         time.sleep(self.delay_seconds * len(batch))
         base = self.items_scored
         self.items_scored += len(batch)
-        return [
+        return ScoreBatch.from_scores(
             StreamScore(
                 index=base + row,
                 timestamp=stamp,
@@ -220,10 +220,12 @@ class _ThrottleProbeDetector:
                 batch.timestamps.tolist(), batch.row_labels(),
                 batch.row_attack_types(),
             ))
-        ]
+        )
 
     def finish(self):
-        return []
+        from repro.stream.detector import ScoreBatch
+
+        return ScoreBatch.empty()
 
 
 def _sharded_detector():

@@ -34,6 +34,7 @@ from repro.stream.alerts import AlertEpisode, HysteresisAlerter
 from repro.stream.detector import (
     FlowStreamDetector,
     PacketStreamDetector,
+    ScoreBatch,
     StreamingDetector,
     StreamScore,
     build_streaming_detector,
@@ -72,6 +73,7 @@ __all__ = [
     "HysteresisAlerter",
     "FlowStreamDetector",
     "PacketStreamDetector",
+    "ScoreBatch",
     "StreamingDetector",
     "StreamScore",
     "build_streaming_detector",

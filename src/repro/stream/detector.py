@@ -27,7 +27,6 @@ from __future__ import annotations
 import abc
 import time
 import warnings
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -39,19 +38,19 @@ from repro.ids.base import FlowIDS, InputKind, PacketIDS
 from repro.ids.registry import evaluated_ids_factories
 from repro.net.columnar import ColumnBatch
 from repro.net.packet import Packet
+from repro.stream.scores import NO_LABEL, ScoreBatch, StreamScore
 from repro.stream.tracker import StreamingFlowTracker
 from repro.utils.validation import check_positive
 
-
-@dataclass(frozen=True)
-class StreamScore:
-    """One scored item (packet or flow) of the stream."""
-
-    index: int
-    timestamp: float
-    score: float
-    label: int | None = None
-    attack_type: str = ""
+__all__ = [
+    "FlowStreamDetector",
+    "PacketStreamDetector",
+    "ScoreBatch",
+    "StreamScore",
+    "StreamingDetector",
+    "build_streaming_detector",
+    "canonical_ids_name",
+]
 
 
 def canonical_ids_name(name: str) -> str:
@@ -68,7 +67,7 @@ def canonical_ids_name(name: str) -> str:
 class StreamingDetector(abc.ABC):
     """Push-based scoring facade over one IDS instance."""
 
-    #: What one emitted :class:`StreamScore` covers.
+    #: What one emitted score row covers.
     unit: str  # "packet" | "flow"
     #: Which engine the IDS *advertises* for micro-batch scoring:
     #: ``"batched"`` (``supports_batch`` — the packed batch engine),
@@ -89,12 +88,12 @@ class StreamingDetector(abc.ABC):
         """Train on the stream's prefix (fit-on-prefix regime)."""
 
     @abc.abstractmethod
-    def process_columns(self, batch: ColumnBatch) -> list[StreamScore]:
-        """Consume a column batch of live packets; return any scores it
-        released."""
+    def process_columns(self, batch: ColumnBatch) -> ScoreBatch:
+        """Consume a column batch of live packets; return the scores it
+        released (possibly none)."""
 
     @abc.abstractmethod
-    def finish(self) -> list[StreamScore]:
+    def finish(self) -> ScoreBatch:
         """Drain buffered work at end of stream."""
 
 
@@ -116,26 +115,29 @@ class PacketStreamDetector(StreamingDetector):
     def warmup(self, packets: Sequence[Packet]) -> None:
         self.ids.fit(packets)
 
-    def finish(self) -> list[StreamScore]:
+    def finish(self) -> ScoreBatch:
         # process_columns scores every row it is given; nothing waits.
-        return []
+        return ScoreBatch.empty()
 
-    def process_columns(self, batch: ColumnBatch) -> list[StreamScore]:
+    def process_columns(self, batch: ColumnBatch) -> ScoreBatch:
         """Score a column batch in ``batch_size`` micro-batches.
 
         The IDSs' ``score_batch`` accepts column batches natively
         (NetStat's columnar path), bit-identical to scoring the
         batch's packets as objects, and micro-batch boundaries do not
-        change the scores of these online IDSs.
+        change the scores of these online IDSs. The scores land in one
+        :class:`ScoreBatch` beside the batch's own timestamp, label and
+        attack columns.
         """
-        emitted: list[StreamScore] = []
         n = len(batch)
+        scores = np.empty(n, dtype=np.float64)
         obs_on = obs.is_enabled()
         for start in range(0, n, self.batch_size):
-            sub = batch.slice(start, min(start + self.batch_size, n))
+            stop = min(start + self.batch_size, n)
+            sub = batch.slice(start, stop)
             if obs_on:
                 started = time.perf_counter()
-                scores = self.ids.score_batch(sub)
+                scores[start:stop] = self.ids.score_batch(sub)
                 registry = obs.get_registry()
                 registry.histogram("stream.detector.score_seconds").observe(
                     time.perf_counter() - started
@@ -144,23 +146,17 @@ class PacketStreamDetector(StreamingDetector):
                     len(sub)
                 )
             else:
-                scores = self.ids.score_batch(sub)
-            stamps = sub.timestamps.tolist()
-            labels = sub.row_labels()
-            attacks = sub.row_attack_types()
-            base = self.items_scored
-            emitted.extend(
-                StreamScore(
-                    index=base + offset,
-                    timestamp=stamps[offset],
-                    score=float(score),
-                    label=labels[offset],
-                    attack_type=attacks[offset],
-                )
-                for offset, score in enumerate(scores)
-            )
-            self.items_scored = base + len(scores)
-        return emitted
+                scores[start:stop] = self.ids.score_batch(sub)
+        base = self.items_scored
+        self.items_scored = base + n
+        return ScoreBatch.build(
+            np.arange(base, base + n),
+            batch.timestamps,
+            scores,
+            np.zeros(n, dtype=np.int64) if batch.labels is None
+            else batch.labels,
+            batch.attack_types,
+        )
 
 
 class FlowStreamDetector(StreamingDetector):
@@ -256,46 +252,45 @@ class FlowStreamDetector(StreamingDetector):
         """Fit directly on pre-assembled (batch-adapted) flows."""
         self.ids.fit(list(flows), features, labels)
 
-    def process_columns(self, batch: ColumnBatch) -> list[StreamScore]:
+    def process_columns(self, batch: ColumnBatch) -> ScoreBatch:
         """Feed each row to the flow tracker; score flows as they close.
 
         Flow assembly reads full headers (TCP flags, payloads), so rows
         are hydrated: free for batches columnized from packet objects,
         one frame decode per row for batches read off a capture file.
         """
-        emitted: list[StreamScore] = []
-        for packet in batch.iter_packets():
-            for flow in self.tracker.add(packet):
-                emitted.extend(self.process_flow(flow))
-        return emitted
+        released = [
+            self.process_flow(flow)
+            for packet in batch.iter_packets()
+            for flow in self.tracker.add(packet)
+        ]
+        return ScoreBatch.concat(released)
 
-    def process_flow(self, flow: FlowRecord) -> list[StreamScore]:
+    def process_flow(self, flow: FlowRecord) -> ScoreBatch:
         if self.deferred:
             self._deferred_flows.append(flow)
-            return []
+            return ScoreBatch.empty()
         self._buffer.append(flow)
         if len(self._buffer) >= self.batch_size:
             return self._drain()
-        return []
+        return ScoreBatch.empty()
 
-    def finish(self) -> list[StreamScore]:
-        emitted: list[StreamScore] = []
-        for flow in self.tracker.flush():
-            emitted.extend(self.process_flow(flow))
+    def finish(self) -> ScoreBatch:
+        released = [self.process_flow(flow) for flow in self.tracker.flush()]
         if self.deferred and self._deferred_flows:
             flows, self._deferred_flows = self._deferred_flows, []
-            emitted.extend(self._emit(flows))
+            released.append(self._emit(flows))
         else:
-            emitted.extend(self._drain())
-        return emitted
+            released.append(self._drain())
+        return ScoreBatch.concat(released)
 
-    def _drain(self) -> list[StreamScore]:
+    def _drain(self) -> ScoreBatch:
         if not self._buffer:
-            return []
+            return ScoreBatch.empty()
         batch, self._buffer = self._buffer, []
         return self._emit(batch)
 
-    def _emit(self, flows: list[FlowRecord]) -> list[StreamScore]:
+    def _emit(self, flows: list[FlowRecord]) -> ScoreBatch:
         if obs.is_enabled():
             started = time.perf_counter()
             scores = self.ids.anomaly_scores(flows, self._encode(flows))
@@ -308,18 +303,15 @@ class FlowStreamDetector(StreamingDetector):
             )
         else:
             scores = self.ids.anomaly_scores(flows, self._encode(flows))
-        emitted = [
-            StreamScore(
-                index=self.items_scored + offset,
-                timestamp=flow.end_time,
-                score=float(score),
-                label=flow.label if self.labelled else None,
-                attack_type=flow.attack_type,
-            )
-            for offset, (flow, score) in enumerate(zip(flows, scores))
-        ]
-        self.items_scored += len(emitted)
-        return emitted
+        base = self.items_scored
+        self.items_scored = base + len(flows)
+        return ScoreBatch.build(
+            np.arange(base, base + len(flows)),
+            [flow.end_time for flow in flows],
+            scores,
+            [flow.label if self.labelled else NO_LABEL for flow in flows],
+            [flow.attack_type for flow in flows],
+        )
 
 
 def build_streaming_detector(

@@ -7,6 +7,11 @@ Table IV metrics. Per-window and overall aggregates both go through
 :func:`repro.core.metrics.metrics_from_counts`, the same zero-division
 conventions as the batch pipeline (zero detections give precision =
 recall = F1 = 0).
+
+Items arrive as arrays (:meth:`WindowedMetrics.add_batch`): window ids
+come from one ``floor_divide`` and the per-window confusion counts from
+one ``bincount``, so the cost per item is a few array operations, not a
+Python call.
 """
 
 from __future__ import annotations
@@ -14,7 +19,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
+import numpy as np
+
 from repro.core.metrics import MetricReport, metrics_from_counts
+from repro.stream.scores import NO_LABEL
 from repro.utils.validation import check_positive
 
 
@@ -102,33 +110,72 @@ class WindowedMetrics:
 
     def add(self, timestamp: float, alerted: bool, label: int | None) -> None:
         """Record one scored item (``label=None`` for unlabelled)."""
+        self.add_batch(
+            np.array([timestamp], dtype=np.float64),
+            np.array([alerted], dtype=bool),
+            None if label is None else np.array([label], dtype=np.int64),
+        )
+
+    def add_batch(
+        self,
+        timestamps: np.ndarray,
+        alerted: np.ndarray,
+        labels: np.ndarray | None = None,
+    ) -> None:
+        """Record scored items in arrival order.
+
+        ``labels`` is ``None`` for an unlabelled stream; otherwise an
+        item labelled :data:`~repro.stream.scores.NO_LABEL` counts as
+        unlabelled. An item whose window id is below the open window's
+        (out of order) joins the open window: windows only advance.
+        """
+        timestamps = np.asarray(timestamps, dtype=np.float64)
+        n = timestamps.shape[0]
+        if not n:
+            return
+        alerted = np.asarray(alerted, dtype=bool)
         if self._origin is None:
-            self._origin = timestamp
-        index = int((timestamp - self._origin) // self.window_seconds)
-        if self._current is not None and index > self._current.index:
-            self._close_current()
-        if self._current is None:
-            start = self._origin + index * self.window_seconds
-            self._current = WindowSnapshot(
-                index=index, start=start, end=start + self.window_seconds
+            self._origin = float(timestamps[0])
+        ids = np.maximum.accumulate(
+            np.floor_divide(timestamps - self._origin, self.window_seconds)
+            .astype(np.int64)
+        )
+        if self._current is not None:
+            ids = np.maximum(ids, self._current.index)
+        # Per-item category: alerted, plus 2 x (0 unlabelled, 1 benign,
+        # 2 attack) — one bincount yields every window's counts.
+        category = alerted.astype(np.int64)
+        if labels is not None:
+            labels = np.asarray(labels, dtype=np.int64)
+            category += 2 * np.where(
+                labels == NO_LABEL, 0, 1 + (labels != 0)
             )
-        window = self._current
-        window.items += 1
-        self.total_items += 1
-        if alerted:
-            window.alerts += 1
-            self.total_alerts += 1
-        if label is not None:
-            window.labelled_items += 1
-            truth, pred = bool(label), bool(alerted)
-            if truth and pred:
-                window.tp += 1
-            elif truth:
-                window.fn += 1
-            elif pred:
-                window.fp += 1
-            else:
-                window.tn += 1
+        opens = np.empty(n, dtype=bool)
+        opens[0] = True
+        np.not_equal(ids[1:], ids[:-1], out=opens[1:])
+        starts = np.flatnonzero(opens)
+        window_of = np.cumsum(opens) - 1
+        counts = np.bincount(
+            window_of * 6 + category, minlength=6 * starts.size
+        ).reshape(starts.size, 6)
+        for index, row in zip(ids[starts].tolist(), counts.tolist()):
+            if self._current is not None and index > self._current.index:
+                self._close_current()
+            if self._current is None:
+                start = self._origin + index * self.window_seconds
+                self._current = WindowSnapshot(
+                    index=index, start=start, end=start + self.window_seconds
+                )
+            window = self._current
+            window.items += sum(row)
+            window.alerts += row[1] + row[3] + row[5]
+            window.labelled_items += sum(row[2:])
+            window.tn += row[2]
+            window.fp += row[3]
+            window.fn += row[4]
+            window.tp += row[5]
+        self.total_items += n
+        self.total_alerts += int(np.count_nonzero(alerted))
 
     def _close_current(self) -> None:
         assert self._current is not None

@@ -27,7 +27,7 @@ import hashlib
 import itertools
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Iterator
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -47,9 +47,9 @@ from repro.stream.detector import (
     FlowStreamDetector,
     PacketStreamDetector,
     StreamingDetector,
-    StreamScore,
 )
 from repro.stream.metrics import WindowedMetrics, WindowSnapshot
+from repro.stream.scores import ScoreBatch, StreamScore, coverage_digest
 from repro.stream.sources import PacketSource
 from repro.net.columnar import ColumnBatch, iter_column_batches
 
@@ -139,6 +139,7 @@ class StreamReport:
     def render_summary(self) -> str:
         """The CLI's end-of-stream text block."""
         scoring = self.notes.get("scoring_path")
+        report_seconds = self.notes.get("report_seconds")
         lines = [
             f"stream: {self.ids_name} over {self.source}",
             f"  scored {self.n_scored} {self.unit}s "
@@ -146,7 +147,9 @@ class StreamReport:
             f"{self.stream_seconds:.2f}s — "
             f"{self.packets_per_second:,.0f} pkt/s, warmup on "
             f"{self.n_warmup} item(s) in {self.warmup_seconds:.2f}s"
-            + (f", {scoring} scoring" if scoring else ""),
+            + (f", {scoring} scoring" if scoring else "")
+            + (f", report {report_seconds:.2f}s after the stream"
+               if report_seconds is not None else ""),
             f"  threshold {self.threshold:.6f} ({self.threshold_source}); "
             f"alert rate {self.alert_rate:.1%} across "
             f"{len(self.windows)} windows, {len(self.alerts)} alert "
@@ -174,7 +177,7 @@ def _jsonable(value):
 
 
 def _evaluate_stream(
-    emitted: list[StreamScore],
+    emitted: ScoreBatch | Sequence[StreamScore],
     *,
     labelled: bool,
     threshold: float,
@@ -192,12 +195,18 @@ def _evaluate_stream(
     """
     windows = WindowedMetrics(window_seconds, on_close=on_window)
     alerter = HysteresisAlerter(threshold)
-    for item in sorted(emitted, key=lambda it: (it.timestamp, it.index)):
-        alerted = item.score >= threshold
-        label = item.label if labelled else None
-        windows.add(item.timestamp, alerted, label)
-        alerter.update(item.timestamp, item.score,
-                       attack_type=item.attack_type if alerted else "")
+    if not isinstance(emitted, ScoreBatch):
+        emitted = ScoreBatch.from_scores(emitted)
+    ordered = emitted.take(np.lexsort((emitted.index, emitted.timestamp)))
+    windows.add_batch(
+        ordered.timestamp,
+        ordered.score >= threshold,
+        ordered.label if labelled else None,
+    )
+    alerter.update_batch(
+        ordered.timestamp, ordered.score,
+        ordered.attack_codes, ordered.attack_vocab,
+    )
     windows.finalize()
     alerter.finish()
     return windows, alerter
@@ -290,18 +299,19 @@ def stream_experiment(
             )
     warmup_seconds = time.perf_counter() - warmup_start
 
-    emitted: list[StreamScore] = []
+    released: list[ScoreBatch] = []
     stream_start = time.perf_counter()
     for unit in units:
-        released = feed(unit)
-        if released:
-            emitted.extend(released)
+        scored = feed(unit)
+        if len(scored):
+            released.append(scored)
             if exporter is not None:
                 exporter.maybe_export()
-    emitted.extend(detector.finish())
+    released.append(detector.finish())
+    emitted = ScoreBatch.concat(released)
     stream_seconds = time.perf_counter() - stream_start
 
-    scores = np.array([item.score for item in emitted], dtype=np.float64)
+    scores = emitted.score
     y_true = data.y_true
     if threshold is None:
         resolved = _resolve_threshold(config, y_true, scores)
@@ -418,8 +428,7 @@ def _warm_up(
 def _capture_report(
     source: PacketSource,
     detector: StreamingDetector,
-    emitted: list[StreamScore],
-    scores: np.ndarray,
+    emitted: ScoreBatch,
     *,
     threshold: float | None,
     window_seconds: float,
@@ -433,10 +442,8 @@ def _capture_report(
     """Threshold, window and alert a live session's scores into its
     report — shared by the in-process and sharded capture engines."""
     labelled = source.labelled
-    y_true = (
-        np.array([item.label for item in emitted], dtype=int)
-        if labelled else None
-    )
+    scores = emitted.score
+    y_true = emitted.label if labelled else None
     if threshold is None:
         assert y_true is not None
         resolved = standard_threshold(y_true, scores, strategy="fpr-budget")
@@ -529,30 +536,29 @@ def stream_capture(
     packet_counter = (
         obs.counter("stream.packets_streamed") if obs_on else None
     )
-    emitted: list[StreamScore] = []
+    released: list[ScoreBatch] = []
     packets_streamed = 0
     stream_start = time.perf_counter()
     for batch in live:
         packets_streamed += len(batch)
         if packet_counter is not None:
             packet_counter.inc(len(batch))
-        released = detector.process_columns(batch)
-        if released:
-            emitted.extend(released)
+        scored = detector.process_columns(batch)
+        if len(scored):
+            released.append(scored)
             if exporter is not None:
                 exporter.maybe_export()
-    emitted.extend(detector.finish())
-    stream_seconds = time.perf_counter() - stream_start
+    released.append(detector.finish())
+    stream_end = time.perf_counter()
+    stream_seconds = stream_end - stream_start
+    emitted = ScoreBatch.concat(released)
     if obs_on:
         registry = obs.get_registry()
         registry.counter("stream.items_scored").inc(len(emitted))
         registry.gauge("stream.warmup_items").set(n_warmup)
 
-    from repro.stream.sharded import coverage_digest
-
-    scores = np.array([item.score for item in emitted], dtype=np.float64)
     report = _capture_report(
-        source, detector, emitted, scores,
+        source, detector, emitted,
         threshold=threshold,
         window_seconds=window_seconds,
         on_window=on_window,
@@ -570,11 +576,13 @@ def stream_capture(
             # and ingest-invariant); score_digest hashes the raw float64
             # scores, so two ingest paths agree iff bit-identical.
             "coverage_digest": coverage_digest(emitted),
-            "score_digest": hashlib.sha256(scores.tobytes()).hexdigest(),
+            "score_digest": hashlib.sha256(
+                emitted.score.tobytes()).hexdigest(),
             **backends.backend_notes(getattr(detector, "ids", None)),
             "run_id": obs.run_id(),
         },
     )
+    report.notes["report_seconds"] = time.perf_counter() - stream_end
     if exporter is not None:
         exporter.export()
     return report

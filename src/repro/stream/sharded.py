@@ -53,7 +53,7 @@ test harness on top of it.
 
 from __future__ import annotations
 
-import dataclasses
+import hashlib
 import multiprocessing
 import os
 import queue as queue_mod
@@ -74,7 +74,8 @@ from repro.ids.persistence import (
     save_stream_checkpoint,
 )
 from repro.net.columnar import ColumnBatch, iter_column_batches
-from repro.stream.detector import StreamingDetector, StreamScore
+from repro.stream.detector import StreamingDetector
+from repro.stream.scores import ScoreBatch, coverage_digest
 from repro.stream.service import (
     StreamReport,
     WindowCallback,
@@ -85,8 +86,6 @@ from repro.stream.service import (
 from repro.stream.shard import shard_ids_for_batch
 from repro.stream.sources import PacketSource
 from repro.utils.validation import check_positive
-
-import hashlib
 
 __all__ = [
     "FaultInjection",
@@ -185,25 +184,21 @@ def _paced(batches, pace: float):
         floor = release[-1]
 
 
-def coverage_digest(emitted: Sequence[StreamScore]) -> str:
-    """Worker-count-invariant digest over *which* items were scored.
+def _merge_shards(parts: Sequence[tuple[int, ScoreBatch]]) -> ScoreBatch:
+    """Every worker's accepted scores as one order-stable batch.
 
-    Hashes the sorted multiset of (timestamp, label, attack family) —
-    the fields that come from the packets, not from the model — so it
-    is identical across worker counts iff sharding lost or duplicated
-    nothing. Scores are deliberately excluded: the source-keyed NetStat
-    aggregations make scores shard-layout-dependent (the documented
-    tolerance), while coverage must never be.
+    One stable ``lexsort`` on (timestamp, shard, per-worker index) — a
+    key that is deterministic across runs and across crash-resume:
+    per-worker order is the worker's deterministic emission order, and
+    cross-worker ties break by shard id. The merged rows are re-indexed
+    ``0..n-1`` in that order.
     """
-    rows = sorted(
-        (item.timestamp, -1 if item.label is None else item.label,
-         item.attack_type)
-        for item in emitted
-    )
-    digest = hashlib.sha256()
-    for timestamp, label, attack_type in rows:
-        digest.update(f"{timestamp!r}|{label}|{attack_type}\n".encode())
-    return digest.hexdigest()
+    merged = ScoreBatch.concat(batch for _, batch in parts)
+    shard = np.repeat([worker for worker, _ in parts],
+                      [len(batch) for _, batch in parts])
+    merged = merged.take(np.lexsort((merged.index, shard, merged.timestamp)))
+    merged.index = np.arange(len(merged), dtype=np.int64)
+    return merged
 
 
 # --------------------------------------------------------------------------
@@ -252,7 +247,7 @@ def _worker_main(worker_id, checkpoint_dir, inq, outq, fault,
             message = inq.get()
             kind = message[0]
             if kind == "chunk":
-                emitted: list[StreamScore] = []
+                emitted: list[ScoreBatch] = []
                 started = time.perf_counter()
                 chunk_start = consumed
                 for rows in message[1]:
@@ -263,7 +258,7 @@ def _worker_main(worker_id, checkpoint_dir, inq, outq, fault,
                         # cursor at_packets), then fire just before it.
                         before = fault.at_packets - consumed - 1
                         if before:
-                            emitted.extend(detector.process_columns(
+                            emitted.append(detector.process_columns(
                                 rows.slice(0, before)))
                             consumed += before
                             rows = rows.slice(before, len(rows))
@@ -276,15 +271,16 @@ def _worker_main(worker_id, checkpoint_dir, inq, outq, fault,
                     if slow_delay:
                         time.sleep(slow_delay * len(rows))
                     consumed += len(rows)
-                    emitted.extend(detector.process_columns(rows))
+                    emitted.append(detector.process_columns(rows))
+                scored = ScoreBatch.concat(emitted)
                 elapsed = time.perf_counter() - started
                 m_busy.inc(elapsed)
                 m_packets.inc(consumed - chunk_start)
                 if chunk_hist is not None:
                     chunk_hist.observe(elapsed)
-                if emitted:
-                    m_items.inc(len(emitted))
-                    outq.put(("scores", worker_id, emitted))
+                if len(scored):
+                    m_items.inc(len(scored))
+                    outq.put(("scores", worker_id, scored))
             elif kind == "ckpt":
                 save_stream_checkpoint(
                     checkpoint_dir, detector,
@@ -301,11 +297,11 @@ def _worker_main(worker_id, checkpoint_dir, inq, outq, fault,
                           obs.process_snapshot() if obs_on else None))
             elif kind == "eof":
                 started = time.perf_counter()
-                emitted = detector.finish()
+                scored = detector.finish()
                 m_busy.inc(time.perf_counter() - started)
-                if emitted:
-                    m_items.inc(len(emitted))
-                    outq.put(("scores", worker_id, emitted))
+                if len(scored):
+                    m_items.inc(len(scored))
+                    outq.put(("scores", worker_id, scored))
                 outq.put(("done", worker_id, {
                     "consumed": consumed,
                     "items_scored": detector.items_scored,
@@ -342,7 +338,7 @@ class _WorkerState:
     retained_peak: int = 0        # peak retained rows
     pending: list = field(default_factory=list)
     pending_rows: int = 0
-    score_cursor: int = 0         # next expected StreamScore.index
+    score_cursor: int = 0         # next expected per-worker score index
     accepted: int = 0
     duplicates_dropped: int = 0
     restarts: int = 0
@@ -457,7 +453,7 @@ def stream_capture_sharded(
         state.next_ckpt_at = checkpoint_every
         if fault is not None and state.worker_id == fault.worker:
             state.fault = fault
-    merged: list[tuple[int, StreamScore]] = []
+    accepted: list[tuple[int, ScoreBatch]] = []
     # Supervisor-side telemetry lives in the obs registry (always on —
     # these are chunk-, ack- and restart-frequency events, far off the
     # per-packet hot path). ``send_stalls`` in the report notes is read
@@ -484,16 +480,21 @@ def stream_capture_sharded(
     def _handle(message) -> None:
         kind = message[0]
         if kind == "scores":
-            _, worker_id, scores = message
+            # A worker's indexes rise strictly, so rows below the cursor
+            # are exactly the ones a resumed worker re-emitted; a batch
+            # may straddle the cursor.
+            _, worker_id, batch = message
             state = states[worker_id]
-            for item in scores:
-                if item.index < state.score_cursor:
-                    state.duplicates_dropped += 1
-                    m_dups.inc()
-                    continue
-                state.score_cursor = item.index + 1
-                state.accepted += 1
-                merged.append((worker_id, item))
+            fresh = batch.index >= state.score_cursor
+            dropped = len(batch) - int(np.count_nonzero(fresh))
+            if dropped:
+                state.duplicates_dropped += dropped
+                m_dups.inc(dropped)
+                batch = batch.take(fresh)
+            if len(batch):
+                state.score_cursor = int(batch.index[-1]) + 1
+                state.accepted += len(batch)
+                accepted.append((worker_id, batch))
         elif kind == "ckpt_ok":
             _, worker_id, consumed, snapshot = message
             state = states[worker_id]
@@ -685,7 +686,8 @@ def stream_capture_sharded(
                 exporter.maybe_export(_obs_tree)
             if not all(state.done for state in states):
                 time.sleep(0.005)
-        stream_seconds = time.perf_counter() - stream_start
+        stream_end = time.perf_counter()
+        stream_seconds = stream_end - stream_start
         for state in states:
             state.process.join()
     except _WorkerFailed as error:
@@ -706,15 +708,7 @@ def stream_capture_sharded(
                 state.outq.cancel_join_thread()
 
     # ---- Phase 5: merge into one order-stable sink. ------------------
-    # Sort key (timestamp, shard, per-worker index) is deterministic
-    # across runs and across crash-resume: per-worker order is the
-    # worker's deterministic emission order, and cross-worker ties
-    # break by shard id.
-    merged.sort(key=lambda pair: (pair[1].timestamp, pair[0], pair[1].index))
-    emitted = [
-        dataclasses.replace(item, index=position)
-        for position, (_, item) in enumerate(merged)
-    ]
+    emitted = _merge_shards(accepted)
 
     worker_rows = []
     for state in states:
@@ -739,9 +733,8 @@ def stream_capture_sharded(
         max((state.retained_peak for state in states), default=0)
     )
 
-    scores = np.array([item.score for item in emitted], dtype=np.float64)
     report = _capture_report(
-        source, detector, emitted, scores,
+        source, detector, emitted,
         threshold=threshold,
         window_seconds=window_seconds,
         on_window=on_window,
@@ -765,11 +758,12 @@ def stream_capture_sharded(
             "run_id": obs.run_id(),
             "coverage_digest": coverage_digest(emitted),
             "merged_score_digest": hashlib.sha256(
-                scores.tobytes()).hexdigest(),
+                emitted.score.tobytes()).hexdigest(),
             "workers": worker_rows,
         },
     )
 
+    report.notes["report_seconds"] = time.perf_counter() - stream_end
     if exporter is not None:
         exporter.export(_obs_tree())
 

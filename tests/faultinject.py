@@ -38,7 +38,7 @@ import numpy as np
 from repro.net.columnar import ColumnBatch
 from repro.net.packet import Packet
 from repro.net.pcap import write_pcap
-from repro.stream.detector import StreamScore
+from repro.stream.detector import ScoreBatch, StreamScore
 from repro.stream.shard import shard_key_for_flow
 from repro.stream.sharded import FaultInjection, stream_capture_sharded
 from repro.stream.sources import ListSource
@@ -95,9 +95,9 @@ class ChannelMeanDetector:
         self._means(ColumnBatch.from_packets(packets))
 
     def process(self, packet) -> list[StreamScore]:
-        return self.process_columns(ColumnBatch.from_packets([packet]))
+        return self.process_columns(ColumnBatch.from_packets([packet])).rows()
 
-    def process_columns(self, batch: ColumnBatch) -> list[StreamScore]:
+    def process_columns(self, batch: ColumnBatch) -> ScoreBatch:
         means = self._means(batch)
         stamps = batch.timestamps.tolist()
         sizes = batch.wire_len.tolist()
@@ -105,7 +105,7 @@ class ChannelMeanDetector:
         attacks = batch.row_attack_types()
         base = self.items_scored
         self.items_scored += len(means)
-        return [
+        return ScoreBatch.from_scores(
             StreamScore(
                 index=base + row,
                 timestamp=stamps[row],
@@ -114,10 +114,10 @@ class ChannelMeanDetector:
                 attack_type=attacks[row],
             )
             for row, mean in enumerate(means)
-        ]
+        )
 
-    def finish(self) -> list[StreamScore]:
-        return []
+    def finish(self) -> ScoreBatch:
+        return ScoreBatch.empty()
 
 
 def conversation_packets(

@@ -256,8 +256,10 @@ class TestPacketIDSBatchSurface:
         detector.warmup(packets[:600])
         from repro.net.columnar import ColumnBatch
 
-        emitted = detector.process_columns(
-            ColumnBatch.from_packets(packets[600:])
-        )
-        emitted.extend(detector.finish())
+        from repro.stream.scores import ScoreBatch
+
+        emitted = ScoreBatch.concat([
+            detector.process_columns(ColumnBatch.from_packets(packets[600:])),
+            detector.finish(),
+        ])
         assert len(emitted) == 200

@@ -25,7 +25,7 @@ import numpy as np
 import pytest
 
 from repro import obs
-from repro.stream.detector import build_streaming_detector
+from repro.stream.detector import ScoreBatch, build_streaming_detector
 from repro.stream.service import stream_capture
 from repro.stream.sharded import stream_capture_sharded
 from repro.stream.sources import DatasetSource, ListSource, PcapReplaySource
@@ -181,3 +181,63 @@ class TestColumnarIngestFaults:
             # replays only the rows after it, not the whole shard.
             assert hurt.notes["workers"][1]["restarts"] == 1
             assert 0 < replayed.value < hurt.notes["workers"][1]["packets"]
+
+
+class ResendingDetector(ChannelMeanDetector):
+    """Re-sends its last ``lookback`` scores after a restore.
+
+    The first scores it releases after being restored from a
+    checkpoint are those old rows followed by its next new ones, in one
+    batch — so the supervisor receives a ``scores`` message that
+    straddles its dedup cursor: the head duplicates accepted rows, the
+    tail is new. Restores from the genesis checkpoint re-send nothing
+    (warmup scores nothing)."""
+
+    def __init__(self, lookback: int = 5):
+        super().__init__()
+        self.lookback = lookback
+        self._recent = ScoreBatch.empty()
+        self._resend = False
+
+    def __setstate__(self, state):
+        self.__dict__.update(state)
+        self._resend = True
+
+    def process_columns(self, batch):
+        scored = super().process_columns(batch)
+        recent = ScoreBatch.concat([self._recent, scored])
+        self._recent = recent.take(
+            np.arange(max(0, len(recent) - self.lookback), len(recent)))
+        if self._resend:
+            self._resend = False
+            return recent
+        return scored
+
+
+class TestStraddlingDedup:
+    def test_message_straddling_the_cursor_keeps_only_new_rows(self):
+        packets = conversation_packets()
+
+        def run(fault=None):
+            return stream_capture_sharded(
+                ListSource(packets), ResendingDetector(lookback=5),
+                workers=WORKERS, warmup_packets=64, window_seconds=5.0,
+                checkpoint_every=CHECKPOINT_EVERY, chunk_packets=16,
+                fault=fault,
+            )
+
+        clean = run()
+        # The kill lands in the chunk after the checkpoint at row 64:
+        # every row before it was accepted, so the resumed worker's
+        # first message is 5 re-sent rows then 16 new ones.
+        hurt = run(FaultInjection(worker=1, at_packets=CHECKPOINT_EVERY + 20,
+                                  action="kill"))
+        dropped = [row["duplicate_scores_dropped"]
+                   for row in hurt.notes["workers"]]
+        assert dropped == [0, 5, 0]
+        assert [row["duplicate_scores_dropped"]
+                for row in clean.notes["workers"]] == [0, 0, 0]
+        assert hurt.notes["workers"][1]["restarts"] == 1
+        assert (hurt.notes["merged_score_digest"]
+                == clean.notes["merged_score_digest"])
+        assert_stream_reports_match(hurt, clean)

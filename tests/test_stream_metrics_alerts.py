@@ -1,11 +1,22 @@
-"""Hand-computed checks for windowed metrics and hysteresis alerting."""
+"""Windowed metrics and hysteresis alerting: hand-computed checks, and
+the array consumers held to the per-item oracle in
+``tests/stream_oracle.py``."""
 
 from __future__ import annotations
 
+import dataclasses
+
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.stream.alerts import HysteresisAlerter
 from repro.stream.metrics import WindowedMetrics
+from repro.stream.scores import ScoreBatch, StreamScore, coverage_digest
+from repro.stream.service import _evaluate_stream
+from repro.stream.sharded import _merge_shards
+
+from tests.stream_oracle import evaluate_items, merge_items
 
 
 class TestWindowedMetrics:
@@ -146,3 +157,156 @@ class TestHysteresisAlerter:
         assert alerter.release == -0.5
         alerter.update(0.0, 0.0)
         assert alerter.active
+
+
+# -- array consumers against the per-item oracle --------------------------
+
+#: Few distinct names, so attack-family votes tie; two are non-ASCII.
+ATTACKS = ("", "ddos", "scan", "débordement", "扫描")
+
+timestamps = st.one_of(
+    st.integers(0, 40).map(lambda i: i * 0.5),          # ties
+    st.floats(0.0, 500.0, allow_nan=False),             # wide gaps
+    st.sampled_from([0.0, -0.0]),
+)
+
+
+@st.composite
+def score_streams(draw):
+    """(rows, threshold, labelled): unsorted completion-order rows whose
+    scores hit the threshold and release levels exactly, and NaN."""
+    threshold = draw(st.sampled_from([1.0, 0.5, 0.0, -0.0, -0.5, 2.0]))
+    release = threshold * 0.8 if threshold > 0 else threshold
+    scores = st.one_of(
+        st.sampled_from([threshold, release, float("nan"), 0.0, -0.0,
+                         threshold + 1.0, release - 1.0]),
+        st.floats(-3.0, 3.0, allow_nan=False),
+    )
+    labelled = draw(st.booleans())
+    labels = st.sampled_from([0, 1, None]) if labelled else st.just(0)
+    n = draw(st.integers(0, 60))
+    rows = [
+        StreamScore(index=i, timestamp=draw(timestamps), score=draw(scores),
+                    label=draw(labels),
+                    attack_type=draw(st.sampled_from(ATTACKS)))
+        for i in range(n)
+    ]
+    return rows, threshold, labelled
+
+
+def _fields(obj) -> str:
+    """Field-for-field identity, -0.0 and NaN included."""
+    return repr(dataclasses.astuple(obj))
+
+
+def _window_view(windows) -> list:
+    return [(_fields(w), w.alert_rate, w.to_dict()) for w in windows]
+
+
+class TestArrayConsumersMatchOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(stream=score_streams(), window=st.sampled_from([0.5, 1.0, 7.5]))
+    def test_windows_and_episodes_match_per_item_replay(self, stream, window):
+        rows, threshold, labelled = stream
+        got_closed, want_closed = [], []
+        windows, alerter = _evaluate_stream(
+            ScoreBatch.from_scores(rows), labelled=labelled,
+            threshold=threshold, window_seconds=window,
+            on_window=got_closed.append,
+        )
+        oracle_windows, oracle_alerter = evaluate_items(
+            rows, labelled=labelled, threshold=threshold,
+            window_seconds=window, on_window=want_closed.append,
+        )
+        assert _window_view(windows.windows) == _window_view(
+            oracle_windows.windows)
+        assert [_fields(w) for w in got_closed] == [
+            _fields(w) for w in want_closed]
+        assert windows.alert_rate == oracle_windows.alert_rate
+        assert windows.overall() == oracle_windows.overall()
+        assert [_fields(e) for e in alerter.episodes] == [
+            _fields(e) for e in oracle_alerter.episodes]
+
+    @settings(max_examples=200, deadline=None)
+    @given(stream=score_streams(), cuts=st.lists(st.integers(0, 60)))
+    def test_batches_split_anywhere_carry_windows_and_episodes(
+            self, stream, cuts):
+        """Consumers fed the same sorted stream in arbitrary pieces end
+        where one whole batch ends: open windows and episodes, and
+        their votes, carry across batch boundaries."""
+        rows, threshold, labelled = stream
+        ordered = sorted(rows, key=lambda it: (it.timestamp, it.index))
+        whole, _ = _evaluate_stream(
+            ordered, labelled=labelled, threshold=threshold,
+            window_seconds=1.0, on_window=None,
+        )
+        _, oracle = evaluate_items(
+            ordered, labelled=labelled, threshold=threshold,
+            window_seconds=1.0, on_window=None,
+        )
+        batch = ScoreBatch.from_scores(ordered)
+        windows = WindowedMetrics(1.0)
+        alerter = HysteresisAlerter(threshold)
+        bounds = sorted({0, len(ordered),
+                         *[cut for cut in cuts if cut < len(ordered)]})
+        for start, stop in zip(bounds, bounds[1:]):
+            part = batch.take(np.arange(start, stop))
+            windows.add_batch(part.timestamp, part.score >= threshold,
+                              part.label if labelled else None)
+            alerter.update_batch(part.timestamp, part.score,
+                                 part.attack_codes, part.attack_vocab)
+        windows.finalize()
+        alerter.finish()
+        assert _window_view(windows.windows) == _window_view(whole.windows)
+        assert [_fields(e) for e in alerter.episodes] == [
+            _fields(e) for e in oracle.episodes]
+
+    @settings(max_examples=200, deadline=None)
+    @given(parts=st.lists(
+        st.tuples(st.integers(0, 3), st.lists(timestamps, max_size=20)),
+        max_size=5,
+    ))
+    def test_sharded_merge_matches_sort_and_replace(self, parts):
+        tagged, batches = [], []
+        for worker, stamps in parts:
+            rows = [StreamScore(index=i, timestamp=t, score=float(i),
+                                label=i % 2, attack_type=ATTACKS[i % 5])
+                    for i, t in enumerate(stamps)]
+            tagged.extend((worker, row) for row in rows)
+            batches.append((worker, ScoreBatch.from_scores(rows)))
+        merged = _merge_shards(batches)
+        want = merge_items(tagged)
+        assert [_fields(row) for row in merged.rows()] == [
+            _fields(row) for row in want]
+
+
+class TestCoverageDigestPin:
+    """Equal timestamps, -0.0 beside 0.0 (the stable tie order decides
+    which repr is hashed first), missing labels and non-ASCII families."""
+
+    ROWS = [
+        (5.0, 1, "débordement"), (0.0, None, ""), (-0.0, None, ""),
+        (5.0, 0, "扫描"), (5.0, 1, "ddos"), (-0.0, 0, ""), (0.0, 0, ""),
+        (1.5, 1, "ddos"), (1.5, 1, "ddos"), (0.0, None, "ß"),
+        (-0.0, None, "ß"),
+    ]
+    #: Hex of the per-row digest these rows hashed to before scores
+    #: became columns; forward and reversed order differ by -0.0 ties.
+    FORWARD = "d2f3815c412a4c51d9c11caa3e37c3b439920a647b1420343f1b1b902459cd7e"
+    REVERSED = "13a9f12a145b0c3157e10791705eed04ef721ba67abbae8d1d5c920a4abb495a"
+
+    def _rows(self):
+        return [StreamScore(index=i, timestamp=t, score=0.1 * i, label=label,
+                            attack_type=attack)
+                for i, (t, label, attack) in enumerate(self.ROWS)]
+
+    def test_batch_and_rows_hash_the_pinned_bytes(self):
+        rows = self._rows()
+        for ordered, expected in ((rows, self.FORWARD),
+                                  (rows[::-1], self.REVERSED)):
+            assert coverage_digest(ordered) == expected
+            assert coverage_digest(ScoreBatch.from_scores(ordered)) == expected
+
+    def test_rows_round_trip_through_columns(self):
+        rows = self._rows()
+        assert ScoreBatch.from_scores(rows).rows() == rows

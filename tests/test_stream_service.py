@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.stream.detector import StreamScore
+from repro.stream.detector import ScoreBatch, StreamScore
 from repro.stream.service import stream_capture
 from repro.stream.sources import ListSource
 
@@ -66,13 +66,13 @@ class RecordingDetector:
         emitted = []
         for packet in batch.iter_packets():
             emitted.extend(self.process(packet))
-        return emitted
+        return ScoreBatch.from_scores(emitted)
 
     def finish(self):
         self.calls.append("finish")
         self.finished += 1
         emitted, self._buffer = self._buffer, []
-        return emitted
+        return ScoreBatch.from_scores(emitted)
 
 
 def _packets(n, *, label_from=None):
@@ -246,3 +246,71 @@ class TestIngestBackends:
                                 threshold=1.0, ingest_backend="auto")
         assert report.notes["ingest_backend"] == "packet-objects"
         assert report.n_scored == 4
+
+
+class TestScoresStayColumns:
+    """Scores travel as ``ScoreBatch`` columns from the detector to the
+    report: no ``StreamScore`` row is built while a capture streams and
+    reports, in process or sharded."""
+
+    def test_capture_builds_no_stream_score(self, tmp_path, monkeypatch):
+        from repro.datasets import generate_dataset
+        from repro.stream.detector import build_streaming_detector
+        from repro.stream.sharded import stream_capture_sharded
+        from repro.stream.sources import DatasetSource, PcapReplaySource
+
+        pcap = tmp_path / "mirai.pcap"
+        generate_dataset("Mirai", seed=0, scale=0.02).to_pcap(pcap)
+
+        def refuse(self, *args, **kwargs):
+            raise AssertionError("a StreamScore row was built")
+
+        monkeypatch.setattr(StreamScore, "__init__", refuse)
+
+        def detector():
+            return build_streaming_detector(
+                "Kitsune", warmup_packets=250, batch_size=64)
+
+        runs = [
+            stream_capture(PcapReplaySource(pcap), detector(),
+                           warmup_packets=250, threshold=1e-3,
+                           ingest_backend=ingest)
+            for ingest in ("packet-objects", "columnar-mmap")
+        ]
+        # A labelled source carries labels and attack families too.
+        runs.append(stream_capture(
+            DatasetSource("Mirai", scale=0.02), detector(),
+            warmup_packets=250))
+        runs.append(stream_capture_sharded(
+            PcapReplaySource(pcap), detector(), workers=1,
+            warmup_packets=250, threshold=1e-3,
+            ingest_backend="columnar-mmap"))
+        for report in runs:
+            assert report.n_scored > 0
+            assert report.alerts and report.windows
+        assert runs[2].metrics is not None
+
+
+class TestReportSeconds:
+    def test_note_is_recorded_shown_and_exported(self, tmp_path):
+        import json
+
+        from repro.cli import main
+        from repro.datasets import generate_dataset
+
+        pcap = tmp_path / "mirai.pcap"
+        generate_dataset("Mirai", seed=0, scale=0.02).to_pcap(pcap)
+        for workers in ([], ["--workers", "1"]):
+            out = tmp_path / "report.json"
+            assert main([
+                "stream", "--ids", "Kitsune", "--pcap", str(pcap),
+                "--train-packets", "250", "--threshold", "0.5",
+                "--batch", "64", "--json", str(out), "--quiet", *workers,
+            ]) == 0
+            seconds = json.loads(out.read_text())["notes"]["report_seconds"]
+            assert isinstance(seconds, float) and seconds >= 0.0
+
+        report = stream_capture(ListSource(_packets(10)), RecordingDetector(),
+                                warmup_packets=4, threshold=1.0)
+        assert report.notes["report_seconds"] >= 0.0
+        assert "after the stream" in report.render_summary()
