@@ -100,15 +100,26 @@ def save_result(name: str, content: str) -> None:
     print(f"\n{content}\n")
 
 
-def _git_rev() -> str:
+def _git(*args: str) -> str:
     try:
         result = subprocess.run(
-            ["git", "rev-parse", "--short", "HEAD"],
+            ["git", *args],
             cwd=REPO_ROOT, capture_output=True, text=True, timeout=10,
         )
     except (OSError, subprocess.SubprocessError):
+        return ""
+    return result.stdout.strip() if result.returncode == 0 else ""
+
+
+def _git_rev() -> str:
+    """The short HEAD rev, with ``-dirty`` when a tracked file differs
+    from it: numbers measured before a commit are not HEAD's."""
+    rev = _git("rev-parse", "--short", "HEAD")
+    if not rev:
         return "unknown"
-    return result.stdout.strip() or "unknown"
+    if _git("status", "--porcelain", "--untracked-files=no"):
+        rev += "-dirty"
+    return rev
 
 
 def save_bench_json(

@@ -22,6 +22,19 @@ trained state must survive a process restart. Two layers live here:
   so a crash *during* a checkpoint write can never leave a truncated
   file that a resume would trust — corrupt files are detected and the
   supervisor falls back to the previous checkpoint.
+
+  Format 2 pickles the detector once, with protocol 5. Its arrays
+  (NetStat's state is most of a Kitsune checkpoint) travel out of band:
+  they are written straight from memory after the in-band stream, each
+  on a 64-byte boundary, and the loader hands the pickle views into
+  the ``bytearray`` it read, so a restore copies no array and its
+  arrays are writable. The layout is::
+
+      magic "RPSCKPT2" | sha256 of everything after it
+      | u64 header length | header pickle (cursor, meta, lengths)
+      | detector pickle | (padding | buffer) ...
+
+  A format-1 file (``RPSCKPT1``) raises :class:`CheckpointCorrupt`.
 """
 
 from __future__ import annotations
@@ -31,6 +44,7 @@ import json
 import os
 import pickle
 import re
+import struct
 import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -181,16 +195,26 @@ def load_kitnet(path: str | Path) -> KitNET:
 # Stream checkpoints: the sharded engine's crash-resume unit.
 
 #: Stream-checkpoint format version (independent of the KitNET format).
-_STREAM_CKPT_VERSION = 1
+_STREAM_CKPT_VERSION = 2
 #: 8-byte magic prefixing every checkpoint file.
-_STREAM_CKPT_MAGIC = b"RPSCKPT1"
+_STREAM_CKPT_MAGIC = b"RPSCKPT2"
+#: Magic of format 1 (a pickled dict holding the detector's own pickle
+#: as bytes); such files are refused, never loaded.
+_STREAM_CKPT_MAGIC_V1 = b"RPSCKPT1"
+#: Bytes before the digested body: magic, then the sha256 slot.
+_STREAM_CKPT_HEAD = len(_STREAM_CKPT_MAGIC) + 32
+_LENGTH = struct.Struct("<Q")
+#: Out-of-band buffers start at file offsets that are multiples of
+#: this, so restored arrays are aligned for the native kernel.
+_BUFFER_ALIGN = 64
 #: ``worker<id>-<consumed>.ckpt``
 _CKPT_NAME_RE = re.compile(r"^worker(\d+)-(\d+)\.ckpt$")
 
 
 class CheckpointCorrupt(ValueError):
     """A checkpoint file failed its integrity check (truncated write,
-    partial disk, bit rot). Resume falls back to an older checkpoint."""
+    partial disk, bit rot) or has another format. Resume falls back to
+    an older checkpoint."""
 
 
 @dataclass
@@ -200,25 +224,55 @@ class StreamCheckpoint:
     ``consumed`` is the worker's packet cursor: how many shard packets
     the detector had fully processed when the checkpoint was taken.
     Replaying the shard from exactly this offset resumes the stream
-    bit-identically — the detector blob carries *all* live state
+    bit-identically — the detector pickle carries *all* live state
     (model weights, NetStat traffic state, buffered micro-batch,
     ``items_scored``).
+
+    ``data`` is the verified file; ``detector_at`` and ``buffers_at``
+    are the ``(offset, length)`` of the detector's in-band pickle and
+    of each of its out-of-band buffers within it.
     """
 
     worker_id: int
     consumed: int
     emitted: int
-    detector_blob: bytes = field(repr=False)
-    meta: dict = field(default_factory=dict)
+    meta: dict
+    data: bytearray = field(repr=False)
+    detector_at: tuple[int, int] = field(repr=False)
+    buffers_at: list[tuple[int, int]] = field(repr=False)
+    _restored: bool = field(default=False, init=False, repr=False)
 
     def restore_detector(self):
-        """Deserialise the captured detector, ready to keep streaming."""
-        return pickle.loads(self.detector_blob)
+        """Deserialise the captured detector, ready to keep streaming.
+
+        The first restore's arrays are writable views into ``data``,
+        not copies. A later restore of the same checkpoint works on a
+        copy of ``data``, so two restored detectors never share state.
+        """
+        data = bytearray(self.data) if self._restored else self.data
+        self._restored = True
+        view = memoryview(data)
+        offset, length = self.detector_at
+        return pickle.loads(
+            view[offset:offset + length],
+            buffers=[view[at:at + n] for at, n in self.buffers_at],
+        )
 
 
 def checkpoint_filename(worker_id: int, consumed: int) -> str:
     """Canonical checkpoint file name (sorts by cursor per worker)."""
     return f"worker{worker_id}-{consumed:012d}.ckpt"
+
+
+def _buffer_layout(offset: int, lengths) -> list[tuple[int, int]]:
+    """``(offset, length)`` of each out-of-band buffer, laid out from
+    ``offset`` on, each one starting on a :data:`_BUFFER_ALIGN` boundary."""
+    layout = []
+    for length in lengths:
+        offset += -offset % _BUFFER_ALIGN
+        layout.append((offset, length))
+        offset += length
+    return layout
 
 
 def save_stream_checkpoint(
@@ -231,37 +285,57 @@ def save_stream_checkpoint(
 ) -> Path:
     """Atomically write a checkpoint for ``detector`` under ``directory``.
 
-    The payload is pickled once, digested, and written to a temp file
-    in the same directory before an atomic ``os.replace`` — a SIGKILL
-    at any instant leaves either the previous checkpoint set or the
-    complete new file, never a half-written one that passes
-    verification.
+    The detector is pickled once (protocol 5); its contiguous arrays
+    go out of band and are written straight from their memory after
+    the in-band stream, with no intermediate copy. The sha256 covers
+    every byte after its slot and is filled in last. The file is
+    written to a temp name in the same directory and fsynced before an
+    atomic ``os.replace`` — a SIGKILL at any instant leaves either the
+    previous checkpoint set or the complete new file, never a
+    half-written one that passes verification.
     """
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    payload = pickle.dumps(
+    buffers: list[pickle.PickleBuffer] = []
+    blob = pickle.dumps(detector, protocol=5, buffer_callback=buffers.append)
+    views = [buffer.raw() for buffer in buffers]
+    lengths = [view.nbytes for view in views]
+    header = pickle.dumps(
         {
             "format_version": _STREAM_CKPT_VERSION,
             "worker_id": int(worker_id),
             "consumed": int(consumed),
             "emitted": int(getattr(detector, "items_scored", 0)),
-            "detector": pickle.dumps(
-                detector, protocol=pickle.HIGHEST_PROTOCOL
-            ),
             "meta": dict(meta or {}),
+            "detector_bytes": len(blob),
+            "buffer_bytes": lengths,
         },
-        protocol=pickle.HIGHEST_PROTOCOL,
+        protocol=5,
     )
-    digest = hashlib.sha256(payload).digest()
     path = directory / checkpoint_filename(worker_id, consumed)
     fd, tmp_name = tempfile.mkstemp(
         dir=directory, prefix=path.name, suffix=".tmp"
     )
     try:
         with os.fdopen(fd, "wb") as fh:
-            fh.write(_STREAM_CKPT_MAGIC)
-            fh.write(digest)
-            fh.write(payload)
+            digest = hashlib.sha256()
+            offset = _STREAM_CKPT_HEAD
+
+            def put(data) -> None:
+                nonlocal offset
+                digest.update(data)
+                fh.write(data)
+                offset += len(data)
+
+            fh.write(_STREAM_CKPT_MAGIC + bytes(32))
+            put(_LENGTH.pack(len(header)))
+            put(header)
+            put(blob)
+            for (at, _), view in zip(_buffer_layout(offset, lengths), views):
+                put(bytes(at - offset))
+                put(view)
+            fh.seek(len(_STREAM_CKPT_MAGIC))
+            fh.write(digest.digest())
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp_name, path)
@@ -277,28 +351,49 @@ def save_stream_checkpoint(
 def load_stream_checkpoint(path: str | Path) -> StreamCheckpoint:
     """Read and verify one checkpoint file.
 
-    Raises :class:`CheckpointCorrupt` when the magic, digest, or format
-    version does not check out.
+    The file is read into a ``bytearray``, so the arrays a restore
+    builds on it are writable. Raises :class:`CheckpointCorrupt` when
+    the magic, digest, layout or format version does not check out —
+    a format-1 file included.
     """
-    raw = Path(path).read_bytes()
-    header = len(_STREAM_CKPT_MAGIC) + 32
-    if len(raw) < header or not raw.startswith(_STREAM_CKPT_MAGIC):
+    with open(path, "rb") as fh:
+        data = bytearray(os.fstat(fh.fileno()).st_size)
+        if fh.readinto(data) != len(data):
+            raise CheckpointCorrupt(f"{path}: changed while being read")
+    magic = bytes(data[:len(_STREAM_CKPT_MAGIC)])
+    if magic == _STREAM_CKPT_MAGIC_V1:
+        raise CheckpointCorrupt(
+            f"{path}: format-1 checkpoint; only format "
+            f"{_STREAM_CKPT_VERSION} is read"
+        )
+    if (magic != _STREAM_CKPT_MAGIC
+            or len(data) < _STREAM_CKPT_HEAD + _LENGTH.size):
         raise CheckpointCorrupt(f"{path}: not a stream checkpoint")
-    digest, payload = raw[len(_STREAM_CKPT_MAGIC):header], raw[header:]
-    if hashlib.sha256(payload).digest() != digest:
+    view = memoryview(data)
+    digest = hashlib.sha256(view[_STREAM_CKPT_HEAD:]).digest()
+    if digest != view[len(_STREAM_CKPT_MAGIC):_STREAM_CKPT_HEAD]:
         raise CheckpointCorrupt(f"{path}: content digest mismatch")
-    state = pickle.loads(payload)
-    if state.get("format_version") != _STREAM_CKPT_VERSION:
+    (header_bytes,) = _LENGTH.unpack_from(data, _STREAM_CKPT_HEAD)
+    offset = _STREAM_CKPT_HEAD + _LENGTH.size
+    header = pickle.loads(view[offset:offset + header_bytes])
+    if header.get("format_version") != _STREAM_CKPT_VERSION:
         raise CheckpointCorrupt(
             f"{path}: unsupported checkpoint format "
-            f"{state.get('format_version')!r}"
+            f"{header.get('format_version')!r}"
         )
+    detector_at = (offset + header_bytes, header["detector_bytes"])
+    buffers_at = _buffer_layout(sum(detector_at), header["buffer_bytes"])
+    end = sum(buffers_at[-1]) if buffers_at else sum(detector_at)
+    if end != len(data):
+        raise CheckpointCorrupt(f"{path}: layout does not match file size")
     return StreamCheckpoint(
-        worker_id=state["worker_id"],
-        consumed=state["consumed"],
-        emitted=state["emitted"],
-        detector_blob=state["detector"],
-        meta=state["meta"],
+        worker_id=header["worker_id"],
+        consumed=header["consumed"],
+        emitted=header["emitted"],
+        meta=header["meta"],
+        data=data,
+        detector_at=detector_at,
+        buffers_at=buffers_at,
     )
 
 

@@ -25,9 +25,12 @@ Operational surface:
   source batch; nothing buffers unboundedly.
 * **Crash-resume** — workers periodically checkpoint their *entire*
   live state (model + NetStat traffic state) through
-  :mod:`repro.ids.persistence`. The supervisor retains each worker's
+  :mod:`repro.ids.persistence`, each in a forked copy-on-write writer
+  the worker acknowledges once it exits 0, so checkpoints stay off the
+  scoring path. The supervisor retains each worker's
   column slices since its last acknowledged checkpoint; a worker
-  that dies (SIGKILL, OOM) is respawned from its newest valid on-disk
+  that dies (SIGKILL, OOM) is killed with its process group (writer
+  included), respawned from its newest valid on-disk
   checkpoint and replayed the retained packets. Scoring is
   deterministic, so the resumed run re-emits exactly the lost scores;
   duplicates of scores that survived the crash are dropped by index.
@@ -53,6 +56,7 @@ test harness on top of it.
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import multiprocessing
 import os
@@ -61,6 +65,7 @@ import signal
 import tempfile
 import time
 import traceback
+import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
@@ -70,6 +75,7 @@ import numpy as np
 from repro import backends, obs
 from repro.ids.persistence import (
     latest_stream_checkpoint,
+    load_stream_checkpoint,
     prune_stream_checkpoints,
     save_stream_checkpoint,
 )
@@ -107,7 +113,8 @@ class FaultInjection:
     ``at_packets`` counts the worker's *consumed* shard packets (1-based
     absolute cursor); the fault fires just before that packet is scored:
 
-    * ``kill``  — SIGKILL the worker process (crash-resume path);
+    * ``kill``  — SIGKILL the worker process (crash-resume path),
+      once a checkpoint writer in flight has finished;
     * ``stall`` — sleep ``seconds`` once (backpressure path);
     * ``slow``  — sleep ``per_packet_delay`` per packet from the
       trigger on (sustained backpressure).
@@ -205,8 +212,44 @@ def _merge_shards(parts: Sequence[tuple[int, ScoreBatch]]) -> ScoreBatch:
 # Worker process.
 
 
-def _worker_main(worker_id, checkpoint_dir, inq, outq, fault,
+def _fork_checkpoint_writer(checkpoint_dir, detector, *, worker_id,
+                            consumed) -> int:
+    """Fork a child that writes one checkpoint of ``detector``; its pid.
+
+    The child sees a copy-on-write snapshot of the detector at this
+    cursor (the Redis BGSAVE pattern), so the worker goes straight back
+    to scoring. It exits 0 once the file is on disk and 1 if the save
+    raised; it only saves and ``os._exit``s, touching no queue, lock or
+    obs registry, and running no atexit hook or finalizer.
+    """
+    with warnings.catch_warnings():
+        # Python 3.12 warns that fork() in a multi-threaded process may
+        # deadlock the child on a lock another thread held (here, the
+        # result queue's feeder thread). This child takes none of those
+        # locks: it pickles, writes one file and _exit()s.
+        warnings.filterwarnings("ignore", message=".*multi-threaded",
+                                category=DeprecationWarning)
+        pid = os.fork()
+    if pid:
+        return pid
+    status = 1
+    try:
+        # No collections: they would copy pages and could run finalizers.
+        gc.disable()
+        save_stream_checkpoint(checkpoint_dir, detector,
+                               worker_id=worker_id, consumed=consumed)
+        status = 0
+    except BaseException:
+        os.write(2, traceback.format_exc().encode())
+    finally:
+        os._exit(status)
+
+
+def _worker_main(worker_id, checkpoint, checkpoint_dir, inq, outq, fault,
                  keep_checkpoints) -> None:
+    # Its own process group: the supervisor kills the group, so no
+    # checkpoint writer outlives this incarnation.
+    os.setpgid(0, 0)
     # Forked workers inherit the supervisor's registry contents (its
     # warmup-time training metrics); start from a clean slate so the
     # merged per-worker tree counts every event exactly once. run_id
@@ -215,13 +258,6 @@ def _worker_main(worker_id, checkpoint_dir, inq, outq, fault,
     registry = obs.reset_registry()
     consumed = -1
     try:
-        found = latest_stream_checkpoint(checkpoint_dir, worker_id)
-        if found is None:
-            raise RuntimeError(
-                f"worker {worker_id}: no valid checkpoint under "
-                f"{checkpoint_dir}"
-            )
-        _, checkpoint = found
         detector = checkpoint.restore_detector()
         consumed = checkpoint.consumed
         slow_delay = 0.0
@@ -229,6 +265,8 @@ def _worker_main(worker_id, checkpoint_dir, inq, outq, fault,
         m_items = registry.counter("stream.worker.items_scored")
         m_busy = registry.counter("stream.worker.busy_seconds")
         m_ckpts = registry.counter("stream.worker.checkpoints_written")
+        m_ckpt_failed = registry.counter("stream.worker.checkpoints_failed")
+        m_ckpt_seconds = registry.counter("stream.worker.checkpoint_seconds")
         # Crash-resume baselining: the counters describe the *logical*
         # worker, so a restarted incarnation resumes from the
         # checkpoint cursor instead of zero — merged per-worker packet
@@ -243,6 +281,34 @@ def _worker_main(worker_id, checkpoint_dir, inq, outq, fault,
             registry.histogram("stream.worker.chunk_seconds")
             if obs_on else None
         )
+        writer = None  # (pid, cursor) of the checkpoint writer in flight
+
+        def reap(block: bool) -> None:
+            # Collect the writer if it has exited (or wait for it). Only
+            # a writer that exited 0 has its checkpoint acknowledged: a
+            # failed one sends nothing, so the supervisor keeps
+            # retaining rows from the previous acknowledged cursor.
+            nonlocal writer
+            started = time.perf_counter()
+            pid, status = os.waitpid(writer[0], 0 if block else os.WNOHANG)
+            saved = bool(pid) and os.waitstatus_to_exitcode(status) == 0
+            if pid:
+                cursor, writer = writer[1], None
+                if saved:
+                    prune_stream_checkpoints(
+                        checkpoint_dir, worker_id, keep=keep_checkpoints
+                    )
+                    m_ckpts.inc()
+                else:
+                    m_ckpt_failed.inc()
+            m_ckpt_seconds.inc(time.perf_counter() - started)
+            if saved:
+                # Piggyback a registry snapshot on the ack so the
+                # supervisor's periodic exports carry fresh per-worker
+                # trees (None when obs is off: no steady-state cost).
+                outq.put(("ckpt_ok", worker_id, cursor,
+                          obs.process_snapshot() if obs_on else None))
+
         while True:
             message = inq.get()
             kind = message[0]
@@ -263,6 +329,11 @@ def _worker_main(worker_id, checkpoint_dir, inq, outq, fault,
                             consumed += before
                             rows = rows.slice(before, len(rows))
                         if fault.action == "kill":
+                            # Die with no writer in flight, so the
+                            # checkpoints on disk depend on the cursor
+                            # alone, not on how fast a writer ran.
+                            if writer is not None:
+                                reap(block=True)
                             os.kill(os.getpid(), signal.SIGKILL)
                         elif fault.action == "stall":
                             time.sleep(fault.seconds)
@@ -282,20 +353,18 @@ def _worker_main(worker_id, checkpoint_dir, inq, outq, fault,
                     m_items.inc(len(scored))
                     outq.put(("scores", worker_id, scored))
             elif kind == "ckpt":
-                save_stream_checkpoint(
+                # At most one writer in flight: the next waits for it.
+                if writer is not None:
+                    reap(block=True)
+                started = time.perf_counter()
+                writer = (_fork_checkpoint_writer(
                     checkpoint_dir, detector,
                     worker_id=worker_id, consumed=consumed,
-                )
-                prune_stream_checkpoints(
-                    checkpoint_dir, worker_id, keep=keep_checkpoints
-                )
-                m_ckpts.inc()
-                # Piggyback a registry snapshot on the ack so the
-                # supervisor's periodic exports carry fresh per-worker
-                # trees (None when obs is off: no steady-state cost).
-                outq.put(("ckpt_ok", worker_id, consumed,
-                          obs.process_snapshot() if obs_on else None))
+                ), consumed)
+                m_ckpt_seconds.inc(time.perf_counter() - started)
             elif kind == "eof":
+                if writer is not None:
+                    reap(block=True)
                 started = time.perf_counter()
                 scored = detector.finish()
                 m_busy.inc(time.perf_counter() - started)
@@ -306,11 +375,15 @@ def _worker_main(worker_id, checkpoint_dir, inq, outq, fault,
                     "consumed": consumed,
                     "items_scored": detector.items_scored,
                     "checkpoints_written": int(m_ckpts.value),
+                    "checkpoints_failed": int(m_ckpt_failed.value),
+                    "checkpoint_seconds": m_ckpt_seconds.value,
                     "busy_seconds": m_busy.value,
                 }, obs.process_snapshot()))
                 return
             else:  # pragma: no cover - protocol bug guard
                 raise RuntimeError(f"unknown message kind {kind!r}")
+            if writer is not None:
+                reap(block=False)
     except BaseException:
         # Report, don't hang the merge queue: the supervisor treats a
         # worker exception as fatal and re-raises with this traceback.
@@ -352,6 +425,16 @@ class _WorkerState:
 
 class _WorkerFailed(RuntimeError):
     """A worker raised (as opposed to died); carries its traceback."""
+
+
+def _kill_group(process) -> None:
+    """SIGKILL a worker's process group: the worker and any checkpoint
+    writer it forked. A worker that never reached ``setpgid`` forked no
+    writer, and a group that is gone has none left."""
+    try:
+        os.killpg(process.pid, signal.SIGKILL)
+    except (ProcessLookupError, PermissionError):
+        pass
 
 
 def stream_capture_sharded(
@@ -444,12 +527,13 @@ def stream_capture_sharded(
 
     # ---- Phase 2: genesis checkpoints + spawn. -----------------------
     states = [_WorkerState(worker_id=i) for i in range(workers)]
+    genesis = []
     for state in states:
-        save_stream_checkpoint(
+        genesis.append(save_stream_checkpoint(
             checkpoint_dir, detector,
             worker_id=state.worker_id, consumed=0,
             meta={"genesis": True},
-        )
+        ))
         state.next_ckpt_at = checkpoint_every
         if fault is not None and state.worker_id == fault.worker:
             state.fault = fault
@@ -537,13 +621,15 @@ def stream_capture_sharded(
                     break
                 _handle(message)
 
-    def _spawn(state: _WorkerState) -> None:
+    def _spawn(state: _WorkerState, checkpoint) -> None:
+        # The worker restores exactly ``checkpoint``, the one its replay
+        # starts from, never a newer file it might find on disk itself.
         state.inq = ctx.Queue(maxsize=queue_chunks)
         state.outq = ctx.Queue(maxsize=max(4, queue_chunks))
         state.process = ctx.Process(
             target=_worker_main,
-            args=(state.worker_id, checkpoint_dir, state.inq, state.outq,
-                  state.fault, keep_checkpoints),
+            args=(state.worker_id, checkpoint, checkpoint_dir, state.inq,
+                  state.outq, state.fault, keep_checkpoints),
             daemon=True,
         )
         state.process.start()
@@ -562,10 +648,12 @@ def stream_capture_sharded(
                     break
             if state.done:
                 return
-        # SIGKILLed (or died without a report). The dead incarnation
+        # SIGKILLed (or died without a report). Its checkpoint writer,
+        # if one was in flight, goes with it. The dead incarnation
         # may have been cut off mid-write, so its queue tail is not
         # trustworthy: discard it unread. Replay re-emits any scores we
         # never accepted, and the dedup cursor drops the rest.
+        _kill_group(state.process)
         state.outq.cancel_join_thread()
         _restart(state)
 
@@ -587,7 +675,7 @@ def stream_capture_sharded(
         # again; drop it unless the test asked for a crash loop.
         if state.fault is not None and not state.fault.repeat_after_restart:
             state.fault = None
-        _spawn(state)
+        _spawn(state, checkpoint)
         # Replay retention from the checkpoint cursor. Retention covers
         # [retained_base, sent) and the checkpoint can only be newer
         # than the last *acked* one, so the slice is always in range.
@@ -647,8 +735,8 @@ def stream_capture_sharded(
 
     packets_streamed = 0
     try:
-        for state in states:
-            _spawn(state)
+        for state, path in zip(states, genesis):
+            _spawn(state, load_stream_checkpoint(path))
 
         # ---- Phase 3: dispatch. --------------------------------------
         # Shard ids come vectorized off the flow table; each worker's
@@ -695,12 +783,18 @@ def stream_capture_sharded(
     finally:
         for state in states:
             process = state.process
-            if process is not None and process.exitcode is None:
+            if process is None:
+                continue
+            if process.exitcode is None:
                 process.terminate()
                 process.join(timeout=2.0)
                 if process.exitcode is None:  # pragma: no cover
                     process.kill()
                     process.join()
+            # A finished worker reaped its writer before ``done``; any
+            # other may have left one, and being dead forks no more.
+            if not state.done:
+                _kill_group(process)
         for state in states:
             if state.inq is not None:
                 state.inq.cancel_join_thread()
@@ -724,6 +818,12 @@ def stream_capture_sharded(
             "busy_seconds": busy,
             "checkpoints_written": state.telemetry.get(
                 "checkpoints_written", 0),
+            "checkpoints_failed": state.telemetry.get(
+                "checkpoints_failed", 0),
+            # Forking, reaping and waiting on checkpoint writers: time
+            # that is neither busy nor idle.
+            "checkpoint_seconds": state.telemetry.get(
+                "checkpoint_seconds", 0.0),
             "checkpoint_age_packets": consumed - state.acked_consumed,
             "restarts": state.restarts,
             "duplicate_scores_dropped": state.duplicates_dropped,

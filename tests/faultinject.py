@@ -20,8 +20,10 @@ Kill/stall/slow semantics (``FaultInjection(action=...)``):
 
 ``kill``
     SIGKILL the target worker just before it scores shard packet
-    ``at_packets``. Crash-resume path: the supervisor respawns it from
-    its newest on-disk checkpoint and replays retained packets.
+    ``at_packets``, once a checkpoint writer in flight has finished (so
+    every checkpoint taken before the cursor is on disk). Crash-resume
+    path: the supervisor respawns it from its newest on-disk checkpoint
+    and replays retained packets.
 ``stall``
     One ``seconds``-long sleep at the trigger — exercises backpressure
     (bounded queues fill; the supervisor blocks rather than buffering

@@ -1,7 +1,11 @@
-"""Tests for KitNET model persistence."""
+"""Tests for KitNET model persistence and stream checkpoints."""
+
+import hashlib
+import pickle
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.ids.kitsune.kitnet import KitNET
 from repro.ids.persistence import load_kitnet, save_kitnet
@@ -293,3 +297,153 @@ class TestStreamCheckpoints:
                         checkpoint_filename(0, 40)]
         with pytest.raises(ValueError):
             prune_stream_checkpoints(tmp_path, 0, keep=0)
+
+
+def _arrays(obj, seen=None):
+    """Every ndarray reachable from ``obj`` through attributes and
+    containers (each object visited once)."""
+    seen = set() if seen is None else seen
+    if id(obj) in seen:
+        return []
+    seen.add(id(obj))
+    if isinstance(obj, np.ndarray):
+        return [obj]
+    if isinstance(obj, dict):
+        children = [*obj.keys(), *obj.values()]
+    elif isinstance(obj, (list, tuple, set, frozenset)):
+        children = list(obj)
+    elif hasattr(obj, "__dict__"):
+        children = list(vars(obj).values())
+    else:
+        return []
+    return [array for child in children for array in _arrays(child, seen)]
+
+
+@pytest.fixture(scope="module")
+def kitsune_detector():
+    """A warmed streaming Kitsune detector: NetStat arrays and KitNET
+    weights make up most of its checkpoint, as in a live run."""
+    from repro.stream.detector import build_streaming_detector
+    from repro.stream.sources import DatasetSource
+
+    packets = list(DatasetSource("Mirai", seed=0, scale=0.02))
+    detector = build_streaming_detector("kitsune", seed=0, batch_size=64,
+                                        warmup_packets=300)
+    detector.warmup(packets[:300])
+    return detector
+
+
+class TestStreamCheckpointFormat:
+    """Format 2: one protocol-5 pickle with out-of-band arrays, a
+    digest over every byte after its slot, format 1 refused."""
+
+    def test_roundtrip_is_bit_identical_with_writable_arrays(
+            self, kitsune_detector, tmp_path):
+        from repro.ids.persistence import (load_stream_checkpoint,
+                                           save_stream_checkpoint)
+
+        path = save_stream_checkpoint(tmp_path, kitsune_detector,
+                                      worker_id=0, consumed=7)
+        checkpoint = load_stream_checkpoint(path)
+        assert checkpoint.buffers_at, "arrays should travel out of band"
+        restored = checkpoint.restore_detector()
+        assert pickle.dumps(restored) == pickle.dumps(kitsune_detector)
+        arrays = _arrays(restored)
+        assert arrays and all(a.flags.writeable for a in arrays)
+        # Out-of-band arrays are views into the bytes read, not copies.
+        assert any(not a.flags.owndata for a in arrays)
+
+    def test_second_restore_does_not_share_state(self, kitsune_detector,
+                                                 tmp_path):
+        from repro.ids.persistence import (load_stream_checkpoint,
+                                           save_stream_checkpoint)
+
+        checkpoint = load_stream_checkpoint(save_stream_checkpoint(
+            tmp_path, kitsune_detector, worker_id=0, consumed=7))
+        first = checkpoint.restore_detector()
+        second = checkpoint.restore_detector()
+        for array in _arrays(first):
+            if array.size and array.dtype.kind == "f":
+                array.fill(np.nan)
+        assert pickle.dumps(second) == pickle.dumps(kitsune_detector)
+
+    def test_format_1_file_is_rejected(self, tmp_path):
+        from repro.ids.persistence import (CheckpointCorrupt,
+                                           checkpoint_filename,
+                                           latest_stream_checkpoint,
+                                           load_stream_checkpoint,
+                                           save_stream_checkpoint)
+
+        detector = TestStreamCheckpoints._detector()
+        save_stream_checkpoint(tmp_path, detector, worker_id=0, consumed=10)
+        # The format-1 layout: magic, sha256, then one pickled dict
+        # holding the detector's own pickle. Its digest is valid.
+        payload = pickle.dumps({
+            "format_version": 1, "worker_id": 0, "consumed": 20,
+            "emitted": detector.items_scored,
+            "detector": pickle.dumps(detector), "meta": {},
+        })
+        old = tmp_path / checkpoint_filename(0, 20)
+        old.write_bytes(b"RPSCKPT1" + hashlib.sha256(payload).digest()
+                        + payload)
+        with pytest.raises(CheckpointCorrupt, match="format-1"):
+            load_stream_checkpoint(old)
+        assert latest_stream_checkpoint(tmp_path, 0)[1].consumed == 10
+
+
+@pytest.fixture(scope="module")
+def damaged_checkpoint_dir(kitsune_detector, tmp_path_factory):
+    """A directory with a valid older checkpoint (cursor 10) and the
+    bytes of a valid newer one (cursor 20), which each example damages."""
+    from repro.ids.persistence import save_stream_checkpoint
+
+    directory = tmp_path_factory.mktemp("damaged")
+    save_stream_checkpoint(directory, kitsune_detector, worker_id=0,
+                           consumed=10)
+    newest = save_stream_checkpoint(directory, kitsune_detector,
+                                    worker_id=0, consumed=20)
+    return directory, newest, newest.read_bytes()
+
+
+def _assert_damage_is_never_loaded(directory, newest, damaged) -> None:
+    from repro.ids.persistence import (CheckpointCorrupt,
+                                       latest_stream_checkpoint,
+                                       load_stream_checkpoint)
+
+    newest.write_bytes(damaged)
+    with pytest.raises(CheckpointCorrupt):
+        load_stream_checkpoint(newest)
+    path, checkpoint = latest_stream_checkpoint(directory, 0)
+    assert checkpoint.consumed == 10 and path != newest
+
+
+class TestCheckpointDamageFuzz:
+    """Any single-byte flip or truncation of a format-2 file — magic,
+    digest, header, pickle, padding or array bytes — is refused, and
+    resume falls back to the older valid checkpoint."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(where=st.floats(0.0, 1.0, exclude_max=True),
+           mask=st.integers(1, 255))
+    def test_byte_flip(self, damaged_checkpoint_dir, where, mask):
+        directory, newest, blob = damaged_checkpoint_dir
+        damaged = bytearray(blob)
+        damaged[int(where * len(blob))] ^= mask
+        _assert_damage_is_never_loaded(directory, newest, bytes(damaged))
+
+    @settings(max_examples=40, deadline=None)
+    @given(where=st.floats(0.0, 1.0, exclude_max=True))
+    def test_truncation(self, damaged_checkpoint_dir, where):
+        directory, newest, blob = damaged_checkpoint_dir
+        _assert_damage_is_never_loaded(
+            directory, newest, blob[:int(where * len(blob))])
+
+    @pytest.mark.parametrize("offset", [0, 7, 8, 39, 40, 48, -1])
+    def test_flip_at_region_boundaries(self, damaged_checkpoint_dir,
+                                       offset):
+        # Last magic byte (a flip can spell "RPSCKPT1"), digest ends,
+        # the header length, and the last array byte.
+        directory, newest, blob = damaged_checkpoint_dir
+        damaged = bytearray(blob)
+        damaged[offset] ^= 0x01
+        _assert_damage_is_never_loaded(directory, newest, bytes(damaged))

@@ -255,3 +255,29 @@ class TestBenchJsonObs:
         assert payload["obs"]["counters"]["runner.cells_total"] == 3
         assert payload["obs"]["cpu_count"] >= 1
         capsys.readouterr()
+
+
+class TestBenchGitRev:
+    @staticmethod
+    def _git(cwd, *args):
+        import subprocess
+
+        subprocess.run(["git", "-c", "user.name=bench",
+                        "-c", "user.email=bench@example.invalid", *args],
+                       cwd=cwd, check=True, capture_output=True)
+
+    def test_rev_is_marked_dirty_only_for_tracked_changes(
+            self, tmp_path, monkeypatch):
+        import benchmarks.conftest as bench_conftest
+
+        monkeypatch.setattr(bench_conftest, "REPO_ROOT", tmp_path)
+        self._git(tmp_path, "init", "-q")
+        (tmp_path / "tracked.txt").write_text("one\n")
+        self._git(tmp_path, "add", "tracked.txt")
+        self._git(tmp_path, "commit", "-q", "-m", "one")
+        clean = bench_conftest._git_rev()
+        assert clean != "unknown" and not clean.endswith("-dirty")
+        (tmp_path / "untracked.txt").write_text("new\n")
+        assert bench_conftest._git_rev() == clean
+        (tmp_path / "tracked.txt").write_text("two\n")
+        assert bench_conftest._git_rev() == clean + "-dirty"

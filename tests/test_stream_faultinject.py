@@ -21,10 +21,17 @@ source spans shards.
 
 from __future__ import annotations
 
+import os
+import signal
+import time
+import warnings
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from repro import obs
+from repro.stream import sharded
 from repro.stream.detector import ScoreBatch, build_streaming_detector
 from repro.stream.service import stream_capture
 from repro.stream.sharded import stream_capture_sharded
@@ -122,6 +129,140 @@ class TestKillResume:
         with pytest.raises(RuntimeError, match="max_restarts"):
             run_sharded(conversation_packets(), workers=WORKERS,
                         fault=fault, max_restarts=2)
+
+
+def _running(pid: int) -> bool:
+    """Whether ``pid`` is a live process (a zombie is not)."""
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    stat = Path(f"/proc/{pid}/stat")
+    if not stat.exists():
+        return True
+    return stat.read_text().rsplit(")", 1)[1].split()[0] not in "ZX"
+
+
+class TestCheckpointWriters:
+    """Each checkpoint is written by a child the worker forks; the
+    worker acknowledges it only once that child exited 0. The tests
+    patch the save the writer calls (forked workers inherit the patch)
+    and leave the supervisor's genesis checkpoints alone."""
+
+    def test_failing_writer_sends_no_ack_and_keeps_retaining(
+            self, monkeypatch):
+        real_save = sharded.save_stream_checkpoint
+
+        def failing_save(directory, detector, **kwargs):
+            if kwargs.get("meta", {}).get("genesis"):
+                return real_save(directory, detector, **kwargs)
+            raise OSError("disk full")
+
+        packets = conversation_packets()
+        clean = run_sharded(packets, workers=WORKERS,
+                            checkpoint_every=CHECKPOINT_EVERY)
+        monkeypatch.setattr(sharded, "save_stream_checkpoint", failing_save)
+        acks = obs.reset_registry().counter("stream.shard.checkpoints_acked")
+        hurt = run_sharded(packets, workers=WORKERS,
+                           checkpoint_every=CHECKPOINT_EVERY)
+        assert acks.value == 0
+        for row, clean_row in zip(hurt.notes["workers"],
+                                  clean.notes["workers"]):
+            assert row["checkpoints_written"] == 0
+            assert (row["checkpoints_failed"]
+                    == clean_row["checkpoints_written"])
+            # Nothing was acknowledged: the whole shard stays retained.
+            assert row["retained_peak"] == row["packets"]
+            assert row["checkpoint_age_packets"] == row["packets"]
+        assert sum(row["checkpoints_failed"]
+                   for row in hurt.notes["workers"]) > 0
+        assert_stream_reports_match(hurt, clean)
+
+    def test_kill_with_a_writer_in_flight(self, monkeypatch, tmp_path):
+        real_save = sharded.save_stream_checkpoint
+        directories = []
+        held = tmp_path / "held"
+
+        def holding_save(directory, detector, *, worker_id, consumed,
+                         meta=None):
+            directories.append(directory)
+            if meta is not None:  # the supervisor's genesis checkpoints
+                return real_save(directory, detector, worker_id=worker_id,
+                                 consumed=consumed, meta=meta)
+            mark = tmp_path / f"{worker_id}-{consumed}-{os.getpid()}"
+            mark.with_suffix(".start").touch()
+            if worker_id == 1:
+                try:
+                    with held.open("x") as fh:
+                        fh.write(mark.name)
+                except FileExistsError:
+                    pass  # a later writer of worker 1: no hold
+                else:
+                    # Worker 1's first writer SIGKILLs its own worker,
+                    # then outlasts it: it only finishes if nothing
+                    # kills it within two seconds of being orphaned.
+                    parent = os.getppid()
+                    os.kill(parent, signal.SIGKILL)
+                    deadline = time.monotonic() + 10.0
+                    while (os.getppid() == parent
+                           and time.monotonic() < deadline):
+                        time.sleep(0.01)
+                    time.sleep(2.0)
+            path = real_save(directory, detector, worker_id=worker_id,
+                             consumed=consumed)
+            mark.with_suffix(".done").touch()
+            return path
+
+        packets = conversation_packets()
+        clean = run_sharded(packets, workers=WORKERS,
+                            checkpoint_every=CHECKPOINT_EVERY)
+        monkeypatch.setattr(sharded, "save_stream_checkpoint", holding_save)
+        hurt = run_sharded(packets, workers=WORKERS,
+                           checkpoint_every=CHECKPOINT_EVERY)
+        assert hurt.notes["workers"][1]["restarts"] == 1
+        assert_stream_reports_match(hurt, clean)
+        assert (hurt.notes["merged_score_digest"]
+                == clean.notes["merged_score_digest"])
+
+        starts = sorted(tmp_path.glob("*.start"))
+        pids = [int(mark.stem.rsplit("-", 1)[1]) for mark in starts]
+        deadline = time.monotonic() + 10.0
+        while any(map(_running, pids)) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert not any(map(_running, pids)), "a checkpoint writer survived"
+        # The held writer died with its worker's process group; the
+        # resumed worker wrote that checkpoint again.
+        unfinished = [mark.stem for mark in starts
+                      if not mark.with_suffix(".done").exists()]
+        assert unfinished == [held.read_text()]
+        cursor = held.read_text().rsplit("-", 1)[0]
+        assert len(list(tmp_path.glob(f"{cursor}-*.start"))) == 2
+        assert all(row["checkpoint_seconds"] > 0
+                   for row in hurt.notes["workers"]
+                   if row["checkpoints_written"])
+        # The run made its own scratch directory, and removed it.
+        assert directories and not Path(directories[0]).exists()
+
+    def test_multithreaded_fork_warning_is_silenced_only_there(
+            self, monkeypatch, tmp_path):
+        # Python 3.12+ warns on fork() once the worker's queue feeder
+        # thread runs; the writer's fork silences exactly that warning,
+        # and leaves no filter behind.
+        message = ("This process (pid=1) is multi-threaded, use of "
+                   "fork() may lead to deadlocks in the child.")
+
+        def fork():
+            warnings.warn(message, DeprecationWarning, stacklevel=2)
+            return 424242  # the parent's side: no child is started
+
+        monkeypatch.setattr(os, "fork", fork)
+        with warnings.catch_warnings(record=True) as seen:
+            warnings.simplefilter("always")
+            assert sharded._fork_checkpoint_writer(
+                tmp_path, None, worker_id=0, consumed=1) == 424242
+            assert seen == []
+            warnings.warn(message, DeprecationWarning)
+        assert len(seen) == 1
 
 
 class TestStallAndSlow:
