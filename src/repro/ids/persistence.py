@@ -26,15 +26,19 @@ trained state must survive a process restart. Two layers live here:
   Format 2 pickles the detector once, with protocol 5. Its arrays
   (NetStat's state is most of a Kitsune checkpoint) travel out of band:
   they are written straight from memory after the in-band stream, each
-  on a 64-byte boundary, and the loader hands the pickle views into
+  on a 16-byte boundary, and the loader hands the pickle views into
   the ``bytearray`` it read, so a restore copies no array and its
-  arrays are writable. The layout is::
+  arrays are writable and aligned. The layout is::
 
       magic "RPSCKPT2" | sha256 of everything after it
       | u64 header length | header pickle (cursor, meta, lengths)
       | detector pickle | (padding | buffer) ...
 
   A format-1 file (``RPSCKPT1``) raises :class:`CheckpointCorrupt`.
+
+  :func:`write_stream_checkpoint` writes one file to an open temp file
+  and publishes nothing; the sharded worker uses it from a forked
+  writer and renames the file itself once the writer exited 0.
 """
 
 from __future__ import annotations
@@ -205,8 +209,9 @@ _STREAM_CKPT_MAGIC_V1 = b"RPSCKPT1"
 _STREAM_CKPT_HEAD = len(_STREAM_CKPT_MAGIC) + 32
 _LENGTH = struct.Struct("<Q")
 #: Out-of-band buffers start at file offsets that are multiples of
-#: this, so restored arrays are aligned for the native kernel.
-_BUFFER_ALIGN = 64
+#: this. A ``bytearray``'s storage comes from ``malloc``, which aligns
+#: it to 16 bytes, so every restored array is aligned for its dtype.
+_BUFFER_ALIGN = 16
 #: ``worker<id>-<consumed>.ckpt``
 _CKPT_NAME_RE = re.compile(r"^worker(\d+)-(\d+)\.ckpt$")
 
@@ -231,6 +236,9 @@ class StreamCheckpoint:
     ``data`` is the verified file; ``detector_at`` and ``buffers_at``
     are the ``(offset, length)`` of the detector's in-band pickle and
     of each of its out-of-band buffers within it.
+
+    A checkpoint restores once: the restored arrays are views into
+    ``data``. To restore the same state again, load the file again.
     """
 
     worker_id: int
@@ -240,18 +248,13 @@ class StreamCheckpoint:
     data: bytearray = field(repr=False)
     detector_at: tuple[int, int] = field(repr=False)
     buffers_at: list[tuple[int, int]] = field(repr=False)
-    _restored: bool = field(default=False, init=False, repr=False)
 
     def restore_detector(self):
         """Deserialise the captured detector, ready to keep streaming.
 
-        The first restore's arrays are writable views into ``data``,
-        not copies. A later restore of the same checkpoint works on a
-        copy of ``data``, so two restored detectors never share state.
+        Its arrays are writable views into ``data``, not copies.
         """
-        data = bytearray(self.data) if self._restored else self.data
-        self._restored = True
-        view = memoryview(data)
+        view = memoryview(self.data)
         offset, length = self.detector_at
         return pickle.loads(
             view[offset:offset + length],
@@ -285,17 +288,48 @@ def save_stream_checkpoint(
 ) -> Path:
     """Atomically write a checkpoint for ``detector`` under ``directory``.
 
-    The detector is pickled once (protocol 5); its contiguous arrays
-    go out of band and are written straight from their memory after
-    the in-band stream, with no intermediate copy. The sha256 covers
-    every byte after its slot and is filled in last. The file is
-    written to a temp name in the same directory and fsynced before an
-    atomic ``os.replace`` — a SIGKILL at any instant leaves either the
-    previous checkpoint set or the complete new file, never a
-    half-written one that passes verification.
+    The file is written to a temp name in the same directory by
+    :func:`write_stream_checkpoint` and then atomically renamed — a
+    SIGKILL at any instant leaves either the previous checkpoint set
+    or the complete new file, never a half-written one that passes
+    verification.
     """
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
+    path = directory / checkpoint_filename(worker_id, consumed)
+    fd, tmp_name = tempfile.mkstemp(
+        dir=directory, prefix=path.name, suffix=".tmp"
+    )
+    try:
+        write_stream_checkpoint(fd, detector, worker_id=worker_id,
+                                consumed=consumed, meta=meta)
+        os.replace(tmp_name, path)
+    except BaseException:
+        try:
+            os.unlink(tmp_name)
+        except OSError:
+            pass
+        raise
+    return path
+
+
+def write_stream_checkpoint(
+    fd: int,
+    detector,
+    *,
+    worker_id: int,
+    consumed: int,
+    meta: dict | None = None,
+) -> None:
+    """Write one checkpoint of ``detector`` to the open file ``fd``,
+    fsync it and close ``fd``. It names no file: publishing it under
+    :func:`checkpoint_filename` is the caller's rename.
+
+    The detector is pickled once (protocol 5); its contiguous arrays
+    go out of band and are written straight from their memory after
+    the in-band stream, with no intermediate copy. The sha256 covers
+    every byte after its slot and is filled in last.
+    """
     buffers: list[pickle.PickleBuffer] = []
     blob = pickle.dumps(detector, protocol=5, buffer_callback=buffers.append)
     views = [buffer.raw() for buffer in buffers]
@@ -312,40 +346,27 @@ def save_stream_checkpoint(
         },
         protocol=5,
     )
-    path = directory / checkpoint_filename(worker_id, consumed)
-    fd, tmp_name = tempfile.mkstemp(
-        dir=directory, prefix=path.name, suffix=".tmp"
-    )
-    try:
-        with os.fdopen(fd, "wb") as fh:
-            digest = hashlib.sha256()
-            offset = _STREAM_CKPT_HEAD
+    with os.fdopen(fd, "wb") as fh:
+        digest = hashlib.sha256()
+        offset = _STREAM_CKPT_HEAD
 
-            def put(data) -> None:
-                nonlocal offset
-                digest.update(data)
-                fh.write(data)
-                offset += len(data)
+        def put(data) -> None:
+            nonlocal offset
+            digest.update(data)
+            fh.write(data)
+            offset += len(data)
 
-            fh.write(_STREAM_CKPT_MAGIC + bytes(32))
-            put(_LENGTH.pack(len(header)))
-            put(header)
-            put(blob)
-            for (at, _), view in zip(_buffer_layout(offset, lengths), views):
-                put(bytes(at - offset))
-                put(view)
-            fh.seek(len(_STREAM_CKPT_MAGIC))
-            fh.write(digest.digest())
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp_name, path)
-    except BaseException:
-        try:
-            os.unlink(tmp_name)
-        except OSError:
-            pass
-        raise
-    return path
+        fh.write(_STREAM_CKPT_MAGIC + bytes(32))
+        put(_LENGTH.pack(len(header)))
+        put(header)
+        put(blob)
+        for (at, _), view in zip(_buffer_layout(offset, lengths), views):
+            put(bytes(at - offset))
+            put(view)
+        fh.seek(len(_STREAM_CKPT_MAGIC))
+        fh.write(digest.digest())
+        fh.flush()
+        os.fsync(fh.fileno())
 
 
 def load_stream_checkpoint(path: str | Path) -> StreamCheckpoint:

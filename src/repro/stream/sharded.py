@@ -26,12 +26,11 @@ Operational surface:
 * **Crash-resume** — workers periodically checkpoint their *entire*
   live state (model + NetStat traffic state) through
   :mod:`repro.ids.persistence`, each in a forked copy-on-write writer
-  the worker acknowledges once it exits 0, so checkpoints stay off the
-  scoring path. The supervisor retains each worker's
-  column slices since its last acknowledged checkpoint; a worker
-  that dies (SIGKILL, OOM) is killed with its process group (writer
-  included), respawned from its newest valid on-disk
-  checkpoint and replayed the retained packets. Scoring is
+  whose file the worker publishes and acknowledges once it exits 0, so
+  checkpoints stay off the scoring path. The supervisor retains each
+  worker's column slices since its last acknowledged checkpoint; a
+  worker that dies (SIGKILL, OOM) is respawned from its newest valid
+  on-disk checkpoint and replayed the retained packets. Scoring is
   deterministic, so the resumed run re-emits exactly the lost scores;
   duplicates of scores that survived the crash are dropped by index.
   The merged result is bit-identical to an uninterrupted run at the
@@ -74,10 +73,12 @@ import numpy as np
 
 from repro import backends, obs
 from repro.ids.persistence import (
+    checkpoint_filename,
     latest_stream_checkpoint,
     load_stream_checkpoint,
     prune_stream_checkpoints,
     save_stream_checkpoint,
+    write_stream_checkpoint,
 )
 from repro.net.columnar import ColumnBatch, iter_column_batches
 from repro.stream.detector import StreamingDetector
@@ -212,15 +213,18 @@ def _merge_shards(parts: Sequence[tuple[int, ScoreBatch]]) -> ScoreBatch:
 # Worker process.
 
 
-def _fork_checkpoint_writer(checkpoint_dir, detector, *, worker_id,
-                            consumed) -> int:
-    """Fork a child that writes one checkpoint of ``detector``; its pid.
+def _fork_checkpoint_writer(fd, detector, *, worker_id, consumed) -> int:
+    """Fork a child that writes one checkpoint of ``detector`` to the
+    open temp file ``fd``; its pid.
 
     The child sees a copy-on-write snapshot of the detector at this
     cursor (the Redis BGSAVE pattern), so the worker goes straight back
-    to scoring. It exits 0 once the file is on disk and 1 if the save
-    raised; it only saves and ``os._exit``s, touching no queue, lock or
-    obs registry, and running no atexit hook or finalizer.
+    to scoring. It exits 0 once the file is written and fsynced, and 1
+    if the write raised; it only writes and ``os._exit``s, touching no
+    queue, lock or obs registry, and running no atexit hook or
+    finalizer. It never names or renames the file: the worker publishes
+    it after the child exited 0, so a writer that outlives its worker
+    publishes nothing.
     """
     with warnings.catch_warnings():
         # Python 3.12 warns that fork() in a multi-threaded process may
@@ -236,8 +240,8 @@ def _fork_checkpoint_writer(checkpoint_dir, detector, *, worker_id,
     try:
         # No collections: they would copy pages and could run finalizers.
         gc.disable()
-        save_stream_checkpoint(checkpoint_dir, detector,
-                               worker_id=worker_id, consumed=consumed)
+        write_stream_checkpoint(fd, detector,
+                                worker_id=worker_id, consumed=consumed)
         status = 0
     except BaseException:
         os.write(2, traceback.format_exc().encode())
@@ -247,9 +251,6 @@ def _fork_checkpoint_writer(checkpoint_dir, detector, *, worker_id,
 
 def _worker_main(worker_id, checkpoint, checkpoint_dir, inq, outq, fault,
                  keep_checkpoints) -> None:
-    # Its own process group: the supervisor kills the group, so no
-    # checkpoint writer outlives this incarnation.
-    os.setpgid(0, 0)
     # Forked workers inherit the supervisor's registry contents (its
     # warmup-time training metrics); start from a clean slate so the
     # merged per-worker tree counts every event exactly once. run_id
@@ -281,25 +282,30 @@ def _worker_main(worker_id, checkpoint, checkpoint_dir, inq, outq, fault,
             registry.histogram("stream.worker.chunk_seconds")
             if obs_on else None
         )
-        writer = None  # (pid, cursor) of the checkpoint writer in flight
+        # (pid, cursor, temp file) of the checkpoint writer in flight.
+        writer = None
 
         def reap(block: bool) -> None:
             # Collect the writer if it has exited (or wait for it). Only
-            # a writer that exited 0 has its checkpoint acknowledged: a
-            # failed one sends nothing, so the supervisor keeps
-            # retaining rows from the previous acknowledged cursor.
+            # a writer that exited 0 has its file published and
+            # acknowledged: a failed one's is removed and nothing is
+            # sent, so the supervisor keeps retaining rows from the
+            # previous acknowledged cursor.
             nonlocal writer
             started = time.perf_counter()
             pid, status = os.waitpid(writer[0], 0 if block else os.WNOHANG)
             saved = bool(pid) and os.waitstatus_to_exitcode(status) == 0
             if pid:
-                cursor, writer = writer[1], None
+                (_, cursor, tmp_name), writer = writer, None
                 if saved:
+                    os.replace(tmp_name, checkpoint_dir
+                               / checkpoint_filename(worker_id, cursor))
                     prune_stream_checkpoints(
                         checkpoint_dir, worker_id, keep=keep_checkpoints
                     )
                     m_ckpts.inc()
                 else:
+                    os.unlink(tmp_name)
                     m_ckpt_failed.inc()
             m_ckpt_seconds.inc(time.perf_counter() - started)
             if saved:
@@ -357,10 +363,17 @@ def _worker_main(worker_id, checkpoint, checkpoint_dir, inq, outq, fault,
                 if writer is not None:
                     reap(block=True)
                 started = time.perf_counter()
-                writer = (_fork_checkpoint_writer(
-                    checkpoint_dir, detector,
-                    worker_id=worker_id, consumed=consumed,
-                ), consumed)
+                # The worker makes the temp file, so a writer never
+                # creates a path (or recreates a removed directory).
+                fd, tmp_name = tempfile.mkstemp(
+                    dir=checkpoint_dir, suffix=".tmp",
+                    prefix=checkpoint_filename(worker_id, consumed))
+                try:
+                    pid = _fork_checkpoint_writer(
+                        fd, detector, worker_id=worker_id, consumed=consumed)
+                finally:
+                    os.close(fd)
+                writer = (pid, consumed, tmp_name)
                 m_ckpt_seconds.inc(time.perf_counter() - started)
             elif kind == "eof":
                 if writer is not None:
@@ -425,16 +438,6 @@ class _WorkerState:
 
 class _WorkerFailed(RuntimeError):
     """A worker raised (as opposed to died); carries its traceback."""
-
-
-def _kill_group(process) -> None:
-    """SIGKILL a worker's process group: the worker and any checkpoint
-    writer it forked. A worker that never reached ``setpgid`` forked no
-    writer, and a group that is gone has none left."""
-    try:
-        os.killpg(process.pid, signal.SIGKILL)
-    except (ProcessLookupError, PermissionError):
-        pass
 
 
 def stream_capture_sharded(
@@ -648,12 +651,12 @@ def stream_capture_sharded(
                     break
             if state.done:
                 return
-        # SIGKILLed (or died without a report). Its checkpoint writer,
-        # if one was in flight, goes with it. The dead incarnation
-        # may have been cut off mid-write, so its queue tail is not
-        # trustworthy: discard it unread. Replay re-emits any scores we
-        # never accepted, and the dedup cursor drops the rest.
-        _kill_group(state.process)
+        # SIGKILLed (or died without a report). A checkpoint writer it
+        # left in flight finishes on its own, but nobody publishes its
+        # file. The dead incarnation may have been cut off mid-write,
+        # so its queue tail is not trustworthy: discard it unread.
+        # Replay re-emits any scores we never accepted, and the dedup
+        # cursor drops the rest.
         state.outq.cancel_join_thread()
         _restart(state)
 
@@ -783,18 +786,12 @@ def stream_capture_sharded(
     finally:
         for state in states:
             process = state.process
-            if process is None:
-                continue
-            if process.exitcode is None:
+            if process is not None and process.exitcode is None:
                 process.terminate()
                 process.join(timeout=2.0)
                 if process.exitcode is None:  # pragma: no cover
                     process.kill()
                     process.join()
-            # A finished worker reaped its writer before ``done``; any
-            # other may have left one, and being dead forks no more.
-            if not state.done:
-                _kill_group(process)
         for state in states:
             if state.inq is not None:
                 state.inq.cancel_join_thread()

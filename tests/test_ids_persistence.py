@@ -350,22 +350,9 @@ class TestStreamCheckpointFormat:
         assert pickle.dumps(restored) == pickle.dumps(kitsune_detector)
         arrays = _arrays(restored)
         assert arrays and all(a.flags.writeable for a in arrays)
+        assert all(a.flags.aligned for a in arrays)
         # Out-of-band arrays are views into the bytes read, not copies.
         assert any(not a.flags.owndata for a in arrays)
-
-    def test_second_restore_does_not_share_state(self, kitsune_detector,
-                                                 tmp_path):
-        from repro.ids.persistence import (load_stream_checkpoint,
-                                           save_stream_checkpoint)
-
-        checkpoint = load_stream_checkpoint(save_stream_checkpoint(
-            tmp_path, kitsune_detector, worker_id=0, consumed=7))
-        first = checkpoint.restore_detector()
-        second = checkpoint.restore_detector()
-        for array in _arrays(first):
-            if array.size and array.dtype.kind == "f":
-                array.fill(np.nan)
-        assert pickle.dumps(second) == pickle.dumps(kitsune_detector)
 
     def test_format_1_file_is_rejected(self, tmp_path):
         from repro.ids.persistence import (CheckpointCorrupt,

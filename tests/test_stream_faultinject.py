@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import os
 import signal
+import tempfile
 import time
 import warnings
 from pathlib import Path
@@ -31,6 +32,7 @@ import numpy as np
 import pytest
 
 from repro import obs
+from repro.ids.persistence import checkpoint_filename
 from repro.stream import sharded
 from repro.stream.detector import ScoreBatch, build_streaming_detector
 from repro.stream.service import stream_capture
@@ -145,26 +147,26 @@ def _running(pid: int) -> bool:
 
 class TestCheckpointWriters:
     """Each checkpoint is written by a child the worker forks; the
-    worker acknowledges it only once that child exited 0. The tests
-    patch the save the writer calls (forked workers inherit the patch)
-    and leave the supervisor's genesis checkpoints alone."""
+    worker publishes and acknowledges it only once that child exited 0.
+    The tests patch the write the child calls (forked workers inherit
+    the patch); the supervisor's genesis checkpoints do not use it."""
 
     def test_failing_writer_sends_no_ack_and_keeps_retaining(
-            self, monkeypatch):
-        real_save = sharded.save_stream_checkpoint
-
-        def failing_save(directory, detector, **kwargs):
-            if kwargs.get("meta", {}).get("genesis"):
-                return real_save(directory, detector, **kwargs)
+            self, monkeypatch, tmp_path):
+        def failing_write(fd, detector, **kwargs):
+            os.close(fd)
             raise OSError("disk full")
 
         packets = conversation_packets()
         clean = run_sharded(packets, workers=WORKERS,
                             checkpoint_every=CHECKPOINT_EVERY)
-        monkeypatch.setattr(sharded, "save_stream_checkpoint", failing_save)
+        monkeypatch.setattr(sharded, "write_stream_checkpoint",
+                            failing_write)
         acks = obs.reset_registry().counter("stream.shard.checkpoints_acked")
+        kept = tmp_path / "ckpt"
         hurt = run_sharded(packets, workers=WORKERS,
-                           checkpoint_every=CHECKPOINT_EVERY)
+                           checkpoint_every=CHECKPOINT_EVERY,
+                           checkpoint_dir=kept)
         assert acks.value == 0
         for row, clean_row in zip(hurt.notes["workers"],
                                   clean.notes["workers"]):
@@ -177,18 +179,16 @@ class TestCheckpointWriters:
         assert sum(row["checkpoints_failed"]
                    for row in hurt.notes["workers"]) > 0
         assert_stream_reports_match(hurt, clean)
+        # Only the genesis checkpoints: failed writers' temp files are
+        # removed and none was published.
+        assert sorted(entry.name for entry in kept.iterdir()) == [
+            checkpoint_filename(worker, 0) for worker in range(WORKERS)]
 
     def test_kill_with_a_writer_in_flight(self, monkeypatch, tmp_path):
-        real_save = sharded.save_stream_checkpoint
-        directories = []
+        real_write = sharded.write_stream_checkpoint
         held = tmp_path / "held"
 
-        def holding_save(directory, detector, *, worker_id, consumed,
-                         meta=None):
-            directories.append(directory)
-            if meta is not None:  # the supervisor's genesis checkpoints
-                return real_save(directory, detector, worker_id=worker_id,
-                                 consumed=consumed, meta=meta)
+        def holding_write(fd, detector, *, worker_id, consumed):
             mark = tmp_path / f"{worker_id}-{consumed}-{os.getpid()}"
             mark.with_suffix(".start").touch()
             if worker_id == 1:
@@ -199,24 +199,30 @@ class TestCheckpointWriters:
                     pass  # a later writer of worker 1: no hold
                 else:
                     # Worker 1's first writer SIGKILLs its own worker,
-                    # then outlasts it: it only finishes if nothing
-                    # kills it within two seconds of being orphaned.
+                    # then outlives it and only writes once orphaned.
                     parent = os.getppid()
                     os.kill(parent, signal.SIGKILL)
                     deadline = time.monotonic() + 10.0
                     while (os.getppid() == parent
                            and time.monotonic() < deadline):
                         time.sleep(0.01)
-                    time.sleep(2.0)
-            path = real_save(directory, detector, worker_id=worker_id,
-                             consumed=consumed)
+                    time.sleep(1.0)
+            real_write(fd, detector, worker_id=worker_id, consumed=consumed)
             mark.with_suffix(".done").touch()
-            return path
+
+        made = []
+        real_mkdtemp = tempfile.mkdtemp
+
+        def recording_mkdtemp(*args, **kwargs):
+            made.append(real_mkdtemp(*args, **kwargs))
+            return made[-1]
 
         packets = conversation_packets()
         clean = run_sharded(packets, workers=WORKERS,
                             checkpoint_every=CHECKPOINT_EVERY)
-        monkeypatch.setattr(sharded, "save_stream_checkpoint", holding_save)
+        monkeypatch.setattr(sharded, "write_stream_checkpoint",
+                            holding_write)
+        monkeypatch.setattr(tempfile, "mkdtemp", recording_mkdtemp)
         hurt = run_sharded(packets, workers=WORKERS,
                            checkpoint_every=CHECKPOINT_EVERY)
         assert hurt.notes["workers"][1]["restarts"] == 1
@@ -230,21 +236,21 @@ class TestCheckpointWriters:
         while any(map(_running, pids)) and time.monotonic() < deadline:
             time.sleep(0.05)
         assert not any(map(_running, pids)), "a checkpoint writer survived"
-        # The held writer died with its worker's process group; the
-        # resumed worker wrote that checkpoint again.
-        unfinished = [mark.stem for mark in starts
-                      if not mark.with_suffix(".done").exists()]
-        assert unfinished == [held.read_text()]
+        # Every writer finished, the orphan too; the resumed worker
+        # wrote the orphan's checkpoint again, and published that one.
+        assert all(mark.with_suffix(".done").exists() for mark in starts)
         cursor = held.read_text().rsplit("-", 1)[0]
         assert len(list(tmp_path.glob(f"{cursor}-*.start"))) == 2
         assert all(row["checkpoint_seconds"] > 0
                    for row in hurt.notes["workers"]
                    if row["checkpoints_written"])
-        # The run made its own scratch directory, and removed it.
-        assert directories and not Path(directories[0]).exists()
+        # The run made its own scratch directory and removed it, and
+        # the orphan, writing only to its open temp file, recreated
+        # nothing.
+        assert made and not any(Path(path).exists() for path in made)
 
     def test_multithreaded_fork_warning_is_silenced_only_there(
-            self, monkeypatch, tmp_path):
+            self, monkeypatch):
         # Python 3.12+ warns on fork() once the worker's queue feeder
         # thread runs; the writer's fork silences exactly that warning,
         # and leaves no filter behind.
@@ -259,7 +265,7 @@ class TestCheckpointWriters:
         with warnings.catch_warnings(record=True) as seen:
             warnings.simplefilter("always")
             assert sharded._fork_checkpoint_writer(
-                tmp_path, None, worker_id=0, consumed=1) == 424242
+                -1, None, worker_id=0, consumed=1) == 424242
             assert seen == []
             warnings.warn(message, DeprecationWarning)
         assert len(seen) == 1
