@@ -42,7 +42,7 @@ FULL_SCALE_SPEEDUP = 3.0
 def _trained_detector(scale: float):
     """A KitNET trained through its grace periods on the replay's first
     half, plus the remaining (execute-phase) feature rows — the same
-    split the profile's ``kitnet-batch`` stage measures."""
+    split the profile's ``ml.execute`` stage measures."""
     from repro.core.profiling import kitnet_grace_split
     from repro.datasets.registry import generate_dataset_uncached
 

@@ -10,8 +10,7 @@ probe — never a fork. The registry is the single source of truth for:
 * **what to pick** — ``resolve(component, "auto")`` picks the
   highest-priority available backend;
 * **what was picked** — ``backend_notes(ids)`` reports the concrete
-  backend driving a constructed IDS, for stream/runner reports and
-  ``repro-cli profile``.
+  backend driving a constructed IDS, for stream/runner reports.
 
 Parity is part of the declaration: every feature-engine backend is
 gated bit-for-bit against the scalar AfterImage reference by the

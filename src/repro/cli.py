@@ -12,12 +12,9 @@ Eight subcommands mirror the artefacts a user actually wants:
 * ``repro-cli stream`` — run an IDS *online* over a live packet stream
   (synthetic dataset replay or a pcap file), with sliding-window
   metrics, alert episodes and a JSON report;
-* ``repro-cli profile`` — time the packet path stage by stage
-  (ingest → netstat → kitnet-train → kitnet → kitnet-batch) under a
-  chosen feature engine and ingest backend, with a scalar-reference
-  comparison, a
-  batched-vs-per-packet KitNET speedup and parity check, and a JSON
-  export;
+* ``repro-cli profile`` — time the live Kitsune packet path stage by
+  stage (net.decode → features.extract → ml.train → ml.execute), with
+  a JSON export;
 * ``repro-cli cache`` — inspect (``stats``) or LRU-trim (``gc``) an
   on-disk cache directory.
 
@@ -489,22 +486,12 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     except KeyError as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
-    try:
-        profile = profile_packet_path(
-            dataset_name,
-            seed=args.seed,
-            scale=args.scale,
-            engine=args.engine,
-            ingest_backend=args.ingest_backend,
-            max_packets=args.packets,
-            compare_scalar=not args.no_compare,
-            batch_size=args.batch,
-            train_batch=args.train_batch,
-        )
-    except RuntimeError as error:
-        # e.g. --engine vector-native on a box without a C compiler.
-        print(f"error: {error}", file=sys.stderr)
-        return 2
+    profile = profile_packet_path(
+        dataset_name,
+        seed=args.seed,
+        scale=args.scale,
+        max_packets=args.packets,
+    )
     print(profile.render())
     if args.json:
         _write_json(args.json, profile.to_dict())
@@ -791,9 +778,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_profile = sub.add_parser(
         "profile",
-        help="time the packet path stage by stage (ingest, netstat, "
-             "kitnet-train, batched kitnet training, per-packet kitnet, "
-             "batched kitnet)",
+        help="time the live Kitsune packet path stage by stage "
+             "(net.decode, features.extract, ml.train, ml.execute)",
     )
     p_profile.add_argument("--dataset", default="Mirai",
                            help="synthetic dataset to replay "
@@ -803,32 +789,6 @@ def build_parser() -> argparse.ArgumentParser:
                            help="dataset generation scale (default 0.2)")
     p_profile.add_argument("--packets", type=_positive_int,
                            help="cap the replay at this many packets")
-    p_profile.add_argument("--engine",
-                           choices=("vector", "vector-native", "scalar"),
-                           default="vector",
-                           help="NetStat feature engine to profile "
-                                "(default vector: the native kernel "
-                                "when available, else scalar; the "
-                                "profile's feature_backend field "
-                                "records the resolved backend)")
-    p_profile.add_argument("--ingest-backend",
-                           choices=("auto", "packet-objects",
-                                    "columnar-mmap"),
-                           default=None,
-                           help="ingest backend for the capture-read "
-                                "stage (default packet-objects; "
-                                "columnar-mmap decodes the scratch "
-                                "capture into column batches and feeds "
-                                "netstat columns directly)")
-    p_profile.add_argument("--batch", type=_positive_int, default=256,
-                           help="micro-batch size for the kitnet-batch "
-                                "stage (default 256)")
-    p_profile.add_argument("--train-batch", type=_positive_int, default=32,
-                           help="mini-batch size for the "
-                                "kitnet-train-batched stage (default 32)")
-    p_profile.add_argument("--no-compare", action="store_true",
-                           help="skip the scalar-reference NetStat "
-                                "timing comparison")
     p_profile.add_argument("--json", help="write the profile to this "
                                           "path as JSON")
     p_profile.set_defaults(func=_cmd_profile)

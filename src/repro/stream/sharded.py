@@ -60,6 +60,7 @@ import hashlib
 import multiprocessing
 import os
 import queue as queue_mod
+import shutil
 import signal
 import tempfile
 import time
@@ -506,11 +507,6 @@ def stream_capture_sharded(
     if exporter is not None and not obs.is_enabled():
         obs.enable()
 
-    created_dir = checkpoint_dir is None
-    if created_dir:
-        checkpoint_dir = tempfile.mkdtemp(prefix="repro-stream-ckpt-")
-    checkpoint_dir = Path(checkpoint_dir)
-
     if "fork" in multiprocessing.get_all_start_methods():
         ctx = multiprocessing.get_context("fork")
     else:  # pragma: no cover - non-POSIX fallback
@@ -528,15 +524,8 @@ def stream_capture_sharded(
         warmup_packets,
     )
 
-    # ---- Phase 2: genesis checkpoints + spawn. -----------------------
     states = [_WorkerState(worker_id=i) for i in range(workers)]
-    genesis = []
     for state in states:
-        genesis.append(save_stream_checkpoint(
-            checkpoint_dir, detector,
-            worker_id=state.worker_id, consumed=0,
-            meta={"genesis": True},
-        ))
         state.next_ckpt_at = checkpoint_every
         if fault is not None and state.worker_id == fault.worker:
             state.fault = fault
@@ -737,7 +726,22 @@ def stream_capture_sharded(
                 _on_death(state)
 
     packets_streamed = 0
+    # The scratch checkpoint directory is removed however the run ends,
+    # once every worker has been joined; an explicit one is kept.
+    created_dir = checkpoint_dir is None
+    if created_dir:
+        checkpoint_dir = tempfile.mkdtemp(prefix="repro-stream-ckpt-")
+    checkpoint_dir = Path(checkpoint_dir)
     try:
+        # ---- Phase 2: genesis checkpoints + spawn. -------------------
+        genesis = [
+            save_stream_checkpoint(
+                checkpoint_dir, detector,
+                worker_id=state.worker_id, consumed=0,
+                meta={"genesis": True},
+            )
+            for state in states
+        ]
         for state, path in zip(states, genesis):
             _spawn(state, load_stream_checkpoint(path))
 
@@ -797,6 +801,10 @@ def stream_capture_sharded(
                 state.inq.cancel_join_thread()
             if state.outq is not None:
                 state.outq.cancel_join_thread()
+        if created_dir:
+            # A writer orphaned by a killed worker only writes to its
+            # already-open temp file, so the directory can go under it.
+            shutil.rmtree(checkpoint_dir)
 
     # ---- Phase 5: merge into one order-stable sink. ------------------
     emitted = _merge_shards(accepted)
@@ -864,10 +872,4 @@ def stream_capture_sharded(
     if exporter is not None:
         exporter.export(_obs_tree())
 
-    if created_dir:
-        # Successful run: the scratch checkpoints have served their
-        # purpose. An explicit --checkpoint-dir is always kept.
-        for entry in checkpoint_dir.iterdir():
-            entry.unlink()
-        checkpoint_dir.rmdir()
     return report

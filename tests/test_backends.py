@@ -304,11 +304,17 @@ class TestBackendsCLI:
         assert code == 2
         assert "unavailable" in capsys.readouterr().err
 
-    def test_profile_json_reports_backends(self, tmp_path):
+    def test_profile_json_reports_backends(self, monkeypatch, tmp_path):
+        # With the native kernel disabled the profile's feature stage
+        # runs (and reports) the scalar fallback.
+        monkeypatch.setattr(_native, "_load_attempted", False)
+        monkeypatch.setattr(_native, "_cached_kernel", None)
+        monkeypatch.setattr(_native, "_unavailable_reason", None)
+        monkeypatch.setenv("REPRO_DISABLE_NATIVE", "1")
         out = tmp_path / "profile.json"
         assert main([
             "profile", "--dataset", "mirai", "--scale", "0.03",
-            "--engine", "scalar", "--json", str(out),
+            "--json", str(out),
         ]) == 0
         profile = json.loads(out.read_text())
         assert profile["feature_backend"] == "scalar"

@@ -38,14 +38,12 @@ class TestParser:
             build_parser().parse_args(["cache"])
 
     def test_profile_defaults(self):
-        args = build_parser().parse_args(["profile"])
-        assert args.engine == "vector"
-        assert args.dataset == "Mirai"
-        assert not args.no_compare
-
-    def test_profile_rejects_unknown_engine(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["profile", "--engine", "cuda"])
+        args = vars(build_parser().parse_args(["profile"]))
+        del args["func"]
+        assert args == {
+            "command": "profile", "dataset": "Mirai", "seed": 0,
+            "scale": 0.2, "packets": None, "json": None,
+        }
 
 
 class TestCommands:
@@ -89,37 +87,17 @@ class TestCommands:
         assert main(["profile", "--dataset", "mirai", "--scale", "0.03",
                      "--packets", "300", "--json", str(report)]) == 0
         out = capsys.readouterr().out
-        for stage in ("ingest", "netstat", "kitnet-train",
-                      "kitnet-train-batched", "kitnet", "kitnet-batch",
-                      "total"):
+        stages = ["net.decode", "features.extract", "ml.train",
+                  "ml.execute"]
+        for stage in stages + ["total"]:
             assert stage in out
         import json
 
         payload = json.loads(report.read_text())
         assert payload["packets"] == 300
-        assert payload["engine"] == "vector"
-        assert [s["stage"] for s in payload["stages"]] == [
-            "ingest", "netstat", "kitnet-train", "kitnet-train-batched",
-            "kitnet", "kitnet-batch"
-        ]
-        assert payload["ingest_backend"] == "packet-objects"
-        assert all(s["seconds"] >= 0 for s in payload["stages"])
-        # The default engine is compared against the scalar reference.
-        assert payload["netstat_speedup"] is not None
-        # The batched execute stage is parity-checked while it is timed.
-        assert payload["kitnet_batch_parity"] is True
-        assert payload["kitnet_batch_speedup"] > 0
-        # The default training stage is mini-batch: timed, no parity
-        # claim (intentionally different trajectory).
-        assert payload["train_mode"] == "minibatch"
-        assert payload["kitnet_train_speedup"] > 0
-        assert payload["kitnet_train_parity"] is None
-
-    def test_profile_scalar_engine_skips_comparison(self, capsys):
-        assert main(["profile", "--dataset", "mirai", "--scale", "0.03",
-                     "--packets", "200", "--engine", "scalar"]) == 0
-        out = capsys.readouterr().out
-        assert "netstat engine speedup" not in out
+        assert [s["stage"] for s in payload["stages"]] == stages
+        assert all(s["seconds"] > 0 for s in payload["stages"])
+        assert payload["ensemble_backend"] == "batched-einsum"
 
     def test_profile_unknown_dataset_errors(self, capsys):
         assert main(["profile", "--dataset", "NoSuchSet"]) == 2

@@ -1,79 +1,125 @@
 """Tests for the stage-by-stage packet-path profiler.
 
-Covers the ``compare_scalar=False`` path (no scalar reference timing,
-no speedup claim) and the rendered stage-share arithmetic (shares are
-fractions of total stage time and sum to ~100%).
+Covers that the profile times only the code a live Kitsune session
+runs (spied: no per-row KitNET loop, packet-object decode, scalar
+NetStat or mini-batch trainer), the stage names and row counts, and
+the rendered stage-share arithmetic (shares are fractions of total
+stage time and sum to ~100%).
 """
 
 from __future__ import annotations
 
 import re
+import sys
 
 import pytest
 
 from repro.core.profiling import (
     PacketPathProfile,
     StageTiming,
+    kitnet_grace_split,
     profile_packet_path,
 )
+from repro.features.netstat import NetStat
+from repro.ids.kitsune.kitnet import KitNET
 
-EXPECTED_STAGES = [
-    "ingest",
-    "netstat",
-    "kitnet-train",
-    "kitnet-train-batched",
-    "kitnet",
-    "kitnet-batch",
-]
+EXPECTED_STAGES = ["net.decode", "features.extract", "ml.train", "ml.execute"]
+PACKETS = 600
+
+
+class Spy:
+    """What the profile called while it ran."""
+
+    def __init__(self) -> None:
+        self.process_callers: list[str] = []
+        self.batch_rows: list[int] = []
+        self.read_pcap_calls = 0
+        self.netstat_engines: list[str] = []
+        self.kitnet_train_modes: list[str] = []
 
 
 @pytest.fixture(scope="module")
-def profile() -> PacketPathProfile:
-    return profile_packet_path(
-        "Mirai", seed=0, scale=0.02, max_packets=400,
-        compare_scalar=False,
-    )
+def spied() -> tuple[PacketPathProfile, Spy]:
+    import repro.net.pcap as pcap
 
+    spy = Spy()
+    read_pcap = pcap.read_pcap
+    process = KitNET.process
+    process_batch = KitNET.process_batch
+    kitnet_init = KitNET.__init__
+    netstat_init = NetStat.__init__
 
-class TestCompareScalarOff:
-    def test_no_scalar_timing_or_speedup(self, profile):
-        assert profile.scalar_netstat_seconds is None
-        assert profile.netstat_speedup is None
-        assert profile.to_dict()["netstat_speedup"] is None
-        assert "speedup vs scalar" not in profile.render()
+    def spy_process(self, x):
+        spy.process_callers.append(sys._getframe(1).f_code.co_name)
+        return process(self, x)
 
-    def test_stages_and_parity_still_present(self, profile):
-        assert [stage.stage for stage in profile.stages] == EXPECTED_STAGES
-        assert profile.packets == 400
-        for stage in profile.stages:
-            assert stage.seconds >= 0
-            assert stage.packets > 0
-        assert profile.kitnet_batch_parity is True
+    def spy_process_batch(self, matrix):
+        spy.batch_rows.append(len(matrix))
+        return process_batch(self, matrix)
 
-    def test_default_ingest_backend_recorded(self, profile):
-        assert profile.ingest_backend == "packet-objects"
-        assert profile.to_dict()["ingest_backend"] == "packet-objects"
-        assert "ingest=packet-objects" in profile.render()
+    def spy_read_pcap(*args, **kwargs):
+        spy.read_pcap_calls += 1
+        return read_pcap(*args, **kwargs)
 
+    def spy_kitnet_init(self, *args, **kwargs):
+        spy.kitnet_train_modes.append(kwargs.get("train_mode", "online"))
+        kitnet_init(self, *args, **kwargs)
 
-class TestColumnarIngest:
-    def test_columnar_profile_same_shape(self):
+    def spy_netstat_init(self, *args, **kwargs):
+        spy.netstat_engines.append(kwargs.get("engine", "vector"))
+        netstat_init(self, *args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(KitNET, "process", spy_process)
+        patch.setattr(KitNET, "process_batch", spy_process_batch)
+        patch.setattr(KitNET, "__init__", spy_kitnet_init)
+        patch.setattr(NetStat, "__init__", spy_netstat_init)
+        patch.setattr(pcap, "read_pcap", spy_read_pcap)
         profile = profile_packet_path(
-            "Mirai", seed=0, scale=0.02, max_packets=400,
-            compare_scalar=False, ingest_backend="columnar-mmap",
+            "Mirai", seed=0, scale=0.02, max_packets=PACKETS,
         )
-        assert profile.ingest_backend == "columnar-mmap"
-        assert [stage.stage for stage in profile.stages] == EXPECTED_STAGES
-        assert profile.packets == 400
-        assert profile.kitnet_batch_parity is True
-        assert "ingest=columnar-mmap" in profile.render()
+    return profile, spy
 
-    def test_unknown_ingest_backend_rejected(self):
-        with pytest.raises(KeyError):
-            profile_packet_path(
-                "Mirai", seed=0, scale=0.02, max_packets=50,
-                compare_scalar=False, ingest_backend="not-a-backend",
-            )
+
+@pytest.fixture(scope="module")
+def profile(spied) -> PacketPathProfile:
+    return spied[0]
+
+
+class TestShippedPathOnly:
+    def test_no_oracle_is_called(self, spied):
+        _, spy = spied
+        # Feature-mapping rows and the boundary row go through
+        # ``process`` inside ``process_batch``; the profile itself never
+        # loops over rows.
+        assert spy.process_callers
+        assert set(spy.process_callers) == {"process_batch"}
+        assert spy.read_pcap_calls == 0
+        assert spy.netstat_engines == ["vector"]
+        assert spy.kitnet_train_modes == ["online"]
+
+    def test_stage_names_and_row_counts(self, profile):
+        _, _, boundary = kitnet_grace_split(PACKETS)
+        assert [stage.stage for stage in profile.stages] == EXPECTED_STAGES
+        assert [stage.packets for stage in profile.stages] == [
+            PACKETS, PACKETS, boundary, PACKETS - boundary,
+        ]
+        assert profile.packets == PACKETS
+        for stage in profile.stages:
+            assert stage.seconds > 0
+
+    def test_execute_runs_in_live_micro_batches(self, spied):
+        _, spy = spied
+        _, _, boundary = kitnet_grace_split(PACKETS)
+        execute = PACKETS - boundary
+        assert spy.batch_rows == [boundary, 256, execute - 256]
+
+    def test_backends_and_json_shape(self, profile):
+        payload = profile.to_dict()
+        assert payload["feature_backend"] == profile.feature_backend
+        assert payload["ensemble_backend"] == "batched-einsum"
+        assert [s["stage"] for s in payload["stages"]] == EXPECTED_STAGES
+        assert f"features={profile.feature_backend}" in profile.render()
 
 
 class TestStageShares:
@@ -102,8 +148,8 @@ class TestStageShares:
     def test_zero_total_renders_without_dividing(self):
         profile = PacketPathProfile(
             dataset="x", seed=0, scale=0.1, packets=0,
-            engine="vector",
-            stages=(StageTiming("ingest", 0.0, 0),),
+            stages=(StageTiming("net.decode", 0.0, 0),),
+            feature_backend="scalar", ensemble_backend="batched-einsum",
         )
         rendered = profile.render()
         assert "0.0%" in rendered
@@ -111,7 +157,7 @@ class TestStageShares:
 
 class TestStageTimingDerived:
     def test_per_packet_and_pps(self):
-        timing = StageTiming("ingest", seconds=2.0, packets=1000)
+        timing = StageTiming("net.decode", seconds=2.0, packets=1000)
         assert timing.per_packet_us == pytest.approx(2000.0)
         assert timing.packets_per_second == pytest.approx(500.0)
 

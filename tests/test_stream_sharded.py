@@ -8,10 +8,12 @@ from __future__ import annotations
 
 import multiprocessing
 import pickle
+import tempfile
 
 import numpy as np
 import pytest
 
+from repro.ids.persistence import checkpoint_filename
 from repro.net.columnar import ColumnBatch
 from repro.stream.detector import build_streaming_detector
 from repro.stream.service import stream_capture
@@ -281,3 +283,47 @@ class TestErrors:
         for child in multiprocessing.active_children():
             child.join(timeout=5.0)
             assert child.exitcode is not None, "leaked worker process"
+
+
+class TestScratchCheckpointDir:
+    """The checkpoint directory a run creates for itself is removed
+    however the run ends; an explicit ``checkpoint_dir`` is kept."""
+
+    @pytest.fixture
+    def scratch(self, monkeypatch, tmp_path):
+        root = tmp_path / "tmp"
+        root.mkdir()
+        monkeypatch.setattr(tempfile, "tempdir", str(root))
+        return root
+
+    @staticmethod
+    def _explode(**kwargs):
+        packets = conversation_packets(channels=2,
+                                       packets_per_channel=40)
+        with pytest.raises(RuntimeError, match="tripped on purpose"):
+            stream_capture_sharded(
+                ListSource(packets), ExplodingDetector(trip_at=10),
+                workers=2, warmup_packets=0, window_seconds=5.0,
+                chunk_packets=8, **kwargs,
+            )
+
+    def test_worker_error_leaves_no_scratch_dir(self, scratch):
+        self._explode()
+        assert list(scratch.glob("repro-stream-ckpt-*")) == []
+
+    def test_crash_loop_leaves_no_scratch_dir(self, scratch):
+        fault = FaultInjection(worker=1, at_packets=10, action="kill",
+                               repeat_after_restart=True)
+        with pytest.raises(RuntimeError, match="max_restarts"):
+            run_sharded(conversation_packets(), workers=2, fault=fault,
+                        max_restarts=2)
+        assert list(scratch.glob("repro-stream-ckpt-*")) == []
+
+    def test_failed_run_keeps_explicit_dir(self, scratch, tmp_path):
+        kept = tmp_path / "kept"
+        kept.mkdir()
+        self._explode(checkpoint_dir=kept)
+        assert sorted(p.name for p in kept.iterdir()) == [
+            checkpoint_filename(0, 0), checkpoint_filename(1, 0),
+        ]
+        assert list(scratch.glob("repro-stream-ckpt-*")) == []
