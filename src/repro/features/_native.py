@@ -15,6 +15,11 @@ order, so its output is bit-for-bit identical to the scalar
   computed here — CPython's hypot uses its own correction algorithm
   that differs from libm's — the Python caller fills those slots.
 
+The same library holds the engine's stream table: an open-addressing
+index from packed integer keys to rows, and ``afterimage_intern``,
+which resolves (creating as needed) every packet's eight rows for a
+whole batch and pauses where the Python prune must run.
+
 Compilation requires a C compiler (``cc``/``gcc``); when unavailable
 :class:`repro.features.netstat.NetStat` falls back to the scalar
 engine. Set ``REPRO_DISABLE_NATIVE=1`` to force the fallback. The
@@ -143,10 +148,10 @@ static void update_cov_row(double *state, double *last, int64_t row,
  * out receives the full 20*D-feature layout except the hypot slots
  * (offsets +3/+4 of the 2-D blocks); aux receives the hypot operands
  * grouped operand-major (see below) for the Python post-pass. */
-void afterimage_update_packet(double *state, double *last,
-                              const int64_t *rows, double ts, double v,
-                              const double *decays, int64_t d,
-                              double *out, double *aux)
+static void afterimage_update_packet(double *state, double *last,
+                                     const int64_t *rows, double ts,
+                                     double v, const double *decays,
+                                     int64_t d, double *out, double *aux)
 {
     double w[MAXD], mean[MAXD], var[MAXD], stdv[MAXD];
     double mb[MAXD], vb[MAXD], sb[MAXD];
@@ -213,6 +218,157 @@ void afterimage_update_batch(double *state, double *last,
         afterimage_update_packet(state, last, rows + p * 8, ts[p], v[p],
                                  decays, d, out + p * 20 * d,
                                  aux + p * 8 * d);
+}
+
+/* ---- stream table ------------------------------------------------
+ *
+ * Every row carries its packed key in key0/key1 (key1 == 0: free
+ * row). key1's low byte is the kind (MAC 1, IP 2, CH 3, SK 4, plus
+ * COV 8 for a covariance row); see repro.features.vector for the
+ * field layout. table[] is an open-addressing index (linear probing,
+ * power-of-two size, -1 = empty) from key to row. Keys are never
+ * deleted in place: the prune rebuilds the index from the surviving
+ * rows with afterimage_table_insert. */
+
+enum { K_MAC = 1, K_IP = 2, K_CH = 3, K_SK = 4, K_COV = 8 };
+/* counts[]: the table's scalar state, shared with Python. */
+enum { C_SIZE, C_NFREE, C_NKEYS, C_NCOVS, C_NEXT_SEQ, C_STATUS };
+enum { ST_DONE, ST_GROW, ST_PRUNE };
+
+static uint64_t mix64(uint64_t x)
+{
+    x ^= x >> 30;
+    x *= 0xbf58476d1ce4e5b9ULL;
+    x ^= x >> 27;
+    x *= 0x94d049bb133111ebULL;
+    x ^= x >> 31;
+    return x;
+}
+
+/* Row holding (k0, k1), or -1 with *slot at the empty slot ending the
+ * probe run. */
+static int64_t probe(const int64_t *table, uint64_t mask,
+                     const uint64_t *key0, const uint64_t *key1,
+                     uint64_t k0, uint64_t k1, uint64_t *slot)
+{
+    uint64_t i = mix64(k0 ^ mix64(k1)) & mask;
+    for (;;) {
+        int64_t r = table[i];
+        if (r < 0 || (key0[r] == k0 && key1[r] == k1)) {
+            *slot = i;
+            return r;
+        }
+        i = (i + 1) & mask;
+    }
+}
+
+void afterimage_table_insert(int64_t *table, int64_t mask,
+                             const uint64_t *key0, const uint64_t *key1,
+                             const int64_t *rows, int64_t n)
+{
+    int64_t i;
+    uint64_t slot;
+    for (i = 0; i < n; i++) {
+        probe(table, (uint64_t)mask, key0, key1, key0[rows[i]],
+              key1[rows[i]], &slot);
+        table[slot] = rows[i];
+    }
+}
+
+void afterimage_table_lookup(const int64_t *table, int64_t mask,
+                             const uint64_t *key0, const uint64_t *key1,
+                             const uint64_t *k0, const uint64_t *k1,
+                             int64_t n, int64_t *out)
+{
+    int64_t i;
+    uint64_t slot;
+    for (i = 0; i < n; i++)
+        out[i] = probe(table, (uint64_t)mask, key0, key1, k0[i], k1[i],
+                       &slot);
+}
+
+/* Resolve the eight rows of packets pos/8 .. n-1, creating streams
+ * and covariances as needed, in the scalar reference's creation
+ * order: MAC, IP, channel a>b, b>a, its covariance, socket a>b, b>a,
+ * its covariance. words is n x 3 per packet:
+ *   [ether flag << 48 | src MAC, src IP << 32 | dst IP,
+ *    src port << 16 | dst port];
+ * rows (n x 8) receives the kernel's layout
+ *   [mac, ip, ch_ab, sk_ab, cov_ch, cov_sk, ch_ba, sk_ba].
+ * A new stream row gets last = its packet's timestamp, a new
+ * covariance row last = 0 (IncStatCov starts its clock at zero); both
+ * get the next insertion sequence number. Recycled rows come off the
+ * free list zeroed.
+ *
+ * Returns the position (packet * 8 + step) to resume from and sets
+ * counts[C_STATUS]: ST_DONE; ST_GROW when the next creation needs a
+ * larger table or more rows (nothing was done for that step); or
+ * ST_PRUNE right after a stream creation took the stream count past
+ * max_streams (the caller prunes, then resumes). */
+int64_t afterimage_intern(double *state, double *last, int64_t *seq,
+                          uint64_t *key0, uint64_t *key1,
+                          int64_t capacity, int64_t *table, int64_t mask,
+                          int64_t *free_rows, int64_t *counts,
+                          const uint64_t *words, const double *ts,
+                          int64_t n, int64_t pos, int64_t max_streams,
+                          int64_t d, int64_t *rows)
+{
+    static const int col_of_step[8] = {0, 1, 2, 6, 4, 3, 7, 5};
+    for (; pos < 8 * n; pos++) {
+        int64_t p = pos >> 3, step = pos & 7, r;
+        const uint64_t *w = words + 3 * p;
+        uint64_t ab = w[1], ba = (ab >> 32) | (ab << 32);
+        uint64_t ports_ab = (w[2] & 0xffff0000ULL)
+                            | ((w[2] & 0xffffULL) << 32);
+        uint64_t ports_ba = ((w[2] & 0xffffULL) << 16)
+                            | ((w[2] >> 16 & 0xffffULL) << 32);
+        uint64_t k0, k1, slot;
+        int cov = 0;
+        switch (step) {
+        case 0: k0 = w[0]; k1 = K_MAC | (ab & 0xffffffff00000000ULL); break;
+        case 1: k0 = ab >> 32; k1 = K_IP; break;
+        case 2: k0 = ab; k1 = K_CH; break;
+        case 3: k0 = ba; k1 = K_CH; break;
+        case 4: k0 = ab; k1 = K_CH | K_COV; cov = 1; break;
+        case 5: k0 = ab; k1 = K_SK | ports_ab; break;
+        case 6: k0 = ba; k1 = K_SK | ports_ba; break;
+        default: k0 = ab; k1 = K_SK | K_COV | ports_ab; cov = 1; break;
+        }
+        r = probe(table, (uint64_t)mask, key0, key1, k0, k1, &slot);
+        if (r < 0) {
+            if ((counts[C_NFREE] == 0 && counts[C_SIZE] == capacity)
+                || 2 * (counts[C_NKEYS] + counts[C_NCOVS] + 1) > mask + 1) {
+                counts[C_STATUS] = ST_GROW;
+                return pos;
+            }
+            if (counts[C_NFREE] > 0) {
+                int64_t i;
+                double *s;
+                r = free_rows[--counts[C_NFREE]];
+                s = state + r * 3 * d;
+                for (i = 0; i < 3 * d; i++)
+                    s[i] = 0.0;
+            } else {
+                r = counts[C_SIZE]++;
+            }
+            table[slot] = r;
+            key0[r] = k0;
+            key1[r] = k1;
+            seq[r] = counts[C_NEXT_SEQ]++;
+            last[r] = cov ? 0.0 : ts[p];
+            rows[8 * p + col_of_step[step]] = r;
+            if (cov) {
+                counts[C_NCOVS]++;
+            } else if (++counts[C_NKEYS] > max_streams) {
+                counts[C_STATUS] = ST_PRUNE;
+                return pos + 1;
+            }
+            continue;
+        }
+        rows[8 * p + col_of_step[step]] = r;
+    }
+    counts[C_STATUS] = ST_DONE;
+    return pos;
 }
 """
 
@@ -319,19 +475,6 @@ def load_kernel() -> ctypes.CDLL | None:
             stacklevel=2,
         )
         return None
-    fn = library.afterimage_update_packet
-    fn.restype = None
-    fn.argtypes = [
-        ctypes.c_void_p,   # state
-        ctypes.c_void_p,   # last
-        ctypes.c_void_p,   # rows
-        ctypes.c_double,   # timestamp
-        ctypes.c_double,   # value
-        ctypes.c_void_p,   # decays
-        ctypes.c_int64,    # decay count
-        ctypes.c_void_p,   # out
-        ctypes.c_void_p,   # aux
-    ]
     batch = library.afterimage_update_batch
     batch.restype = None
     batch.argtypes = [
@@ -345,6 +488,49 @@ def load_kernel() -> ctypes.CDLL | None:
         ctypes.c_int64,    # decay count
         ctypes.c_void_p,   # out (n x 20*d)
         ctypes.c_void_p,   # aux (n x 8*d)
+    ]
+    intern = library.afterimage_intern
+    intern.restype = ctypes.c_int64
+    intern.argtypes = [
+        ctypes.c_void_p,   # state
+        ctypes.c_void_p,   # last
+        ctypes.c_void_p,   # seq
+        ctypes.c_void_p,   # key0
+        ctypes.c_void_p,   # key1
+        ctypes.c_int64,    # row capacity
+        ctypes.c_void_p,   # table
+        ctypes.c_int64,    # table mask
+        ctypes.c_void_p,   # free rows
+        ctypes.c_void_p,   # counts
+        ctypes.c_void_p,   # key words (n x 3)
+        ctypes.c_void_p,   # timestamps (n)
+        ctypes.c_int64,    # packet count
+        ctypes.c_int64,    # resume position
+        ctypes.c_int64,    # max_streams
+        ctypes.c_int64,    # decay count
+        ctypes.c_void_p,   # rows out (n x 8)
+    ]
+    insert = library.afterimage_table_insert
+    insert.restype = None
+    insert.argtypes = [
+        ctypes.c_void_p,   # table
+        ctypes.c_int64,    # table mask
+        ctypes.c_void_p,   # key0
+        ctypes.c_void_p,   # key1
+        ctypes.c_void_p,   # rows to index
+        ctypes.c_int64,    # row count
+    ]
+    lookup = library.afterimage_table_lookup
+    lookup.restype = None
+    lookup.argtypes = [
+        ctypes.c_void_p,   # table
+        ctypes.c_int64,    # table mask
+        ctypes.c_void_p,   # key0
+        ctypes.c_void_p,   # key1
+        ctypes.c_void_p,   # query key0 words
+        ctypes.c_void_p,   # query key1 words
+        ctypes.c_int64,    # query count
+        ctypes.c_void_p,   # rows out (-1: absent)
     ]
     _cached_kernel = library
     return library

@@ -1,12 +1,13 @@
 """Vectorized AfterImage: a structure-of-arrays damped-statistics engine.
 
 :class:`VectorIncStatDB` replaces the per-stream ``IncStat`` object
-graph of :class:`repro.features.afterimage.IncStatDB` with three flat
-NumPy tables::
+graph of :class:`repro.features.afterimage.IncStatDB` with flat NumPy
+tables::
 
     state: (capacity, 3, D) float64   # [weight | linear_sum | squared_sum]
     last:  (capacity,)      float64   # shared last-update time per stream
     seq:   (capacity,)      int64     # insertion sequence (prune ties)
+    key0, key1: (capacity,) uint64    # the row's packed key (key1 0: free)
 
 where ``D`` is the number of decay factors. One row holds *all* decay
 horizons of a stream, so decaying a stream is a single vectorized
@@ -15,12 +16,34 @@ accumulators reuse the same row shape (``weight | sum_residual | —``),
 which lets one packet's whole working set live in eight rows:
 ``[mac, ip, ch_ab, sk_ab, cov_ch, cov_sk, ch_ba, sk_ba]``.
 
-Keys are interned once — :class:`repro.features.netstat.NetStat` caches
-the interned row ids per (MAC, IPs, ports) tuple, so the steady-state
-packet path performs no f-string key construction and no string-dict
-lookups. Pruning uses amortized partial selection (``np.argpartition``)
-instead of a full sort, with insertion-order tie-breaking identical to
-the reference implementation's ``heapq.nsmallest``.
+**Keys are packed integers.** A stream key is two u64 words; the low
+byte of ``key1`` is its kind, plus 8 for a covariance::
+
+    kind        key0                     key1 above the kind byte
+    mac (1)     ether flag << 48 | MAC   src IP << 32
+    ip  (2)     src IP                   —
+    ch  (3)     src IP << 32 | dst IP    —
+    sk  (4)     src IP << 32 | dst IP    src port << 16 | dst port << 32
+
+A covariance row is keyed by its forward (a→b) stream's key with the
+covariance bit set. The words are a bijection of the scalar
+reference's string keys (``"mac:{mac}|{ip}"`` with ``"??"`` for a
+frame without Ethernet — the cleared ether flag — and so on), so both
+engines track the same streams. An open-addressing index in a NumPy
+array maps keys to rows. :meth:`VectorIncStatDB.update_batch` takes
+per-packet key words (:meth:`repro.net.columnar.ColumnBatch.key_words`)
+and resolves every packet's eight rows in one C call, in the scalar
+reference's creation order, with no Python per packet or per flow.
+
+**Pruning.** Past ``max_streams`` tracked streams the stalest half is
+evicted, exactly as the reference's ``heapq.nsmallest`` does
+(insertion order — ``seq`` — breaks ties); a covariance dies with
+either endpoint key. The resolver pauses right after the creation
+that crosses the bound, the prune runs here in NumPy, and resolution
+resumes. Rows are resolved for the whole batch before any is updated,
+so the prune judges each stream the batch has already updated at the
+running maximum of its last update and those packets' timestamps, and
+recycles no row the batch still references until the batch is done.
 
 **Parity contract.** Every float operation runs in the same order as
 the scalar reference (:class:`~repro.features.incstat.IncStat` /
@@ -39,23 +62,19 @@ import math
 import numpy as np
 
 from repro.features import _native
+from repro.net.addresses import ip_to_int, mac_to_bytes
 from repro.utils.validation import check_positive
 
 _HYPOT = math.hypot
 
-
-class _PacketEntry:
-    """Interned row ids for one (mac, src, dst, ports) packet shape."""
-
-    __slots__ = ("epoch", "rows", "rows_arr", "rows_ptr")
-
-    def __init__(self, epoch: int, rows: tuple[int, ...]) -> None:
-        self.epoch = epoch
-        self.rows = rows
-        self.rows_arr = np.array(rows, dtype=np.int64)
-        # ctypes pointer materialization costs ~2x the array build, and
-        # batch callers never touch it — filled on first per-packet use.
-        self.rows_ptr: int | None = None
+# Key kinds (the low byte of ``key1``), as in the C kernel.
+_MAC, _IP, _CH, _SK, _COV = 1, 2, 3, 4, 8
+# ``_counts`` slots and resolver statuses, as in the C kernel.
+_SIZE, _NFREE, _NKEYS, _NCOVS, _NEXT_SEQ, _STATUS = range(6)
+_DONE, _GROW, _PRUNE = range(3)
+#: Kernel row column of each resolution step (MAC, IP, ch a>b, ch b>a,
+#: ch cov, sk a>b, sk b>a, sk cov).
+_COL_OF_STEP = (0, 1, 2, 6, 4, 3, 7, 5)
 
 
 class VectorIncStatDB:
@@ -88,17 +107,14 @@ class VectorIncStatDB:
         self.max_streams = max_streams
         self._d = len(self.decays)
         self._capacity = max(int(capacity), 8)
-        self._size = 0
-        self._state = np.zeros((self._capacity, 3, self._d))
-        self._last = np.zeros(self._capacity)
-        self._seq = np.zeros(self._capacity, dtype=np.int64)
-        self._next_seq = 0
-        self._keys: dict[str, int] = {}
-        self._cov_keys: dict[str, int] = {}
-        self._cov_pair: dict[str, str] = {}
-        self._free: list[int] = []
-        #: Bumped whenever rows are freed; cached entries re-resolve.
-        self.epoch = 0
+        cap = self._capacity
+        self._state = np.zeros((cap, 3, self._d))
+        self._last = np.zeros(cap)
+        self._seq = np.zeros(cap, dtype=np.int64)
+        self._key0 = np.zeros(cap, dtype=np.uint64)
+        self._key1 = np.zeros(cap, dtype=np.uint64)
+        self._free = np.empty(cap, dtype=np.int64)
+        self._counts = np.zeros(6, dtype=np.int64)
         d = self._d
         # The channel and socket blocks are adjacent with the same
         # stride, so one strided slice covers the magnitude (and one
@@ -120,392 +136,257 @@ class VectorIncStatDB:
                 "native AfterImage kernel unavailable: "
                 f"{_native.unavailable_reason() or 'not loaded'}"
             )
-        self._native_fn = library.afterimage_update_packet
         self._native_batch_fn = library.afterimage_update_batch
+        self._intern_fn = library.afterimage_intern
+        self._insert_fn = library.afterimage_table_insert
+        self._lookup_fn = library.afterimage_table_lookup
         self._decays_arr = np.array(self.decays)
         self._decays_ptr = self._decays_arr.ctypes.data
-        self._aux = np.empty(8 * self._d)
-        self._aux_ptr = self._aux.ctypes.data
+        self._counts_ptr = self._counts.ctypes.data
+        self._table = np.empty(0, dtype=np.int64)
+        live = int(self._counts[_NKEYS] + self._counts[_NCOVS])
+        self._reindex(max(1024, 4 * live))
+
+    def _reindex(self, slots: int) -> None:
+        """Rebuild the key index over every live row in ``slots``
+        slots (rounded up to a power of two)."""
+        slots = 1 << (int(slots) - 1).bit_length()
+        table = np.full(slots, -1, dtype=np.int64)
+        live = np.flatnonzero(self._key1[: self._counts[_SIZE]])
+        self._insert_fn(
+            table.ctypes.data, slots - 1, self._key0.ctypes.data,
+            self._key1.ctypes.data, live.ctypes.data, live.size,
+        )
+        self._table = table
         self._refresh_pointers()
 
     def _refresh_pointers(self) -> None:
-        self._state_ptr = self._state.ctypes.data
-        self._last_ptr = self._last.ctypes.data
+        self._ptrs = (
+            self._state.ctypes.data, self._last.ctypes.data,
+            self._seq.ctypes.data, self._key0.ctypes.data,
+            self._key1.ctypes.data, self._capacity,
+            self._table.ctypes.data, self._table.size - 1,
+            self._free.ctypes.data, self._counts_ptr,
+        )
 
     def __len__(self) -> int:
-        return len(self._keys)
+        return int(self._counts[_NKEYS])
 
     @property
     def feature_count(self) -> int:
         return 20 * self._d
 
+    def keys(self) -> tuple[np.ndarray, np.ndarray]:
+        """The tracked stream and covariance keys, each as an
+        ``(m, 2)`` uint64 array of ``(key0, key1)`` words in insertion
+        order (the order of the reference's dicts)."""
+        size = self._counts[_SIZE]
+        key1 = self._key1[:size]
+        live = np.flatnonzero(key1)
+        live = live[np.argsort(self._seq[live])]
+        words = np.stack([self._key0[live], key1[live]], axis=1)
+        cov = (words[:, 1] & np.uint64(_COV)) != 0
+        return words[~cov], words[cov]
+
     # -- row allocation --------------------------------------------------
     def _grow(self) -> None:
+        size = self._counts[_SIZE]
         new_capacity = self._capacity * 2
-        state = np.zeros((new_capacity, 3, self._d))
-        state[: self._size] = self._state[: self._size]
-        last = np.zeros(new_capacity)
-        last[: self._size] = self._last[: self._size]
-        seq = np.zeros(new_capacity, dtype=np.int64)
-        seq[: self._size] = self._seq[: self._size]
-        self._state, self._last, self._seq = state, last, seq
+
+        def grown(array: np.ndarray, used: int) -> np.ndarray:
+            bigger = np.zeros((new_capacity,) + array.shape[1:], array.dtype)
+            bigger[:used] = array[:used]
+            return bigger
+
+        self._state = grown(self._state, size)
+        self._last = grown(self._last, size)
+        self._seq = grown(self._seq, size)
+        self._key0 = grown(self._key0, size)
+        self._key1 = grown(self._key1, size)
+        self._free = grown(self._free, self._counts[_NFREE])
         self._capacity = new_capacity
         self._refresh_pointers()
 
-    def _alloc_row(self, exclude: set[int]) -> int:
-        free = self._free
-        if free:
-            # Rows referenced by the packet being resolved must not be
-            # recycled mid-packet — the scalar path keeps evicted
-            # streams alive as locals until its update completes.
-            skipped: list[int] = []
-            row = -1
-            while free:
-                candidate = free.pop()
-                if candidate in exclude:
-                    skipped.append(candidate)
-                else:
-                    row = candidate
-                    break
-            free.extend(skipped)
-            if row >= 0:
-                # Recycled rows keep their evicted values until here
-                # (freed-but-in-flight packets still read them); fresh
-                # rows from growth are already zero.
-                self._state[row] = 0.0
-                self._last[row] = 0.0
-                return row
-        if self._size == self._capacity:
+    def _make_room(self) -> None:
+        """Grow whatever stopped the resolver: the rows or the index."""
+        counts = self._counts
+        if counts[_NFREE] == 0 and counts[_SIZE] == self._capacity:
             self._grow()
-        row = self._size
-        self._size += 1
-        return row
+        if 2 * (counts[_NKEYS] + counts[_NCOVS] + 1) > self._table.size:
+            self._reindex(2 * self._table.size)
 
-    def _intern(
-        self,
-        key,
-        timestamp: float,
-        pending: dict[int, float],
-        exclude: set[int],
-    ) -> int:
-        row = self._keys.get(key)
-        if row is not None:
-            return row
-        row = self._alloc_row(exclude)
-        exclude.add(row)
-        self._last[row] = timestamp
-        self._seq[row] = self._next_seq
-        self._next_seq += 1
-        self._keys[key] = row
-        if len(self._keys) > self.max_streams:
-            self._prune(pending)
-        return row
+    def _release(self, rows: np.ndarray) -> None:
+        nfree = self._counts[_NFREE]
+        self._free[nfree : nfree + rows.size] = rows
+        self._counts[_NFREE] = nfree + rows.size
 
-    def _intern_cov(self, key_ab, key_ba, exclude: set[int]) -> int:
-        row = self._cov_keys.get(key_ab)
-        if row is not None:
-            return row
-        row = self._alloc_row(exclude)
-        exclude.add(row)
-        # IncStatCov starts its clock at zero; _alloc_row hands out
-        # zeroed rows, so no further initialisation is needed.
-        self._cov_keys[key_ab] = row
-        self._cov_pair[key_ab] = key_ba
-        return row
+    def _lookup(self, key0: np.ndarray, key1: np.ndarray) -> np.ndarray:
+        """Row of each key, ``-1`` when it is not tracked."""
+        key0 = np.ascontiguousarray(key0, dtype=np.uint64)
+        key1 = np.ascontiguousarray(key1, dtype=np.uint64)
+        out = np.empty(key0.size, dtype=np.int64)
+        self._lookup_fn(
+            self._table.ctypes.data, self._table.size - 1,
+            self._key0.ctypes.data, self._key1.ctypes.data,
+            key0.ctypes.data, key1.ctypes.data, key0.size, out.ctypes.data,
+        )
+        return out
 
-    def _prune(self, pending: dict[int, float]) -> None:
+    def _resolve(
+        self, words: np.ndarray, timestamps: np.ndarray
+    ) -> np.ndarray:
+        """Every packet's eight rows, creating streams as needed, with
+        the prunes the reference would run along the way."""
+        n = timestamps.shape[0]
+        rows = np.empty((n, 8), dtype=np.int64)
+        in_flight: list[np.ndarray] = []
+        pos = 0
+        while True:
+            pos = self._intern_fn(
+                *self._ptrs, words.ctypes.data, timestamps.ctypes.data,
+                n, pos, self.max_streams, self._d, rows.ctypes.data,
+            )
+            status = self._counts[_STATUS]
+            if status == _DONE:
+                break
+            if status == _GROW:
+                self._make_room()
+            else:
+                in_flight.append(self._prune(rows, timestamps, pos))
+        for freed in in_flight:
+            self._release(freed)
+        return rows
+
+    def _prune(
+        self, rows: np.ndarray, timestamps: np.ndarray, pos: int
+    ) -> np.ndarray:
         """Evict the stalest half of the streams by last update time.
 
-        ``pending`` maps row → virtual timestamp for streams the current
-        packet has conceptually already updated (the scalar path updates
-        group by group, so a later group's creation sees earlier groups
-        at the packet timestamp). Partial selection via
-        ``np.argpartition`` with insertion-order tie-breaking reproduces
-        ``heapq.nsmallest`` exactly without a full sort.
+        ``pos - 1`` is the resolution step (``packet * 8 + step``) whose
+        creation crossed ``max_streams``. Rows are updated only after
+        the whole batch is resolved, so ``last`` is stale for streams
+        the batch has conceptually updated already: each earlier
+        packet's stat rows (mac, ip, ch_ab, sk_ab), and the current
+        packet's MAC, IP and forward channel once resolution has passed
+        them (the reference updates group by group), count at the
+        running maximum of ``last`` and those packets' timestamps — an
+        ``IncStat`` clock never moves back. Partial selection via
+        ``np.argpartition`` with insertion-order tie-breaking
+        reproduces ``heapq.nsmallest`` exactly.
+
+        Returns the freed rows the batch still references; they are
+        recycled only once the batch is done, because the reference
+        keeps evicted streams alive while a packet holds them.
         """
-        cutoff = len(self._keys) // 2
+        counts = self._counts
+        size = int(counts[_SIZE])
+        packet, step = divmod(pos - 1, 8)
+        virtual = self._last[:size].copy()
+        np.maximum.at(
+            virtual, rows[:packet, :4].ravel(),
+            np.repeat(timestamps[:packet], 4),
+        )
+        # Columns 0-2 are mac, ip, ch_ab: updated once resolution has
+        # passed steps 0, 1 and 4 (the channel's covariance).
+        current = rows[packet, : (step >= 1) + (step >= 2) + (step >= 5)]
+        virtual[current] = np.maximum(virtual[current], timestamps[packet])
+
+        key1 = self._key1[:size]
+        cov_bit = np.uint64(_COV)
+        streams = np.flatnonzero((key1 != 0) & ((key1 & cov_bit) == 0))
+        cutoff = streams.size // 2
         if cutoff == 0:
-            return
-        keys_list = list(self._keys)
-        rows_arr = np.fromiter(
-            self._keys.values(), dtype=np.int64, count=len(keys_list)
-        )
-        saved = [(row, self._last[row]) for row in pending]
-        for row, ts in pending.items():
-            self._last[row] = ts
-        stale_times = self._last[rows_arr]
-        for row, value in saved:
-            self._last[row] = value
+            return np.empty(0, dtype=np.int64)
+        streams = streams[np.argsort(self._seq[streams])]
+        stale = virtual[streams]
         kth = cutoff - 1
-        partition = np.argpartition(stale_times, kth)
-        boundary = stale_times[partition[kth]]
-        below = np.nonzero(stale_times < boundary)[0]
-        ties = np.nonzero(stale_times == boundary)[0][: cutoff - below.size]
-        evicted = {keys_list[i] for i in below.tolist()}
-        evicted.update(keys_list[i] for i in ties.tolist())
-        for key in evicted:
-            self._free.append(self._keys.pop(key))
-        dead_covs = [
-            key_ab
-            for key_ab, key_ba in self._cov_pair.items()
-            if key_ab in evicted or key_ba in evicted
+        boundary = stale[np.argpartition(stale, kth)[kth]]
+        evict = stale < boundary
+        ties = np.flatnonzero(stale == boundary)
+        evict[ties[: cutoff - np.count_nonzero(evict)]] = True
+        evicted = streams[evict]
+
+        # A covariance dies when either endpoint *key* is evicted. An
+        # endpoint that is not tracked (-1) indexes the extra last
+        # slot of ``gone``, which stays False.
+        covs = np.flatnonzero(key1 & cov_bit)
+        fwd0 = self._key0[covs]
+        fwd1 = key1[covs] ^ cov_bit
+        rev0 = (fwd0 >> np.uint64(32)) | (fwd0 << np.uint64(32))
+        port = np.uint64(0xFFFF)
+        rev1 = (
+            (fwd1 & np.uint64(0xFF))
+            | ((fwd1 >> np.uint64(32) & port) << np.uint64(16))
+            | ((fwd1 >> np.uint64(16) & port) << np.uint64(32))
+        )
+        gone = np.zeros(size + 1, dtype=bool)
+        gone[evicted] = True
+        dead = covs[
+            gone[self._lookup(fwd0, fwd1)] | gone[self._lookup(rev0, rev1)]
         ]
-        for key_ab in dead_covs:
-            self._free.append(self._cov_keys.pop(key_ab))
-            del self._cov_pair[key_ab]
-        self.epoch += 1
 
-    # -- packet fast path ------------------------------------------------
-    def packet_entry(
+        freed = np.concatenate([evicted, dead])
+        self._key1[freed] = 0
+        counts[_NKEYS] -= evicted.size
+        counts[_NCOVS] -= dead.size
+        self._reindex(self._table.size)
+        held = np.zeros(size, dtype=bool)
+        held[rows[:packet].ravel()] = True
+        held[rows[packet, list(_COL_OF_STEP[: step + 1])]] = True
+        busy = held[freed]
+        self._release(freed[~busy])
+        return freed[busy]
+
+    # -- batch update ----------------------------------------------------
+    def update_batch(
         self,
-        src_mac: str,
-        src_ip: str,
-        dst_ip: str,
-        src_port: int,
-        dst_port: int,
-        timestamp: float,
-        pending: dict[int, float] | None = None,
-        exclude: set[int] | None = None,
-    ) -> _PacketEntry:
-        """Intern one packet's eight rows (creating streams as needed).
-
-        Keys are component tuples (``("ch", src, dst)``) rather than
-        formatted strings — interning happens once per distinct packet
-        shape, and the hot path never builds key strings at all.
-        Creation order and prune timing replicate the scalar path:
-        MAC, IP, channel a→b/b→a (+cov), socket a→b/b→a (+cov), with
-        earlier groups' streams presented to the pruner at the packet
-        timestamp (``pending``) because the scalar path has already
-        updated them by the time a later group's creation prunes.
-
-        Batch callers (:meth:`update_packet_batch` via ``NetStat``)
-        pass shared ``pending``/``exclude`` spanning every in-flight
-        packet: their row updates are deferred until the batched
-        compute, so a mid-batch prune must both see those rows at
-        their conceptual update times and keep them out of the free
-        list until the batch completes.
-        """
-        mac_key = ("mac", src_mac, src_ip)
-        ip_key = ("ip", src_ip)
-        ch_ab = ("ch", src_ip, dst_ip)
-        ch_ba = ("ch", dst_ip, src_ip)
-        sk_ab = ("sk", src_ip, src_port, dst_ip, dst_port)
-        sk_ba = ("sk", dst_ip, dst_port, src_ip, src_port)
-        epoch_before = self.epoch
-        if pending is None:
-            pending = {}
-        if exclude is None:
-            exclude = set()
-        r_mac = self._intern(mac_key, timestamp, pending, exclude)
-        exclude.add(r_mac)
-        pending[r_mac] = timestamp
-        r_ip = self._intern(ip_key, timestamp, pending, exclude)
-        exclude.add(r_ip)
-        pending[r_ip] = timestamp
-        r_ch_ab = self._intern(ch_ab, timestamp, pending, exclude)
-        exclude.add(r_ch_ab)
-        r_ch_ba = self._intern(ch_ba, timestamp, pending, exclude)
-        exclude.add(r_ch_ba)
-        r_cov_ch = self._intern_cov(ch_ab, ch_ba, exclude)
-        exclude.add(r_cov_ch)
-        pending[r_ch_ab] = timestamp
-        r_sk_ab = self._intern(sk_ab, timestamp, pending, exclude)
-        exclude.add(r_sk_ab)
-        r_sk_ba = self._intern(sk_ba, timestamp, pending, exclude)
-        exclude.add(r_sk_ba)
-        r_cov_sk = self._intern_cov(sk_ab, sk_ba, exclude)
-        rows = (r_mac, r_ip, r_ch_ab, r_sk_ab, r_cov_ch, r_cov_sk,
-                r_ch_ba, r_sk_ba)
-        epoch = self.epoch
-        if epoch != epoch_before:
-            # A prune ran mid-resolution; if it evicted any of this
-            # packet's own rows the entry is single-use (the scalar
-            # path would recreate those streams on the next packet).
-            alive = (
-                self._keys.get(mac_key) == r_mac
-                and self._keys.get(ip_key) == r_ip
-                and self._keys.get(ch_ab) == r_ch_ab
-                and self._keys.get(ch_ba) == r_ch_ba
-                and self._keys.get(sk_ab) == r_sk_ab
-                and self._keys.get(sk_ba) == r_sk_ba
-                and self._cov_keys.get(ch_ab) == r_cov_ch
-                and self._cov_keys.get(sk_ab) == r_cov_sk
-            )
-            if not alive:
-                epoch = -1
-        return _PacketEntry(epoch, rows)
-
-    def _new_row_unguarded(self, key, timestamp: float) -> int:
-        if self._size == self._capacity:
-            self._grow()
-        row = self._size
-        self._size += 1
-        self._last[row] = timestamp
-        self._seq[row] = self._next_seq
-        self._next_seq += 1
-        self._keys[key] = row
-        return row
-
-    def _new_cov_unguarded(self, key_ab, key_ba) -> int:
-        if self._size == self._capacity:
-            self._grow()
-        row = self._size
-        self._size += 1
-        self._cov_keys[key_ab] = row
-        self._cov_pair[key_ab] = key_ba
-        return row
-
-    def packet_entry_unguarded(
-        self,
-        src_mac: str,
-        src_ip: str,
-        dst_ip: str,
-        src_port: int,
-        dst_port: int,
-        timestamp: float,
-    ) -> _PacketEntry:
-        """:meth:`packet_entry` minus the prune/recycle bookkeeping.
-
-        Caller contract: the free list is empty AND interning up to
-        eight new streams cannot push ``len(self._keys)`` past
-        ``max_streams`` (so no prune can fire and ``_alloc_row`` would
-        only ever extend the table). Under that contract the
-        ``pending``/``exclude`` tracking is dead weight — this variant
-        skips it while allocating rows in the exact same order, so the
-        resulting entry is bit-identical to the guarded path. The
-        columnar ingest resolver (``NetStat._resolve_flow_entries``)
-        checks the contract before every batch and falls back to the
-        guarded path otherwise.
-        """
-        keys = self._keys
-        mac_key = ("mac", src_mac, src_ip)
-        r_mac = keys.get(mac_key)
-        if r_mac is None:
-            r_mac = self._new_row_unguarded(mac_key, timestamp)
-        ip_key = ("ip", src_ip)
-        r_ip = keys.get(ip_key)
-        if r_ip is None:
-            r_ip = self._new_row_unguarded(ip_key, timestamp)
-        ch_ab = ("ch", src_ip, dst_ip)
-        r_ch_ab = keys.get(ch_ab)
-        if r_ch_ab is None:
-            r_ch_ab = self._new_row_unguarded(ch_ab, timestamp)
-        ch_ba = ("ch", dst_ip, src_ip)
-        r_ch_ba = keys.get(ch_ba)
-        if r_ch_ba is None:
-            r_ch_ba = self._new_row_unguarded(ch_ba, timestamp)
-        r_cov_ch = self._cov_keys.get(ch_ab)
-        if r_cov_ch is None:
-            r_cov_ch = self._new_cov_unguarded(ch_ab, ch_ba)
-        sk_ab = ("sk", src_ip, src_port, dst_ip, dst_port)
-        r_sk_ab = keys.get(sk_ab)
-        if r_sk_ab is None:
-            r_sk_ab = self._new_row_unguarded(sk_ab, timestamp)
-        sk_ba = ("sk", dst_ip, dst_port, src_ip, src_port)
-        r_sk_ba = keys.get(sk_ba)
-        if r_sk_ba is None:
-            r_sk_ba = self._new_row_unguarded(sk_ba, timestamp)
-        r_cov_sk = self._cov_keys.get(sk_ab)
-        if r_cov_sk is None:
-            r_cov_sk = self._new_cov_unguarded(sk_ab, sk_ba)
-        return _PacketEntry(
-            self.epoch,
-            (r_mac, r_ip, r_ch_ab, r_sk_ab, r_cov_ch, r_cov_sk,
-             r_ch_ba, r_sk_ba),
-        )
-
-    def update_packet(
-        self,
-        entry: _PacketEntry,
-        value: float,
-        timestamp: float,
-        out: np.ndarray,
-    ) -> None:
-        """Fold one packet into all eight rows; write ``20 * D``
-        features into ``out`` (a preallocated contiguous buffer)."""
-        rows_ptr = entry.rows_ptr
-        if rows_ptr is None:
-            rows_ptr = entry.rows_ptr = entry.rows_arr.ctypes.data
-        self._native_fn(
-            self._state_ptr, self._last_ptr, rows_ptr,
-            timestamp, value, self._decays_ptr, self._d,
-            out.ctypes.data, self._aux_ptr,
-        )
-        self._fill_hypot(out, self._aux.tolist())
-
-    def update_packet_batch(
-        self,
-        entries: list[_PacketEntry],
-        values: np.ndarray,
+        words: np.ndarray,
         timestamps: np.ndarray,
+        values: np.ndarray,
         out: np.ndarray,
     ) -> None:
         """Fold ``n`` packets into the tables in one batched pass.
 
-        ``out`` must be a C-contiguous ``(n, 20 * D)`` matrix. Entries
-        must have been resolved with a shared ``pending``/``exclude``
-        (see :meth:`packet_entry`); compute happens here, after all
-        interning, so the state pointers survive any mid-batch growth.
-
-        The native kernel takes one call for the whole batch.
+        ``words`` is the ``(n, 3)`` uint64 per-packet key words of
+        :meth:`repro.net.columnar.ColumnBatch.key_words`; ``out`` must
+        be a C-contiguous ``(n, 20 * D)`` matrix. Every packet's rows
+        are resolved first, then the native kernel folds the whole
+        batch in one call, bit-identical to ``n`` scalar updates.
         """
-        n = len(entries)
-        if n == 0:
-            return
-        rows = np.empty((n, 8), dtype=np.int64)
-        for i, entry in enumerate(entries):
-            rows[i] = entry.rows_arr
-        self._dispatch_native_batch(rows, values, timestamps, out)
-
-    def update_packet_batch_indexed(
-        self,
-        flow_entries: list[_PacketEntry],
-        inverse: np.ndarray,
-        values: np.ndarray,
-        timestamps: np.ndarray,
-        out: np.ndarray,
-    ) -> None:
-        """Batched update with per-flow entries plus an inverse index.
-
-        ``flow_entries[inverse[i]]`` is packet ``i``'s entry. Columnar
-        ingest resolves one entry per unique flow; gathering the row-id
-        matrix with one fancy index beats the per-packet Python loop in
-        :meth:`update_packet_batch` whenever flows repeat within the
-        batch. Results are identical to expanding the entries per
-        packet and calling :meth:`update_packet_batch`.
-        """
-        n = len(inverse)
-        if n == 0:
-            return
-        k = len(flow_entries)
-        flow_rows = np.empty((k, 8), dtype=np.int64)
-        for j, entry in enumerate(flow_entries):
-            flow_rows[j] = entry.rows_arr
-        rows = flow_rows.take(inverse, axis=0)
-        self._dispatch_native_batch(rows, values, timestamps, out)
-
-    def _dispatch_native_batch(
-        self,
-        rows: np.ndarray,
-        values: np.ndarray,
-        timestamps: np.ndarray,
-        out: np.ndarray,
-    ) -> None:
-        n = rows.shape[0]
+        n = timestamps.shape[0]
         d = self._d
+        if (
+            np.shape(words) != (n, 3) or np.shape(values) != (n,)
+            or out.shape != (n, 20 * d) or out.dtype != np.float64
+            or not out.flags.c_contiguous
+        ):
+            raise ValueError(
+                f"update_batch needs (n, 3) key words, n values and a "
+                f"C-contiguous float64 (n, {20 * d}) out for n={n}"
+            )
+        if n == 0:
+            return
         ts = np.ascontiguousarray(timestamps, dtype=np.float64)
+        rows = self._resolve(np.ascontiguousarray(words, dtype=np.uint64), ts)
         v = np.ascontiguousarray(values, dtype=np.float64)
         aux = np.empty((n, 8 * d))
         self._native_batch_fn(
-            self._state_ptr, self._last_ptr, rows.ctypes.data,
+            self._ptrs[0], self._ptrs[1], rows.ctypes.data,
             ts.ctypes.data, v.ctypes.data, n, self._decays_ptr, d,
             out.ctypes.data, aux.ctypes.data,
         )
-        self._fill_hypot_batch(out, aux)
+        self._fill_hypot(out, aux)
 
-    def _fill_hypot_batch(self, out: np.ndarray, aux: np.ndarray) -> None:
-        """Batched ``math.hypot`` post-pass (same contract as
-        :meth:`_fill_hypot`, amortised over the whole batch)."""
+    def _fill_hypot(self, out: np.ndarray, aux: np.ndarray) -> None:
+        """Fill the magnitude/radius slots with ``math.hypot``.
+
+        CPython's hypot is more accurate than libm's, so the kernel
+        defers these two derived statistics to this Python pass —
+        keeping them bit-identical to the scalar reference. Each
+        packet's ``aux`` row is operand-major: ``[mean_a | var_a |
+        mean_b | var_b]``, each of length ``2 * D`` (channel then
+        socket block).
+        """
         d2 = 2 * self._d
         n = out.shape[0]
         count = n * d2
@@ -524,29 +405,13 @@ class VectorIncStatDB:
         )
         out[:, self._rad_slice] = rad.reshape(n, d2)
 
-    def _fill_hypot(self, out: np.ndarray, aux: list[float]) -> None:
-        """Fill the magnitude/radius slots with ``math.hypot``.
-
-        CPython's hypot is more accurate than libm's, so the kernel
-        defers these two derived statistics to this Python pass —
-        keeping them bit-identical to the scalar reference. ``aux`` is
-        operand-major: ``[mean_a | var_a | mean_b | var_b]``, each of
-        length ``2 * D`` (channel then socket block).
-        """
-        d2 = 2 * self._d
-        out[self._mag_slice] = list(
-            map(_HYPOT, aux[:d2], aux[2 * d2:3 * d2])
-        )
-        out[self._rad_slice] = list(
-            map(_HYPOT, aux[d2:2 * d2], aux[3 * d2:])
-        )
-
     # -- pickling --------------------------------------------------------
     def __getstate__(self) -> dict:
         state = self.__dict__.copy()
-        for transient in ("_native_fn", "_native_batch_fn",
-                          "_decays_arr", "_decays_ptr", "_aux", "_aux_ptr",
-                          "_state_ptr", "_last_ptr"):
+        # The key index is derived from the rows; it is rebuilt on load.
+        for transient in ("_native_batch_fn", "_intern_fn", "_insert_fn",
+                          "_lookup_fn", "_decays_arr", "_decays_ptr",
+                          "_counts_ptr", "_table", "_ptrs"):
             state.pop(transient, None)
         return state
 
@@ -554,7 +419,62 @@ class VectorIncStatDB:
         # Checkpoints from before the engine was native-only carry a
         # ``kernel`` choice and row-kernel layout caches; every one of
         # them continues on the native kernel.
-        for stale in ("kernel", "_block_1d", "_block_2d"):
+        for stale in ("kernel", "_block_1d", "_block_2d", "_native_fn",
+                      "_aux", "_aux_ptr", "_state_ptr", "_last_ptr"):
             state.pop(stale, None)
+        if "_keys" in state:
+            _unpack_dict_state(state)
         self.__dict__.update(state)
         self._init_kernel()
+
+
+def _pack_key(key: tuple, cov: int = 0) -> tuple[int, int]:
+    """Packed ``(key0, key1)`` of a component-tuple key from a
+    dict-keyed checkpoint (``("ch", src, dst)`` and so on)."""
+    kind = key[0]
+    if kind == "mac":
+        mac = 0 if key[1] == "??" else (
+            1 << 48 | int.from_bytes(mac_to_bytes(key[1]), "big")
+        )
+        return mac, _MAC | ip_to_int(key[2]) << 32
+    if kind == "ip":
+        return ip_to_int(key[1]), _IP
+    if kind == "ch":
+        return ip_to_int(key[1]) << 32 | ip_to_int(key[2]), _CH | cov
+    _, src, sport, dst, dport = key
+    return (
+        ip_to_int(src) << 32 | ip_to_int(dst),
+        _SK | cov | sport << 16 | dport << 32,
+    )
+
+
+def _unpack_dict_state(state: dict) -> None:
+    """Convert a dict-keyed checkpoint (``_keys``/``_cov_keys`` dicts,
+    a free list) to the packed table, in place. Insertion order — the
+    dicts' order — becomes ``seq``: streams first, then covariances
+    (only the order within each kind is ever compared)."""
+    keys = state.pop("_keys")
+    cov_keys = state.pop("_cov_keys")
+    free = state.pop("_free")
+    for stale in ("_cov_pair", "epoch"):
+        state.pop(stale, None)
+    capacity = state["_capacity"]
+    key0 = np.zeros(capacity, dtype=np.uint64)
+    key1 = np.zeros(capacity, dtype=np.uint64)
+    seq = np.zeros(capacity, dtype=np.int64)
+    entries = [(key, row, 0) for key, row in keys.items()]
+    entries += [(key, row, _COV) for key, row in cov_keys.items()]
+    for order, (key, row, cov) in enumerate(entries):
+        key0[row], key1[row] = _pack_key(key, cov)
+        seq[row] = order
+    free_rows = np.empty(capacity, dtype=np.int64)
+    free_rows[: len(free)] = free
+    state.update(
+        _key0=key0, _key1=key1, _seq=seq, _free=free_rows,
+        _counts=np.array(
+            [state.pop("_size"), len(free), len(keys), len(cov_keys),
+             len(entries), _DONE],
+            dtype=np.int64,
+        ),
+    )
+    state.pop("_next_seq", None)

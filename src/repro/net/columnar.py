@@ -23,7 +23,7 @@ path.
 
 Parity contract (enforced by tests and ``bench_ingest_throughput``):
 every value the columnar path exposes — timestamps, wire lengths,
-NetStat key strings, shard keys, error messages and the row at which
+NetStat keys, shard keys, error messages and the row at which
 they fire — is bit-for-bit identical to what the object path produces
 for the same capture, including ARP, non-IP, snaplen-clipped and
 truncated edge records. See ``docs/PERFORMANCE.md`` ("Ingest").
@@ -31,13 +31,19 @@ truncated edge records. See ``docs/PERFORMANCE.md`` ("Ingest").
 
 from __future__ import annotations
 
+import functools
 import mmap
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
-from repro.net.addresses import ip_to_int, mac_to_bytes
+from repro.net.addresses import (
+    bytes_to_mac,
+    int_to_ip,
+    ip_to_int,
+    mac_to_bytes,
+)
 from repro.net.ethernet import ETHERTYPE_ARP, ETHERTYPE_IPV4
 from repro.net.packet import Packet
 from repro.net.pcap import PcapFormatError, decode_global_header
@@ -69,19 +75,29 @@ class FlowKey(NamedTuple):
     ip_present: bool
 
 
-class _ParseOnce(dict):
-    """Address string → parsed value, parsing each distinct string once
-    (a malformed one still raises on its first sighting)."""
+def _canonical(parse, render):
+    """``parse`` that also refuses a string ``render`` does not give
+    back (``"AA:00:00:00:00:01"``, ``"10.0.0.01"``): the object path
+    keys NetStat streams on the string itself, so silently
+    canonicalising it here would merge streams that path keeps apart.
+    Results are cached across calls, so each distinct address string is
+    parsed and checked once, not once per batch."""
 
-    __slots__ = ("parse",)
-
-    def __init__(self, parse) -> None:
-        super().__init__()
-        self.parse = parse
-
-    def __missing__(self, key):
-        value = self[key] = self.parse(key)
+    @functools.lru_cache(maxsize=1 << 16)
+    def checked(text: str):
+        value = parse(text)
+        if render(value) != text:
+            raise ValueError(
+                f"non-canonical address {text!r} (canonical form: "
+                f"{render(value)!r})"
+            )
         return value
+
+    return checked
+
+
+_mac_raw = _canonical(mac_to_bytes, bytes_to_mac)
+_ip_int = _canonical(ip_to_int, int_to_ip)
 
 
 class ColumnBatch:
@@ -180,12 +196,11 @@ class ColumnBatch:
         ``src_ip``/``dst_ip``, ``src_port``/``dst_port``, ``wire_len``,
         ``label`` and ``attack_type`` are read. Each column is built as
         one Python list and converted once; each distinct address string
-        is parsed (and validated) once. The originals are retained so
+        is parsed (and validated) once, and one that is not in canonical
+        form raises ``ValueError``. The originals are retained so
         :meth:`hydrate` is free and exact."""
         packets = list(packets)
-        mac_raw = _ParseOnce(mac_to_bytes)
-        ip_int = _ParseOnce(ip_to_int)
-        ip_int[None] = 0
+        mac_raw, ip_int = _mac_raw, _ip_int
         no_macs = bytes(12)
         timestamps, wire_len, has_ether, ip_present, macs = [], [], [], [], []
         src_ip, dst_ip, src_port, dst_port = [], [], [], []
@@ -196,13 +211,13 @@ class ColumnBatch:
             has_ether.append(ether is not None)
             macs.append(
                 no_macs if ether is None
-                else mac_raw[ether.src_mac] + mac_raw[ether.dst_mac]
+                else mac_raw(ether.src_mac) + mac_raw(ether.dst_mac)
             )
             sip = packet.src_ip
             dip = packet.dst_ip
             ip_present.append(sip is not None or dip is not None)
-            src_ip.append(ip_int[sip])
-            dst_ip.append(ip_int[dip])
+            src_ip.append(0 if sip is None else ip_int(sip))
+            dst_ip.append(0 if dip is None else ip_int(dip))
             sport = packet.src_port
             src_port.append(0 if sport is None else sport)
             dport = packet.dst_port
@@ -366,17 +381,40 @@ class ColumnBatch:
             yield self.hydrate(i)
 
     # -- flow keys --------------------------------------------------------
+    def key_words(self) -> np.ndarray:
+        """``(n, 3)`` uint64 NetStat key words per row, with no strings::
+
+            [ether flag << 48 | src MAC, src IP << 32 | dst IP,
+             src port << 16 | dst port]
+
+        A row without Ethernet gets a zero first word (the ``"??"``
+        MAC). :class:`repro.features.vector.VectorIncStatDB` builds all
+        of a packet's stream keys from these three words."""
+        n = len(self)
+        words = np.empty((n, 3), dtype=np.uint64)
+        mac = np.zeros((n, 8), dtype=np.uint8)
+        mac[:, 1] = self.has_ether
+        mac[:, 2:] = self.src_mac
+        words[:, 0] = mac.view(">u8")[:, 0]
+        words[~self.has_ether, 0] = 0
+        words[:, 1] = self.src_ip.astype(np.uint64) << np.uint64(32)
+        words[:, 1] |= self.dst_ip
+        words[:, 2] = self.src_port.astype(np.uint64) << np.uint64(16)
+        words[:, 2] |= self.dst_port
+        return words
+
     def flow_table(self) -> tuple[np.ndarray, list[FlowKey]]:
         """``(inverse, flows)``: per-row index into unique flows.
 
         A flow is the tuple of everything NetStat keys and shard keys
-        depend on. Packing it into 25 bytes per row and deduplicating
-        through one dict pass means the string formatting
+        depend on, as the object path's strings. Shard assignment
+        (:func:`repro.stream.shard.shard_ids_for_batch`) and the scalar
+        engine's columnar path read it; the vector engine keys on
+        :meth:`key_words` instead. Packing each row into 25 bytes and
+        deduplicating them vectorized means the string formatting
         (``"a.b.c.d"``, ``"aa:bb:..."``) runs once per unique flow, not
-        once per packet — the object path pays it per packet. Flows are
-        listed in first-occurrence order (``flow_first_rows`` maps each
-        back to its first row), which is exactly the order the per-row
-        walk would intern new streams in."""
+        once per packet. Flows are listed in first-occurrence order
+        (``flow_first_rows`` maps each back to its first row)."""
         if self._flows is None:
             self._build_flows()
         inverse, flows, _ = self._flows

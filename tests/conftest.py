@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import settings
 
 from repro.datasets.traffic import Host, Network
 from repro.net.ethernet import EthernetHeader
@@ -11,6 +12,21 @@ from repro.net.packet import Packet
 from repro.net.tcp import TCPFlags, TCPHeader
 from repro.net.udp import UDPHeader
 from repro.utils.rng import SeededRNG
+
+
+#: Hypothesis profiles. ``ci`` is the default: Hypothesis' own 100
+#: examples, and tests that pin a count keep it. ``deep`` runs ten
+#: times as many examples with no deadline, for longer local runs:
+#: ``pytest --hypothesis-profile=deep``. Neither profile is loaded here,
+#: so the command-line choice wins whatever order conftests load in.
+settings.register_profile("ci", max_examples=100)
+settings.register_profile("deep", max_examples=1000, deadline=None)
+
+
+def scaled_examples(count: int) -> int:
+    """``count`` under the ``ci`` profile, scaled with the loaded
+    profile's example budget otherwise (10x under ``deep``)."""
+    return max(1, count * settings.default.max_examples // 100)
 
 
 @pytest.fixture(autouse=True)

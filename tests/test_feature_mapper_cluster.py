@@ -19,6 +19,8 @@ from hypothesis import given, settings, strategies as st
 
 from repro.ids.kitsune.feature_mapper import FeatureMapper
 
+from tests.conftest import scaled_examples
+
 FM_GRACE = 200
 
 
@@ -68,7 +70,7 @@ def _symmetric(
 
 
 class TestClusterMatchesBruteForce:
-    @settings(max_examples=120, deadline=None)
+    @settings(max_examples=scaled_examples(120), deadline=None)
     @given(
         dim=st.integers(1, 40),
         max_group=st.integers(1, 12),

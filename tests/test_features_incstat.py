@@ -7,6 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 from repro.features.incstat import IncStat, IncStatCov
 
+from tests.conftest import scaled_examples
+
 
 class TestIncStat:
     def test_single_insert(self):
@@ -57,7 +59,7 @@ class TestIncStat:
         w, mean, std = stat.stats()
         assert (w, mean, std) == (1.0, 3.0, 0.0)
 
-    @settings(max_examples=50)
+    @settings(max_examples=scaled_examples(50))
     @given(
         st.lists(
             st.tuples(st.floats(0.0, 1e4), st.floats(0.0, 100.0)),

@@ -21,7 +21,7 @@ from repro.flows.assembler import FlowAssembler
 from repro.net.packet import Packet
 from repro.net.tcp import TCPFlags
 
-from tests.conftest import make_tcp_packet, make_udp_packet
+from tests.conftest import make_tcp_packet, make_udp_packet, scaled_examples
 from tests.flow_oracle import ScanFlowAssembler, record_state
 
 #: (initiator ip, initiator port, responder ip, responder port, proto);
@@ -102,7 +102,7 @@ def _states(flows) -> list[tuple]:
 
 
 class TestHeapMatchesScan:
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=scaled_examples(200), deadline=None)
     @given(streams())
     def test_per_packet_yields_and_flush(self, stream):
         idle, active, packets = stream
@@ -117,7 +117,7 @@ class TestHeapMatchesScan:
         assert _states(heap.flush()) == _states(scan.flush())
         assert heap.open_flows == 0
 
-    @settings(max_examples=50, deadline=None)
+    @settings(max_examples=scaled_examples(50), deadline=None)
     @given(streams())
     def test_whole_stream_generator(self, stream):
         idle, active, packets = stream

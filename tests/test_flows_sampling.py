@@ -11,7 +11,7 @@ from repro.flows.sampling import (
 )
 from repro.utils.rng import SeededRNG
 
-from tests.conftest import make_udp_packet
+from tests.conftest import make_udp_packet, scaled_examples
 
 
 def _population(flow_count=10, packets_per_flow=6):
@@ -77,7 +77,7 @@ class TestFlowSampling:
         with pytest.raises(ValueError):
             random_flow_sample(_population(), 1.5, SeededRNG(7))
 
-    @settings(max_examples=25)
+    @settings(max_examples=scaled_examples(25))
     @given(st.floats(0.05, 1.0), st.integers(0, 1000))
     def test_sampled_is_subset_property(self, fraction, seed):
         packets = _population(flow_count=8)

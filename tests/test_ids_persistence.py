@@ -11,6 +11,8 @@ from repro.ids.kitsune.kitnet import KitNET
 from repro.ids.persistence import load_kitnet, save_kitnet
 from repro.utils.rng import SeededRNG
 
+from tests.conftest import scaled_examples
+
 
 @pytest.fixture
 def trained_kitnet():
@@ -409,7 +411,7 @@ class TestCheckpointDamageFuzz:
     digest, header, pickle, padding or array bytes — is refused, and
     resume falls back to the older valid checkpoint."""
 
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=scaled_examples(60), deadline=None)
     @given(where=st.floats(0.0, 1.0, exclude_max=True),
            mask=st.integers(1, 255))
     def test_byte_flip(self, damaged_checkpoint_dir, where, mask):
@@ -418,7 +420,7 @@ class TestCheckpointDamageFuzz:
         damaged[int(where * len(blob))] ^= mask
         _assert_damage_is_never_loaded(directory, newest, bytes(damaged))
 
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=scaled_examples(40), deadline=None)
     @given(where=st.floats(0.0, 1.0, exclude_max=True))
     def test_truncation(self, damaged_checkpoint_dir, where):
         directory, newest, blob = damaged_checkpoint_dir

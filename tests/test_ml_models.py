@@ -11,6 +11,7 @@ from repro.ml.lstm import LSTMRegressor
 from repro.ml.mlp import MLPClassifier
 from repro.utils.rng import SeededRNG
 
+from tests.conftest import scaled_examples
 from tests.lstm_oracle import train_window as oracle_train_window
 
 
@@ -176,7 +177,7 @@ class TestLSTMTrainWindows:
     """``train_windows`` is bit-identical to a loop of the per-step
     reference ``train_window`` (``tests/lstm_oracle.py``)."""
 
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=scaled_examples(60), deadline=None)
     @given(run=_training_run())
     def test_matches_oracle_loop(self, run):
         lstm, windows, targets = run
@@ -189,7 +190,7 @@ class TestLSTMTrainWindows:
         assert errors.tobytes() == expected.tobytes()
         _assert_same_lstm(lstm, reference)
 
-    @settings(max_examples=30, deadline=None)
+    @settings(max_examples=scaled_examples(30), deadline=None)
     @given(run=_training_run(), data=st.data())
     def test_consecutive_calls_equal_one_call(self, run, data):
         lstm, windows, targets = run

@@ -473,3 +473,28 @@ class TestColumnsFromObjectsParity:
         packets[1].ether.src_mac = "zz:00:00:00:00:01"
         with pytest.raises(ValueError, match="invalid MAC"):
             ColumnBatch.from_packets(packets)
+
+    @pytest.mark.parametrize("field, canonical, spelling", [
+        ("src_mac", "aa:00:00:00:00:01", "AA:00:00:00:00:01"),
+        ("dst_mac", "aa:00:00:00:00:01", "aa:0:00:00:00:01"),
+        ("src_ip", "10.0.0.1", "10.0.0.01"),
+        ("dst_ip", "10.0.0.2", "010.0.0.2"),
+    ])
+    def test_non_canonical_address_is_refused(
+        self, field, canonical, spelling
+    ):
+        from repro.features.netstat import NetStat
+
+        # The object path keys NetStat streams on the address string,
+        # so "AA:..." and "aa:..." are two streams there, where columns
+        # would silently merge them. A spelling that does not round-trip
+        # is refused, also after the canonical one was accepted.
+        packets = _mixed_packets()[:2]
+        layer = "ether" if field.endswith("mac") else "ip"
+        setattr(getattr(packets[0], layer), field, canonical)
+        setattr(getattr(packets[1], layer), field, spelling)
+        assert len(ColumnBatch.from_packets(packets[:1])) == 1
+        with pytest.raises(ValueError, match="non-canonical address"):
+            ColumnBatch.from_packets(packets)
+        with pytest.raises(ValueError, match="non-canonical address"):
+            NetStat(engine="vector-native").update_batch(packets)

@@ -23,11 +23,11 @@ from repro.net.packet import Packet
 from repro.net.pcap import PcapFormatError, PcapReader
 from repro.utils.rng import SeededRNG
 
-from tests.conftest import make_udp_packet
+from tests.conftest import make_udp_packet, scaled_examples
 
 
 class TestParserFuzz:
-    @settings(max_examples=200)
+    @settings(max_examples=scaled_examples(200))
     @given(st.binary(min_size=0, max_size=200))
     def test_packet_parser_raises_typed_errors_only(self, blob):
         """Arbitrary bytes either parse or raise ValueError — never
@@ -37,7 +37,7 @@ class TestParserFuzz:
         except ValueError:
             pass
 
-    @settings(max_examples=100)
+    @settings(max_examples=scaled_examples(100))
     @given(st.binary(min_size=0, max_size=400))
     def test_pcap_reader_raises_typed_errors_only(self, blob):
         import tempfile
@@ -52,7 +52,7 @@ class TestParserFuzz:
             except (PcapFormatError, ValueError):
                 pass
 
-    @settings(max_examples=100)
+    @settings(max_examples=scaled_examples(100))
     @given(st.binary(min_size=12, max_size=120))
     def test_dns_parser_typed_errors_only(self, blob):
         from repro.net.dns import DNSMessage
@@ -64,7 +64,7 @@ class TestParserFuzz:
 
 
 class TestFlowConservation:
-    @settings(max_examples=25, deadline=None)
+    @settings(max_examples=scaled_examples(25), deadline=None)
     @given(
         st.lists(
             st.tuples(
@@ -108,7 +108,7 @@ class TestFlowConservation:
 
 
 class TestFeatureFiniteness:
-    @settings(max_examples=20, deadline=None)
+    @settings(max_examples=scaled_examples(20), deadline=None)
     @given(
         st.integers(1, 4),             # rounds
         st.integers(0, 5000),          # request size
@@ -147,7 +147,7 @@ _observations = st.lists(
 class TestIncStatProperties:
     """Invariants of the damped statistics Kitsune's features rest on."""
 
-    @settings(max_examples=200)
+    @settings(max_examples=scaled_examples(200))
     @given(_observations, st.sampled_from([5.0, 3.0, 1.0, 0.1, 0.01]),
            st.floats(0.0, 100.0))
     def test_decay_is_monotone_in_time(self, observations, decay, extra_dt):
@@ -164,7 +164,7 @@ class TestIncStatProperties:
         for b, a in zip(before, after):
             assert 0.0 <= a <= b + 1e-12
 
-    @settings(max_examples=200)
+    @settings(max_examples=scaled_examples(200))
     @given(
         st.floats(-1e4, 1e4, allow_nan=False, allow_infinity=False),
         st.sampled_from([5.0, 1.0, 0.1]),
@@ -195,7 +195,7 @@ class TestIncStatProperties:
         )
         assert split.last_time == pytest.approx(merged.last_time)
 
-    @settings(max_examples=200)
+    @settings(max_examples=scaled_examples(200))
     @given(_observations, st.sampled_from([5.0, 1.0, 0.01]))
     def test_weight_mean_std_invariants(self, observations, decay):
         """With every observation weighted positively: weight > 0 after
@@ -222,7 +222,7 @@ class TestIncStatProperties:
 
 
 class TestThresholdBudgetProperty:
-    @settings(max_examples=50)
+    @settings(max_examples=scaled_examples(50))
     @given(
         st.lists(st.floats(0.0, 1.0), min_size=10, max_size=120),
         st.integers(0, 10_000),

@@ -16,6 +16,7 @@ from repro.stream.scores import ScoreBatch, StreamScore, coverage_digest
 from repro.stream.service import _evaluate_stream
 from repro.stream.sharded import _merge_shards
 
+from tests.conftest import scaled_examples
 from tests.stream_oracle import evaluate_items, merge_items
 
 
@@ -204,7 +205,7 @@ def _window_view(windows) -> list:
 
 
 class TestArrayConsumersMatchOracle:
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=scaled_examples(300), deadline=None)
     @given(stream=score_streams(), window=st.sampled_from([0.5, 1.0, 7.5]))
     def test_windows_and_episodes_match_per_item_replay(self, stream, window):
         rows, threshold, labelled = stream
@@ -227,7 +228,7 @@ class TestArrayConsumersMatchOracle:
         assert [_fields(e) for e in alerter.episodes] == [
             _fields(e) for e in oracle_alerter.episodes]
 
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=scaled_examples(200), deadline=None)
     @given(stream=score_streams(), cuts=st.lists(st.integers(0, 60)))
     def test_batches_split_anywhere_carry_windows_and_episodes(
             self, stream, cuts):
@@ -261,7 +262,7 @@ class TestArrayConsumersMatchOracle:
         assert [_fields(e) for e in alerter.episodes] == [
             _fields(e) for e in oracle.episodes]
 
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=scaled_examples(200), deadline=None)
     @given(parts=st.lists(
         st.tuples(st.integers(0, 3), st.lists(timestamps, max_size=20)),
         max_size=5,

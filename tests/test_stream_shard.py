@@ -28,7 +28,7 @@ from repro.stream.shard import (
     shard_of_key,
 )
 
-from tests.conftest import make_tcp_packet, make_udp_packet
+from tests.conftest import make_tcp_packet, make_udp_packet, scaled_examples
 
 REPO_SRC = Path(__file__).parent.parent / "src"
 
@@ -45,7 +45,7 @@ worker_counts = st.integers(1, 16)
 
 
 class TestFlowConsistency:
-    @settings(max_examples=200)
+    @settings(max_examples=scaled_examples(200))
     @given(src=ips, dst=ips, sport=ports, dport=ports, n=worker_counts)
     def test_both_directions_of_any_5tuple_same_shard(
             self, src, dst, sport, dport, n):
@@ -55,7 +55,7 @@ class TestFlowConsistency:
                                   dport=sport)
         assert shard_for_packet(forward, n) == shard_for_packet(reverse, n)
 
-    @settings(max_examples=100)
+    @settings(max_examples=scaled_examples(100))
     @given(src=ips, dst=ips, sport=ports, dport=ports, n=worker_counts)
     def test_tcp_and_udp_of_same_hosts_share_a_shard(
             self, src, dst, sport, dport, n):
@@ -65,7 +65,7 @@ class TestFlowConsistency:
         udp = make_udp_packet(src=src, dst=dst, sport=dport, dport=sport)
         assert shard_for_packet(tcp, n) == shard_for_packet(udp, n)
 
-    @settings(max_examples=100)
+    @settings(max_examples=scaled_examples(100))
     @given(src=ips, dst=ips, n=worker_counts)
     def test_arp_keys_on_sender_target_ips_both_directions(
             self, src, dst, n):
@@ -86,7 +86,7 @@ class TestFlowConsistency:
         assert shard_for_packet(request, n) == shard_for_packet(
             ip_packet, n)
 
-    @settings(max_examples=100)
+    @settings(max_examples=scaled_examples(100))
     @given(src=macs, dst=macs, n=worker_counts)
     def test_bare_l2_frames_fall_back_to_mac_pair(self, src, dst, n):
         forward = Packet(timestamp=0.0,
@@ -104,7 +104,7 @@ class TestFlowConsistency:
 
 
 class TestPartition:
-    @settings(max_examples=50)
+    @settings(max_examples=scaled_examples(50))
     @given(
         seeds=st.lists(st.integers(0, 10_000), min_size=1, max_size=60),
         n=worker_counts,
@@ -123,7 +123,7 @@ class TestPartition:
         merged = Counter(ts for rows in shards.values() for ts in rows)
         assert merged == Counter(p.timestamp for p in packets)
 
-    @settings(max_examples=100)
+    @settings(max_examples=scaled_examples(100))
     @given(a=ips, b=ips, n=worker_counts)
     def test_assignment_is_pure(self, a, b, n):
         key = (KEY_KIND_IP, *sorted((a, b)))
