@@ -404,15 +404,17 @@ def _watch_prunes(extractor: NetStat) -> list[int]:
     return rows
 
 
-def _three_way(packets, cuts, max_streams) -> tuple[bool, bool]:
+def _three_way(
+    packets, cuts, max_streams, *, scalar_engine: str = "scalar"
+) -> tuple[bool, bool]:
     """Feed ``packets`` in batches split at ``cuts`` through the
-    columnar batch path, the per-packet path and the scalar reference;
+    columnar batch path, the per-packet path and the reference engine;
     after every batch all three must agree on every feature and on the
     tracked stream and covariance keys, in insertion order.
 
     Returns whether a prune fired strictly inside a batch, and whether
     a batch started with rows on the free list (after a prune)."""
-    scalar = NetStat(engine="scalar", max_streams=max_streams)
+    scalar = NetStat(engine=scalar_engine, max_streams=max_streams)
     columns = NetStat(engine="vector-native", max_streams=max_streams)
     single = NetStat(engine="vector-native", max_streams=max_streams)
     prunes = _watch_prunes(columns)
@@ -426,8 +428,10 @@ def _three_way(packets, cuts, max_streams) -> tuple[bool, bool]:
         straddled |= any(0 < row < len(batch) - 1 for row in prunes[seen:])
         expected = np.vstack([scalar.update(p) for p in batch])
         one_by_one = np.vstack([single.update(p) for p in batch])
-        assert np.array_equal(got, expected), (start, stop)
-        assert np.array_equal(one_by_one, expected), (start, stop)
+        assert np.array_equal(got, expected, equal_nan=True), (start, stop)
+        assert np.array_equal(one_by_one, expected, equal_nan=True), (
+            start, stop
+        )
         assert _tracked(columns) == _tracked(scalar), (start, stop)
         assert _tracked(single) == _tracked(scalar), (start, stop)
     return straddled, recycled
@@ -448,7 +452,7 @@ _packet_steps = st.tuples(
 
 def _stream_from_steps(steps) -> list:
     packets = []
-    ts = 0.0
+    ts = 100.0
     for step, src, dst, sport, dport, tcp, size in steps:
         ts += step
         make = make_tcp_packet if tcp else make_udp_packet
@@ -473,8 +477,8 @@ class TestBatchPathsAgree:
     @settings(deadline=None)
     @example(**_STRADDLE_EXAMPLE)
     @given(
-        steps=st.lists(_packet_steps, min_size=1, max_size=120),
-        cuts=st.lists(st.integers(1, 119), max_size=8),
+        steps=st.lists(_packet_steps, min_size=1, max_size=150),
+        cuts=st.lists(st.integers(1, 149), max_size=8),
         max_streams=st.integers(12, 60),
     )
     def test_columns_packets_and_scalar_agree(self, steps, cuts, max_streams):
@@ -483,6 +487,26 @@ class TestBatchPathsAgree:
         )
         event(f"prune inside a batch: {straddled}")
         event(f"batch started with free rows: {recycled}")
+
+    @settings(deadline=None)
+    @given(
+        steps=st.lists(
+            _packet_steps.map(
+                lambda step: (-step[0],) + step[1:]
+            ) | _packet_steps,
+            min_size=1, max_size=150,
+        ),
+        cuts=st.lists(st.integers(1, 149), max_size=8),
+        max_streams=st.integers(12, 24),
+    )
+    def test_out_of_order_batches_match_per_packet(
+        self, steps, cuts, max_streams
+    ):
+        # Timestamps that step back: the per-packet path is the
+        # reference here, because the scalar engine keeps orphaned
+        # covariances (ROADMAP item 2).
+        _three_way(_stream_from_steps(steps), cuts, max_streams,
+                   scalar_engine="vector-native")
 
     def test_explicit_example_covers_prunes(self):
         """The pinned example really exercises both prune paths."""
