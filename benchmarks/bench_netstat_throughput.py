@@ -1,13 +1,13 @@
-"""AfterImage feature-path throughput across every registered backend.
+"""AfterImage feature-path throughput across every feature engine.
 
 The NetStat hot loop sits under every Kitsune/HELAD cell of the Table
 IV matrix *and* under ``repro.stream``'s live packet path, so its
 features/sec bound both batch reproduction time and online pps. This
-bench extracts the full Mirai replay through each backend registered
-in ``repro.backends`` (scalar reference, native C kernel),
+bench extracts the full Mirai replay through each engine this host
+can run (scalar reference, plus the native C kernel when it loads),
 cross-checks bit-for-bit parity while it measures (a fast-but-wrong
 engine must not pass), times the batched ``update_batch`` path against
-per-packet dispatch, and records one row per backend in
+per-packet dispatch, and records one row per engine in
 ``BENCH_netstat_throughput.json``.
 
 Run the acceptance configuration with::
@@ -28,7 +28,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from repro import backends
+from repro.features import _native
 from repro.features.netstat import NetStat
 
 from benchmarks.conftest import save_bench_json, save_result, scale_or
@@ -73,11 +73,10 @@ def test_netstat_throughput(bench_scale):
     n_packets = len(packets)
     feature_count = NetStat().feature_count
 
-    available = [
-        spec.name
-        for spec in backends.available_backends(backends.FEATURE_ENGINE)
-    ]
-    assert available[0] == "scalar"
+    default_backend = NetStat().backend
+    available = ["scalar"]
+    if _native.load_kernel() is not None:
+        available.append("vector-native")
 
     rows = {}
     reference = None
@@ -96,7 +95,6 @@ def test_netstat_throughput(bench_scale):
                 "parity contract broken"
             )
 
-    default_backend = backends.default_feature_backend()
     native_active = default_backend == "vector-native"
     speedup = rows[default_backend]["pps"] / rows["scalar"]["pps"]
 

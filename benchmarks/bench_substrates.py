@@ -1,12 +1,12 @@
 """Throughput microbenchmarks for the substrates.
 
 These are classic pytest-benchmark timing loops: packets/second through
-the AfterImage extractor (both engines), the flow assembler, the pcap
-codec, and the traffic generators — the performance envelope that
-bounds how large an evaluation the pipeline can run. Each loop records
-its headline number as ``BENCH_substrates_*.json`` at the repo root
-(``benchmarks/bench_netstat_throughput.py`` is the dedicated
-scalar-vs-vector comparison with the parity gate).
+the flow assembler, the pcap codec, and the traffic generators — the
+performance envelope that bounds how large an evaluation the pipeline
+can run. Each loop records its headline number as
+``BENCH_substrates_*.json`` at the repo root. The AfterImage extractor
+has its own bench, ``benchmarks/bench_netstat_throughput.py``, which
+times both engines' batched paths behind a parity gate.
 
 The flow-assembly bench times the shipped timer-heap assembler against
 the scan oracle (``tests/flow_oracle.py``) on Mirai and BoT-IoT and
@@ -22,7 +22,6 @@ import time
 import pytest
 
 from repro.datasets import generate_dataset
-from repro.features.netstat import NetStat
 from repro.flows.assembler import FlowAssembler
 from repro.net.packet import Packet
 from repro.net.pcap import read_pcap, write_pcap
@@ -43,38 +42,6 @@ FLOW_REPEATS = 3
 @pytest.fixture(scope="module")
 def packets():
     return generate_dataset("Mirai", seed=0, scale=0.1).packets
-
-
-def test_netstat_throughput(benchmark, packets):
-    sample = packets[:2000]
-
-    def extract():
-        ns = NetStat()
-        for packet in sample:
-            ns.update(packet)
-
-    benchmark(extract)
-    save_bench_json(
-        "substrates_netstat", metric="pps",
-        value=round(len(sample) / bench_seconds(benchmark)),
-        engine="vector", backend=NetStat().backend,
-    )
-
-
-def test_netstat_scalar_throughput(benchmark, packets):
-    sample = packets[:2000]
-
-    def extract():
-        ns = NetStat(engine="scalar")
-        for packet in sample:
-            ns.update(packet)
-
-    benchmark(extract)
-    save_bench_json(
-        "substrates_netstat_scalar", metric="pps",
-        value=round(len(sample) / bench_seconds(benchmark)),
-        engine="scalar",
-    )
 
 
 def _timed_flows(assembler_cls, packets):

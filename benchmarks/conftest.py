@@ -137,7 +137,8 @@ def save_bench_json(
     CI uploads these files as artifacts and any regression tooling can
     diff them across revisions via the embedded git rev.
     """
-    from repro import backends, obs
+    from repro import obs
+    from repro.features.netstat import NetStat
 
     payload = {
         "bench": name,
@@ -149,7 +150,7 @@ def save_bench_json(
         # Host + backend context: a headline number is only comparable
         # across runs with the same core count and compute backend.
         "cpu_count": os.cpu_count(),
-        "feature_backend": backends.default_feature_backend(),
+        "feature_backend": NetStat().backend,
         # The bench process's own obs snapshot (cache hit/miss counters,
         # cpu count, ...) — context for interpreting the headline number.
         "obs": obs.process_snapshot(),

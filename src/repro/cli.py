@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import replace
 
@@ -279,25 +280,6 @@ def _cmd_stream(args: argparse.Namespace) -> int:
         print(f"error: {error}", file=sys.stderr)
         return 2
 
-    feature_backend = args.feature_backend
-    if feature_backend is not None:
-        from repro import backends
-
-        if ids_name not in ("Kitsune", "HELAD"):
-            print(f"error: {ids_name} is a flow-level IDS; "
-                  "--feature-backend only applies to packet-level IDSs "
-                  "(Kitsune, HELAD)", file=sys.stderr)
-            return 2
-        try:
-            # Resolve "auto" (and validate explicit names) up front so
-            # an unavailable backend fails with the registry's message.
-            feature_backend = backends.resolve(
-                backends.FEATURE_ENGINE, feature_backend
-            ).name
-        except (KeyError, RuntimeError) as error:
-            print(f"error: {error}", file=sys.stderr)
-            return 2
-
     def live_window(snapshot) -> None:
         if not args.quiet:
             print(snapshot.describe())
@@ -327,7 +309,6 @@ def _cmd_stream(args: argparse.Namespace) -> int:
             pace=args.pace,
             on_window=live_window,
             exporter=exporter,
-            ingest_backend=args.ingest_backend,
         )
 
     if args.pcap:
@@ -341,7 +322,6 @@ def _cmd_stream(args: argparse.Namespace) -> int:
             ids_name, seed=args.seed, batch_size=args.batch,
             schema=args.schema, labelled=False,
             warmup_packets=train_packets,
-            feature_backend=feature_backend,
         )
         try:
             if sharded:
@@ -356,7 +336,6 @@ def _cmd_stream(args: argparse.Namespace) -> int:
                     window_seconds=args.window,
                     on_window=live_window,
                     exporter=exporter,
-                    ingest_backend=args.ingest_backend,
                 )
         except ValueError as error:
             # e.g. a supervised IDS over an unlabelled capture, or a
@@ -398,7 +377,6 @@ def _cmd_stream(args: argparse.Namespace) -> int:
             ids_name, seed=args.seed, batch_size=args.batch,
             schema=args.schema, labelled=True,
             warmup_packets=train_packets,
-            feature_backend=feature_backend,
         )
         try:
             report = run_sharded(source, detector, args.threshold,
@@ -421,15 +399,6 @@ def _cmd_stream(args: argparse.Namespace) -> int:
             base = ExperimentConfig(ids_name=ids_name, dataset_name=dataset_name)
         config = replace(base, seed=args.seed, scale=args.scale,
                          schema=args.schema)
-        if feature_backend is not None:
-            config = replace(config, ids_overrides={
-                **config.ids_overrides, "netstat_engine": feature_backend,
-            })
-        if args.ingest_backend == "columnar-mmap":
-            print("error: the columnar-mmap ingest backend decodes "
-                  "capture files; synthetic dataset replay has no pcap "
-                  "to mmap (pass --pcap)", file=sys.stderr)
-            return 2
         report = stream_experiment(
             config,
             batch_size=args.batch,
@@ -499,26 +468,21 @@ def _cmd_profile(args: argparse.Namespace) -> int:
 
 
 def _cmd_backends(args: argparse.Namespace) -> int:
-    from repro import backends
+    from repro.features import _native
+    from repro.features.netstat import NetStat
 
-    caps = backends.capabilities()
+    caps = {
+        "cpu_count": os.cpu_count() or 1,
+        "native_kernel": _native.load_kernel() is not None,
+        "native_kernel_reason": _native.unavailable_reason(),
+        "feature_backend": NetStat().backend,
+    }
     native = "available" if caps["native_kernel"] else "unavailable"
     if caps["native_kernel_reason"]:
         native += f" ({caps['native_kernel_reason']})"
     print(f"host: {caps['cpu_count']} cpu(s); native kernel {native}")
-    for component in backends.components():
-        try:
-            chosen = backends.resolve(component).name
-        except RuntimeError:
-            chosen = "none"
-        print(f"\n{component} (auto -> {chosen}):")
-        for name in backends.backend_names(component):
-            spec = backends.get_backend(component, name)
-            reason = spec.availability()
-            status = "available" if reason is None else f"unavailable: {reason}"
-            print(f"  {name:17s} {status}")
-            print(f"  {'':17s} {spec.description}")
-            print(f"  {'':17s} parity: {spec.parity}")
+    print(f"feature engine: {caps['feature_backend']} "
+          "(REPRO_DISABLE_NATIVE=1 runs the scalar engine)")
     if args.json:
         _write_json(args.json, caps)
     return 0
@@ -679,8 +643,8 @@ def build_parser() -> argparse.ArgumentParser:
                                "(case-insensitive)")
     p_stream.add_argument("--pcap",
                           help="replay a capture file instead of a "
-                               "synthetic dataset (unlabelled: requires "
-                               "--threshold)")
+                               "synthetic dataset, decoded through mmap "
+                               "(unlabelled: requires --threshold)")
     p_stream.add_argument("--seed", type=int, default=0)
     p_stream.add_argument("--scale", type=float, default=0.2,
                           help="dataset generation scale (dataset mode)")
@@ -712,33 +676,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_stream.add_argument("--schema", choices=("netflow", "cicflow"),
                           default="netflow",
                           help="flow feature schema for flow-level IDSs")
-    p_stream.add_argument("--feature-backend",
-                          choices=("auto", "scalar", "vector-native"),
-                          default=None,
-                          help="pin the AfterImage compute backend for "
-                               "packet-level IDSs (see repro-cli "
-                               "backends); every backend is "
-                               "bit-identical to the scalar reference, "
-                               "so this is a pure throughput knob. "
-                               "'auto' picks the best backend the host "
-                               "can run; the report's feature_backend "
-                               "note records the resolved choice")
-    p_stream.add_argument("--ingest-backend",
-                          choices=("auto", "packet-objects",
-                                   "columnar-mmap"),
-                          default=None,
-                          help="how capture bytes become features "
-                               "(pcap mode): "
-                               "'packet-objects' decodes Packet "
-                               "objects and columnizes them "
-                               "(default); 'columnar-mmap' mmaps the "
-                               "capture and decodes straight into "
-                               "column batches (bit-identical scores, "
-                               "several times faster); 'auto' picks "
-                               "columnar when the source has a "
-                               "capture file. "
-                               "The report's ingest_backend note "
-                               "records the resolved choice")
     p_stream.add_argument("--workers", type=_positive_int,
                           help="shard the stream across N detector worker "
                                "processes (flow-consistent channel "
@@ -795,8 +732,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_backends = sub.add_parser(
         "backends",
-        help="list registered compute backends (feature engine, "
-             "ingest, ensemble) with host capability discovery",
+        help="report what this host decides: CPU count, whether the "
+             "native AfterImage kernel loads, and the feature engine "
+             "that runs",
     )
     p_backends.add_argument("--json",
                             help="write the capability report to this "

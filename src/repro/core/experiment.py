@@ -31,7 +31,7 @@ from repro.core.preprocessing import (
 from repro.core.thresholds import standard_threshold
 from repro.datasets import generate_dataset
 from repro.ids.base import InputKind
-from repro.ids.registry import evaluated_ids_factories
+from repro.ids.registry import backend_notes, evaluated_ids_factories
 from repro.utils.rng import SeededRNG
 
 PACKET_IDS_NAMES = ("Kitsune", "HELAD")
@@ -285,8 +285,6 @@ def run_experiment(
         scores = ids.score_batch(data.test_packets)
         fit_score_seconds = time.perf_counter() - fit_score_start
         y_true = data.y_true
-        from repro.backends import backend_notes
-
         notes = dict(data.notes)
         notes.update(backend_notes(ids))
         attack_types = tuple(p.attack_type for p in data.test_packets)

@@ -12,8 +12,6 @@ from typing import TYPE_CHECKING
 
 from repro.core.experiment import (
     DATASET_ORDER,
-    EXPERIMENT_MATRIX,
-    ExperimentConfig,
     ExperimentResult,
 )
 from repro.core.metrics import MetricReport, average_metrics
@@ -83,27 +81,10 @@ class IDSAnalysisPipeline:
             engine = ExperimentEngine(jobs=jobs, cache_dir=cache_dir)
         self.engine = engine
 
-    def config_for(self, ids_name: str, dataset_name: str) -> ExperimentConfig:
-        """The matrix config for one cell, re-seeded and re-scaled."""
-        base = EXPERIMENT_MATRIX[(ids_name, dataset_name)]
-        from dataclasses import replace
-
-        return replace(base, seed=self.seed, scale=self.scale)
-
     @property
     def telemetry(self) -> "RunTelemetry | None":
         """Per-cell execution telemetry of the most recent engine run."""
         return self.engine.last_telemetry
-
-    def run_cell(self, ids_name: str, dataset_name: str) -> ExperimentResult:
-        from repro.runner.scheduling import plan_configs
-
-        results = self.engine.run(
-            plan_configs([self.config_for(ids_name, dataset_name)])
-        )
-        result = results[(ids_name, dataset_name)]
-        self.results[(ids_name, dataset_name)] = result
-        return result
 
     def run_all(self, *, verbose: bool = False) -> dict[tuple[str, str], ExperimentResult]:
         from repro.runner.scheduling import plan_cells

@@ -55,9 +55,9 @@ class StageTiming:
 class PacketPathProfile:
     """The full stage breakdown for one dataset replay.
 
-    ``feature_backend`` and ``ensemble_backend`` are the registered
-    backend names (``repro.backends``) that drove ``features.extract``
-    and the KitNET stages.
+    ``feature_backend`` and ``ensemble_backend`` name the engines that
+    drove ``features.extract`` (``NetStat.backend``) and the KitNET
+    stages.
     """
 
     dataset: str

@@ -26,8 +26,8 @@ Two engines implement the same semantics bit-for-bit:
 
 ``engine="vector"`` (the default) picks ``vector-native`` when the C
 kernel loads and supports the decay count, else ``scalar``;
-:attr:`NetStat.backend` reports which one runs (see
-:mod:`repro.backends`).
+:attr:`NetStat.backend` reports which one runs. This is the one place
+the choice is made; ``REPRO_DISABLE_NATIVE=1`` forces ``scalar``.
 
 See ``docs/PERFORMANCE.md`` for the layout and the parity contract.
 """
@@ -45,8 +45,8 @@ from repro.net.packet import Packet
 #: Dimensionality of the exported vector.
 KITSUNE_FEATURE_COUNT = 100
 
-#: Accepted ``engine`` arguments: the two registered feature-engine
-#: backends plus the ``"vector"`` default alias.
+#: Accepted ``engine`` arguments: the two engines plus the
+#: ``"vector"`` default alias.
 ENGINES = ("scalar", "vector-native", "vector")
 
 
@@ -104,32 +104,39 @@ class NetStat:
         return self._update_columns(ColumnBatch.from_packets((packet,)))[0]
 
     def _update_scalar(self, packet: Packet) -> np.ndarray:
+        return self._scalar_features(
+            packet.ether.src_mac if packet.ether is not None else "??",
+            packet.src_ip or "0.0.0.0",
+            packet.dst_ip or "0.0.0.0",
+            packet.src_port if packet.src_port is not None else 0,
+            packet.dst_port if packet.dst_port is not None else 0,
+            float(packet.wire_len),
+            packet.timestamp,
+        )
+
+    def _scalar_features(
+        self, src_mac, src_ip, dst_ip, src_port, dst_port, size, timestamp,
+    ) -> np.ndarray:
+        """Fold one packet into the scalar engine's four string-keyed
+        aggregations; return its features."""
         self.packets_seen += 1
-        timestamp = packet.timestamp
-        size = float(packet.wire_len)
-
-        src_mac = packet.ether.src_mac if packet.ether is not None else "??"
-        src_ip = packet.src_ip or "0.0.0.0"
-        dst_ip = packet.dst_ip or "0.0.0.0"
-        src_port = packet.src_port if packet.src_port is not None else 0
-        dst_port = packet.dst_port if packet.dst_port is not None else 0
-
+        db = self._db
         features: list[float] = []
         # 1) Source MAC-IP bandwidth.
         features.extend(
-            self._db.update_get_1d(f"mac:{src_mac}|{src_ip}", size, timestamp)
+            db.update_get_1d(f"mac:{src_mac}|{src_ip}", size, timestamp)
         )
         # 2) Source IP bandwidth.
-        features.extend(self._db.update_get_1d(f"ip:{src_ip}", size, timestamp))
+        features.extend(db.update_get_1d(f"ip:{src_ip}", size, timestamp))
         # 3) Channel: src IP -> dst IP with reverse-direction joint stats.
         features.extend(
-            self._db.update_get_2d(
+            db.update_get_2d(
                 f"ch:{src_ip}>{dst_ip}", f"ch:{dst_ip}>{src_ip}", size, timestamp
             )
         )
         # 4) Socket: src IP:port -> dst IP:port.
         features.extend(
-            self._db.update_get_2d(
+            db.update_get_2d(
                 f"sk:{src_ip}:{src_port}>{dst_ip}:{dst_port}",
                 f"sk:{dst_ip}:{dst_port}>{src_ip}:{src_port}",
                 size,
@@ -173,40 +180,15 @@ class NetStat:
     def _update_columns_scalar(self, cols) -> np.ndarray:
         """Scalar-engine columnar path (parity testing, not speed)."""
         inverse, flows = cols.flow_table()
-        inv = inverse.tolist()
-        ts_list = cols.timestamps.tolist()
-        size_list = cols.wire_len.tolist()
-        db = self._db
         rows = []
-        for index in range(len(cols)):
-            flow = flows[inv[index]]
-            timestamp = ts_list[index]
-            size = size_list[index]
-            src_mac, src_ip, dst_ip = flow.src_mac, flow.src_ip, flow.dst_ip
-            src_port, dst_port = flow.src_port, flow.dst_port
-            features: list[float] = []
-            features.extend(
-                db.update_get_1d(f"mac:{src_mac}|{src_ip}", size, timestamp)
-            )
-            features.extend(db.update_get_1d(f"ip:{src_ip}", size, timestamp))
-            features.extend(
-                db.update_get_2d(
-                    f"ch:{src_ip}>{dst_ip}",
-                    f"ch:{dst_ip}>{src_ip}",
-                    size,
-                    timestamp,
-                )
-            )
-            features.extend(
-                db.update_get_2d(
-                    f"sk:{src_ip}:{src_port}>{dst_ip}:{dst_port}",
-                    f"sk:{dst_ip}:{dst_port}>{src_ip}:{src_port}",
-                    size,
-                    timestamp,
-                )
-            )
-            rows.append(np.asarray(features, dtype=np.float64))
-            self.packets_seen += 1
+        for flow_index, size, timestamp in zip(
+            inverse.tolist(), cols.wire_len.tolist(), cols.timestamps.tolist()
+        ):
+            flow = flows[flow_index]
+            rows.append(self._scalar_features(
+                flow.src_mac, flow.src_ip, flow.dst_ip,
+                flow.src_port, flow.dst_port, size, timestamp,
+            ))
         if not rows:
             return np.empty((0, self.feature_count), dtype=np.float64)
         return np.vstack(rows)

@@ -99,7 +99,3 @@ class FeatureMapper:
             size[j] = 0
             members[i] = members[i] + members[j]
         return [members[slot] for slot in range(self.dim) if size[slot]]
-
-    @property
-    def is_final(self) -> bool:
-        return self.groups is not None

@@ -21,6 +21,11 @@ from repro.utils.rng import SeededRNG
 from repro.utils.validation import check_positive
 
 
+#: Accepted ``ensemble_backend`` values. Both name the one
+#: execute-phase engine, stacked einsum contractions over whole batches.
+ENSEMBLE_BACKENDS = ("auto", "batched-einsum")
+
+
 class KitNET:
     """Online anomaly detector over fixed-dimension feature vectors.
 
@@ -54,13 +59,13 @@ class KitNET:
                 f"train_mode must be 'online' or 'minibatch', "
                 f"got {train_mode!r}"
             )
-        if ensemble_backend != "auto":
-            # Execute-phase rows always score through the one
-            # registered backend, "batched-einsum" (packed ensemble);
-            # any other name fails with the registry's known set.
-            from repro import backends
-
-            backends.get_backend(backends.ENSEMBLE, ensemble_backend)
+        if ensemble_backend not in ENSEMBLE_BACKENDS:
+            # Execute-phase rows always score through the packed
+            # ensemble; "auto" is its other spelling.
+            raise ValueError(
+                f"unknown ensemble backend {ensemble_backend!r}; "
+                f"known: {', '.join(ENSEMBLE_BACKENDS)}"
+            )
         self.dim = dim
         self.fm_grace = int(check_positive("fm_grace", fm_grace))
         self.ad_grace = int(check_positive("ad_grace", ad_grace))

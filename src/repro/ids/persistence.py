@@ -70,10 +70,6 @@ _FORMAT_VERSION = 2
 _SUPPORTED_VERSIONS = (1, 2)
 
 
-def _scaler_state(scaler: OnlineMinMaxScaler) -> dict[str, np.ndarray]:
-    return {"min": scaler.min.copy(), "max": scaler.max.copy()}
-
-
 def _restore_scaler(dim: int, minimum, maximum, *, clip: bool) -> OnlineMinMaxScaler:
     scaler = OnlineMinMaxScaler(dim, clip=clip)
     scaler.min = np.asarray(minimum, dtype=np.float64)

@@ -106,26 +106,19 @@ def batch_capable_ids() -> dict[str, bool]:
     }
 
 
-def ids_compute_backends() -> dict[str, dict[str, str | None]]:
-    """Default-resolved compute backends per evaluated IDS.
+def backend_notes(ids) -> dict[str, str]:
+    """The concrete compute backends driving a constructed IDS, for
+    stream and runner reports.
 
-    Packet-level IDSs extract AfterImage features through the default
-    (auto-selected) feature-engine backend; Kitsune additionally scores
-    execute-phase batches through an ensemble backend. Flow-level IDSs
-    report ``None`` for both — their feature matrices never touch the
-    per-packet compute backends. See :mod:`repro.backends`.
+    Empty for flow-level IDSs (and ``None``): they consume flow feature
+    matrices and never touch the per-packet feature engine or the
+    KitNET ensemble.
     """
-    from repro import backends
-    from repro.ids.base import PacketIDS
-    from repro.ids.kitsune import Kitsune
-
-    out: dict[str, dict[str, str | None]] = {}
-    for name, cls in evaluated_ids_factories().items():
-        packet_level = isinstance(cls, type) and issubclass(cls, PacketIDS)
-        out[name] = {
-            "feature": backends.default_feature_backend()
-            if packet_level else None,
-            "ensemble": "batched-einsum"
-            if isinstance(cls, type) and issubclass(cls, Kitsune) else None,
-        }
-    return out
+    notes: dict[str, str] = {}
+    netstat = getattr(ids, "netstat", None)
+    if netstat is not None:
+        notes["feature_backend"] = netstat.backend
+    kitnet = getattr(ids, "kitnet", None)
+    if kitnet is not None:
+        notes["ensemble_backend"] = kitnet.resolved_ensemble_backend
+    return notes

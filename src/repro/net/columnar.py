@@ -413,23 +413,15 @@ class ColumnBatch:
         :meth:`key_words` instead. Packing each row into 25 bytes and
         deduplicating them vectorized means the string formatting
         (``"a.b.c.d"``, ``"aa:bb:..."``) runs once per unique flow, not
-        once per packet. Flows are listed in first-occurrence order
-        (``flow_first_rows`` maps each back to its first row)."""
+        once per packet. Flows are listed in first-occurrence order."""
         if self._flows is None:
             self._build_flows()
-        inverse, flows, _ = self._flows
-        return inverse, flows
-
-    def flow_first_rows(self) -> list[int]:
-        """Row index of each unique flow's first packet."""
-        if self._flows is None:
-            self._build_flows()
-        return self._flows[2]
+        return self._flows
 
     def _build_flows(self) -> None:
         n = len(self)
         if n == 0:
-            self._flows = (np.empty(0, dtype=np.int64), [], [])
+            self._flows = (np.empty(0, dtype=np.int64), [])
             return
         packed = np.empty((n, 25), dtype=np.uint8)
         packed[:, 0] = self.has_ether + (
@@ -475,13 +467,12 @@ class ColumnBatch:
         rank[perm] = np.arange(perm.shape[0])
         inverse = np.empty(n, dtype=np.int64)
         inverse[order] = rank[group_of_sorted]
-        first_rows_arr = firsts_sorted[perm]
-        uniq_raw = packed.take(first_rows_arr, axis=0).tobytes()
+        uniq_raw = packed.take(firsts_sorted[perm], axis=0).tobytes()
         flows = [
             _flow_from_record(uniq_raw[pos : pos + 25])
             for pos in range(0, len(uniq_raw), 25)
         ]
-        self._flows = (inverse, flows, first_rows_arr.tolist())
+        self._flows = (inverse, flows)
 
 
 #: Byte → formatted-octet tables: identical output to

@@ -47,8 +47,7 @@ def plan_cells(
     """Resolve the requested sub-matrix into an ordered cell plan.
 
     Every cell is re-seeded and re-scaled from the matrix base config,
-    exactly as :meth:`IDSAnalysisPipeline.config_for` does — the engine
-    and the serial seed path therefore run byte-identical configs.
+    so serial and parallel engine runs execute byte-identical configs.
     """
     cells: list[CellSpec] = []
     for dataset_name in dataset_names:

@@ -21,13 +21,12 @@ path across worker processes — flow-consistent sharding
 checkpointed crash-resume — with a coverage digest that is invariant
 across worker counts.
 
-Capture replay additionally supports the ``columnar-mmap`` ingest
-backend (:mod:`repro.net.columnar`): the capture is mmap'd and decoded
-into column batches that feed batched feature extraction directly, with
-no ``Packet`` objects on the hot path. Scores, features and coverage
-digests are bit-identical to the packet-object path
-(:func:`~repro.stream.service.resolve_ingest_backend` picks the
-backend per session).
+Capture replay decodes through the ``columnar-mmap`` ingest
+(:mod:`repro.net.columnar`): the capture is mmap'd and decoded into
+column batches that feed batched feature extraction directly, with no
+``Packet`` objects on the hot path. Scores, features and coverage
+digests are bit-identical to the ``packet-objects`` reference route
+(:func:`~repro.stream.service.resolve_ingest_backend`).
 """
 
 from repro.stream.alerts import AlertEpisode, HysteresisAlerter

@@ -335,11 +335,11 @@ def build_streaming_detector(
     otherwise a short prefix leaves KitNET still in its grace periods
     and 'scores' are silently training-step outputs.
 
-    ``feature_backend`` pins the AfterImage compute backend for
-    packet-level IDSs: a registered feature-engine backend name, or
-    ``"auto"`` to let the registry rank what this host can run (see
-    :mod:`repro.backends`). Every backend is bit-identical to the
-    scalar reference, so this is a pure throughput knob.
+    ``feature_backend`` pins the AfterImage engine of a packet-level
+    IDS: a :data:`~repro.features.netstat.ENGINES` name, passed to
+    ``NetStat(engine=...)``, which refuses unknown names and a missing
+    native kernel. Every engine is bit-identical to the scalar
+    reference, so this is a pure throughput knob.
     """
     name = canonical_ids_name(ids_name)
     factory = evaluated_ids_factories()[name]
@@ -347,18 +347,13 @@ def build_streaming_detector(
     overrides = dict(ids_overrides or {})
     kwargs.update(overrides)
     if feature_backend is not None:
-        from repro import backends
-
-        resolved = backends.resolve(backends.FEATURE_ENGINE, feature_backend)
-        if not getattr(factory, "supports_batch", False) or name not in (
-            "Kitsune", "HELAD"
-        ):
+        if name not in ("Kitsune", "HELAD"):
             raise ValueError(
                 f"{name} is a flow-level IDS and does not use the "
-                "NetStat feature engine; --feature-backend only applies "
+                "NetStat feature engine; feature_backend only applies "
                 "to packet-level IDSs (Kitsune, HELAD)"
             )
-        kwargs["netstat_engine"] = resolved.name
+        kwargs["netstat_engine"] = feature_backend
     if name != "Slips":
         kwargs.setdefault("seed", seed)
     if name == "Kitsune" and warmup_packets is not None:

@@ -31,7 +31,7 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from repro import backends, obs
+from repro import obs
 from repro.core.experiment import (
     ExperimentConfig,
     build_flow_cell,
@@ -42,6 +42,7 @@ from repro.core.experiment import (
 from repro.core.metrics import MetricReport
 from repro.core.thresholds import standard_threshold
 from repro.ids.base import InputKind
+from repro.ids.registry import backend_notes
 from repro.stream.alerts import AlertEpisode, HysteresisAlerter
 from repro.stream.detector import (
     FlowStreamDetector,
@@ -340,7 +341,7 @@ def stream_experiment(
     notes["seed"] = config.seed
     notes["scale"] = config.scale
     notes["scoring_path"] = detector.scoring_path
-    notes.update(backends.backend_notes(ids))
+    notes.update(backend_notes(ids))
     notes["run_id"] = obs.run_id()
     if exporter is not None:
         exporter.export()
@@ -369,29 +370,41 @@ def stream_experiment(
     )
 
 
+#: Accepted ``ingest_backend`` values. ``"packet-objects"`` decodes
+#: :class:`Packet` objects and columnizes them (the reference route);
+#: ``"columnar-mmap"`` decodes column batches straight off an mmap'd
+#: capture. Scores, coverage and digests are bit-identical.
+INGEST_BACKENDS = ("packet-objects", "columnar-mmap")
+
+
 def resolve_ingest_backend(
     source: PacketSource,
-    ingest_backend: str | None,
+    ingest_backend: str | None = None,
 ) -> str:
     """Resolve the ingest backend one streaming session will use.
 
-    ``None`` keeps the packet-object ingest (status quo). ``"auto"``
-    picks the registry's best backend but quietly falls back to
-    packet objects when the source has no capture file to decode
-    column batches from. An *explicit* ``"columnar-mmap"`` on such a
-    source raises instead of silently changing meaning.
+    The default ``None`` decodes through mmap (``"columnar-mmap"``)
+    when the source has a capture file to decode column batches from
+    (``iter_batches``), else through packet objects. An explicit name
+    must be one of :data:`INGEST_BACKENDS`; an explicit
+    ``"columnar-mmap"`` on a source without a capture file raises
+    instead of silently changing meaning.
     """
+    columnar = hasattr(source, "iter_batches")
     if ingest_backend is None:
-        return "packet-objects"
-    resolved = backends.resolve(backends.INGEST, ingest_backend).name
-    if resolved != "columnar-mmap" or hasattr(source, "iter_batches"):
-        return resolved
-    if ingest_backend == "auto":
-        return "packet-objects"
-    raise ValueError(
-        f"ingest backend {resolved!r} needs a source with column "
-        f"batches (iter_batches); {source.describe()} has none"
-    )
+        return "columnar-mmap" if columnar else "packet-objects"
+    if ingest_backend not in INGEST_BACKENDS:
+        raise ValueError(
+            f"unknown ingest backend {ingest_backend!r}; "
+            f"known: {', '.join(INGEST_BACKENDS)}"
+        )
+    if ingest_backend == "columnar-mmap" and not columnar:
+        raise ValueError(
+            f"ingest backend 'columnar-mmap' needs a source with column "
+            f"batches (iter_batches); {source.describe()} has none, so "
+            f"only 'packet-objects' applies"
+        )
+    return ingest_backend
 
 
 def _warm_up(
@@ -507,13 +520,13 @@ def stream_capture(
 
     Every source reaches the detector as column batches
     (:func:`~repro.net.columnar.iter_column_batches`);
-    ``ingest_backend`` selects how they are made. The default ``None``
-    (or ``"packet-objects"``) iterates decoded :class:`Packet` objects
-    and columnizes them one micro-batch at a time; ``"columnar-mmap"``
-    decodes column batches straight off the capture file (``"auto"``
-    lets the registry decide). Scores, coverage and digests are
-    bit-identical across backends — ingest is a throughput knob, not a
-    semantic one.
+    ``ingest_backend`` selects how they are made
+    (:func:`resolve_ingest_backend`). The default ``None`` decodes
+    column batches straight off the capture file when the source has
+    one; ``"packet-objects"`` iterates decoded :class:`Packet` objects
+    and columnizes them one micro-batch at a time, the reference route.
+    Scores, coverage and digests are bit-identical across backends —
+    ingest is a throughput knob, not a semantic one.
     """
     if warmup_packets < 0:
         raise ValueError(f"warmup_packets must be >= 0, got {warmup_packets}")
@@ -578,7 +591,7 @@ def stream_capture(
             "coverage_digest": coverage_digest(emitted),
             "score_digest": hashlib.sha256(
                 emitted.score.tobytes()).hexdigest(),
-            **backends.backend_notes(getattr(detector, "ids", None)),
+            **backend_notes(getattr(detector, "ids", None)),
             "run_id": obs.run_id(),
         },
     )

@@ -72,7 +72,8 @@ from typing import Sequence
 
 import numpy as np
 
-from repro import backends, obs
+from repro import obs
+from repro.ids.registry import backend_notes
 from repro.ids.persistence import (
     checkpoint_filename,
     latest_stream_checkpoint,
@@ -852,7 +853,7 @@ def stream_capture_sharded(
             "ingest_backend": resolved_ingest,
             # The compute backends the supervisor's detector template
             # resolved to; every worker clones the same template.
-            **backends.backend_notes(getattr(detector, "ids", None)),
+            **backend_notes(getattr(detector, "ids", None)),
             "sharded": True,
             "workers_n": workers,
             "shard_key": "canonical-channel",

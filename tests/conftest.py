@@ -46,31 +46,21 @@ def _obs_isolation():
 
 
 def _available_feature_backends() -> list[str]:
-    """Feature-engine backends whose probes pass on this host.
+    """Feature engines this host can run, evaluated at collection time:
+    ``vector-native`` appears only when the C kernel loads (not under
+    ``REPRO_DISABLE_NATIVE=1``)."""
+    from repro.features import _native
 
-    Evaluated at collection time so the parity-contract fixtures below
-    parameterize over exactly the backends a user could select here —
-    native variants appear only when a C compiler is available.
-    """
-    from repro import backends
-
-    return [
-        spec.name
-        for spec in backends.available_backends(backends.FEATURE_ENGINE)
-    ]
+    if _native.load_kernel() is None:
+        return ["scalar"]
+    return ["scalar", "vector-native"]
 
 
 @pytest.fixture(params=_available_feature_backends())
 def feature_backend(request) -> str:
-    """Shared parity contract: every registered, available feature
-    backend. A test taking this fixture runs once per backend and must
-    hold bit-for-bit against the scalar reference."""
-    return request.param
-
-
-@pytest.fixture(params=["batched-einsum"])
-def ensemble_backend(request) -> str:
-    """Shared parity contract over the registered ensemble backends."""
+    """Shared parity contract: every feature engine this host can run.
+    A test taking this fixture runs once per engine and must hold
+    bit-for-bit against the scalar reference."""
     return request.param
 
 

@@ -1,6 +1,8 @@
-"""The compute-backend registry, capability discovery, and selection
-plumbing: ``repro.backends`` declarations, the native-kernel fallback
-contract, and the CLI surfaces that report the resolved backend."""
+"""Compute-engine choices and the surfaces that report them: the plain
+value sets the ``feature_backend``/``ensemble_backend``/
+``ingest_backend`` keywords accept, the native-kernel fallback
+contract, and the report notes and CLI that name the engines that
+ran."""
 
 from __future__ import annotations
 
@@ -14,102 +16,94 @@ from pathlib import Path
 
 import pytest
 
-from repro import backends
-from repro.backends.registry import BackendSpec, _REGISTRY
 from repro.cli import main
 from repro.features import _native
 from repro.features.netstat import NetStat
+from repro.ids.registry import backend_notes
+from repro.stream import (
+    DatasetSource,
+    PcapReplaySource,
+    build_streaming_detector,
+    resolve_ingest_backend,
+    stream_capture,
+)
+
+
+def _expected_feature_backend() -> str:
+    return "vector-native" if _native.load_kernel() is not None else "scalar"
+
+
+@pytest.fixture
+def kernel_off(monkeypatch):
+    """The native kernel as a host without a compiler sees it."""
+    monkeypatch.setattr(_native, "load_kernel", lambda: None)
+
+
+@pytest.fixture(scope="module")
+def mirai_pcap(tmp_path_factory) -> Path:
+    from repro.datasets import generate_dataset
+
+    path = tmp_path_factory.mktemp("capture") / "mirai.pcap"
+    generate_dataset("Mirai", seed=0, scale=0.02).to_pcap(path)
+    return path
 
 
 class TestRegistry:
-    def test_components_and_declared_backends(self):
-        assert set(backends.components()) == {
-            backends.FEATURE_ENGINE, backends.INGEST, backends.ENSEMBLE,
-        }
-        assert backends.backend_names(backends.FEATURE_ENGINE) == (
-            "scalar", "vector-native",
-        )
-        assert backends.backend_names(backends.INGEST) == (
-            "packet-objects", "columnar-mmap",
-        )
-        assert backends.backend_names(backends.ENSEMBLE) == (
-            "batched-einsum",
-        )
+    """What replaced the compute-backend registry: each keyword checks
+    its argument against a plain value set where it is used, and the
+    feature engine is chosen once, by ``NetStat``."""
 
-    def test_unknown_component_and_backend_errors_name_the_known_set(self):
-        with pytest.raises(KeyError, match="feature-engine, ingest, ensemble"):
-            backends.backend_names("gpu")
-        with pytest.raises(KeyError) as excinfo:
-            backends.get_backend(backends.FEATURE_ENGINE, "vector-cuda")
-        message = str(excinfo.value)
-        assert "vector-cuda" in message
-        assert "scalar, vector-native" in message  # the known set
+    def test_unknown_component_and_backend_errors_name_the_known_set(
+        self, mirai_pcap,
+    ):
+        from repro.ids.kitsune.kitnet import KitNET
+        from repro.utils.rng import SeededRNG
+
+        with pytest.raises(ValueError, match="auto, batched-einsum"):
+            KitNET(10, ensemble_backend="x", rng=SeededRNG(0, "test"))
+        with pytest.raises(ValueError, match="scalar, vector-native, vector"):
+            build_streaming_detector("Kitsune", feature_backend="bogus")
+        with pytest.raises(ValueError, match="packet-objects, columnar-mmap"):
+            resolve_ingest_backend(PcapReplaySource(mirai_pcap), "auto")
+        with pytest.raises(ValueError, match="only 'packet-objects'"):
+            resolve_ingest_backend(
+                DatasetSource("Mirai", scale=0.02), "columnar-mmap",
+            )
 
     def test_always_available_backends(self):
-        names = [
-            spec.name
-            for spec in backends.available_backends(backends.FEATURE_ENGINE)
-        ]
-        # The pure-Python reference carries no probe: available anywhere.
-        assert "scalar" in names
-        native = _native.load_kernel() is not None
-        assert ("vector-native" in names) == native
-
-    def test_resolve_auto_picks_highest_ranked_available(self):
-        spec = backends.resolve(backends.FEATURE_ENGINE, "auto")
+        # The pure-Python reference runs anywhere; the native engine
+        # runs exactly where its kernel loads.
+        assert NetStat(engine="scalar").backend == "scalar"
         if _native.load_kernel() is None:
-            assert spec.name == "scalar"
+            with pytest.raises(RuntimeError, match="unavailable"):
+                NetStat(engine="vector-native")
         else:
-            assert spec.name == "vector-native"
-        assert backends.resolve(backends.ENSEMBLE).name == "batched-einsum"
+            assert NetStat(engine="vector-native").backend == "vector-native"
 
     def test_removed_ensemble_backend_is_rejected(self):
         from repro.ids.kitsune import Kitsune
 
-        with pytest.raises(KeyError, match="batched-einsum"):
+        with pytest.raises(ValueError, match="batched-einsum"):
             Kitsune(ensemble_backend="per-row")
 
-    def test_resolve_explicit_unavailable_backend_raises(self):
-        key = (backends.FEATURE_ENGINE, "vector-test-unavailable")
-        backends.register(BackendSpec(
-            component=backends.FEATURE_ENGINE,
-            name="vector-test-unavailable",
-            description="test-only",
-            parity="n/a",
-            probe=lambda: "requires hardware this host lacks",
-        ))
-        try:
-            with pytest.raises(RuntimeError, match="requires hardware"):
-                backends.resolve(
-                    backends.FEATURE_ENGINE, "vector-test-unavailable"
-                )
-            # ...and auto never selects it either.
-            assert backends.resolve(backends.FEATURE_ENGINE).name != (
-                "vector-test-unavailable"
-            )
-        finally:
-            del _REGISTRY[key]
-
-    def test_capabilities_shape(self):
-        caps = backends.capabilities()
-        assert caps["cpu_count"] >= 1
-        assert isinstance(caps["native_kernel"], bool)
-        per_component = caps["components"]
-        assert set(per_component) == set(backends.components())
-        scalar = per_component[backends.FEATURE_ENGINE]["scalar"]
-        assert scalar == {"available": True, "reason": None}
+    def test_resolve_explicit_unavailable_backend_raises(self, kernel_off):
+        # Pinning the native engine where it cannot run is an error,
+        # never a silent fallback; the default degrades instead.
+        with pytest.raises(RuntimeError, match="unavailable"):
+            build_streaming_detector("Kitsune", feature_backend="vector-native")
+        with pytest.raises(ValueError, match="packet-level"):
+            build_streaming_detector("Slips", feature_backend="scalar")
+        assert build_streaming_detector("Kitsune").ids.netstat.backend == (
+            "scalar"
+        )
 
     def test_default_feature_backend_matches_kernel_presence(self):
-        expected = (
-            "vector-native" if _native.load_kernel() is not None
-            else "scalar"
-        )
-        assert backends.default_feature_backend() == expected
+        assert NetStat().backend == _expected_feature_backend()
 
     @pytest.mark.parametrize("kernel", ["loaded", "unavailable"])
-    def test_default_is_one_decision(self, monkeypatch, kernel):
-        """The registry default, the ``NetStat()`` alias and ``auto``
-        agree, with and without the native kernel."""
+    def test_default_is_one_decision(self, monkeypatch, tmp_path, kernel):
+        """``repro-cli backends`` reports NetStat's own choice, with and
+        without the native kernel."""
         if kernel == "unavailable":
             monkeypatch.setattr(_native, "load_kernel", lambda: None)
             expected = "scalar"
@@ -117,41 +111,25 @@ class TestRegistry:
             pytest.skip("native AfterImage kernel unavailable")
         else:
             expected = "vector-native"
-        assert backends.default_feature_backend() == expected
+        out = tmp_path / "caps.json"
+        assert main(["backends", "--json", str(out)]) == 0
+        assert json.loads(out.read_text())["feature_backend"] == expected
         assert NetStat().backend == expected
-        assert backends.resolve(
-            backends.FEATURE_ENGINE, "auto"
-        ).name == expected
 
 
 class TestBackendNotes:
     def test_kitsune_reports_both_backends(self):
         from repro.ids.kitsune import Kitsune
 
-        ids = Kitsune(fm_grace=10, ad_grace=10)
-        notes = backends.backend_notes(ids)
-        assert notes["feature_backend"] == backends.default_feature_backend()
+        notes = backend_notes(Kitsune(fm_grace=10, ad_grace=10))
+        assert notes["feature_backend"] == _expected_feature_backend()
         assert notes["ensemble_backend"] == "batched-einsum"
 
     def test_flow_ids_and_none_report_nothing(self):
         from repro.ids.slips import SlipsIDS
 
-        assert backends.backend_notes(SlipsIDS()) == {}
-        assert backends.backend_notes(None) == {}
-
-    def test_ids_compute_backends_covers_evaluated_ids(self):
-        from repro.ids.registry import ids_compute_backends
-
-        table = ids_compute_backends()
-        assert table["Kitsune"]["feature"] == (
-            backends.default_feature_backend()
-        )
-        assert table["Kitsune"]["ensemble"] == "batched-einsum"
-        assert table["HELAD"]["feature"] == (
-            backends.default_feature_backend()
-        )
-        assert table["HELAD"]["ensemble"] is None
-        assert table["Slips"] == {"feature": None, "ensemble": None}
+        assert backend_notes(SlipsIDS()) == {}
+        assert backend_notes(None) == {}
 
 
 class TestNativeFallback:
@@ -239,70 +217,64 @@ class TestBackendsCLI:
     def test_backends_subcommand_renders_capability_table(self, capsys):
         assert main(["backends"]) == 0
         out = capsys.readouterr().out
-        assert "feature-engine" in out
-        assert "vector-native" in out
-        assert "batched-einsum" in out
+        assert "native kernel" in out
+        assert f"feature engine: {_expected_feature_backend()}" in out
+        assert "REPRO_DISABLE_NATIVE=1" in out
 
     def test_backends_json_payload(self, tmp_path, capsys):
         out = tmp_path / "caps.json"
         assert main(["backends", "--json", str(out)]) == 0
         caps = json.loads(out.read_text())
         assert caps["cpu_count"] >= 1
-        assert "feature-engine" in caps["components"]
+        assert caps["native_kernel"] == (_native.load_kernel() is not None)
+        assert "native_kernel_reason" in caps
 
     def test_stream_reports_resolved_feature_backend(self, tmp_path):
-        native = _native.load_kernel() is not None
-        backend = "vector-native" if native else "scalar"
         out = tmp_path / "report.json"
         code = main([
             "stream", "--ids", "kitsune", "--dataset", "mirai",
-            "--scale", "0.03", "--feature-backend", backend,
-            "--json", str(out), "--quiet",
+            "--scale", "0.03", "--json", str(out), "--quiet",
         ])
         assert code == 0
         notes = json.loads(out.read_text())["notes"]
-        assert notes["feature_backend"] == backend
+        assert notes["feature_backend"] == _expected_feature_backend()
         assert notes["ensemble_backend"] == "batched-einsum"
 
     def test_sharded_stream_reports_resolved_feature_backend(self, tmp_path):
         out = tmp_path / "report.json"
         code = main([
             "stream", "--ids", "kitsune", "--dataset", "mirai",
-            "--scale", "0.03", "--feature-backend", "auto",
-            "--workers", "1", "--checkpoint-every", "500",
+            "--scale", "0.03", "--workers", "1",
+            "--checkpoint-every", "500",
             "--json", str(out), "--quiet",
         ])
         assert code == 0
         notes = json.loads(out.read_text())["notes"]
         assert notes["sharded"] is True
-        assert notes["feature_backend"] == backends.resolve(
-            backends.FEATURE_ENGINE, "auto"
-        ).name
+        assert notes["feature_backend"] == _expected_feature_backend()
         assert notes["ensemble_backend"] == "batched-einsum"
 
-    def test_stream_feature_backend_rejected_for_flow_ids(self, capsys):
-        code = main([
-            "stream", "--ids", "slips", "--dataset", "mirai",
-            "--scale", "0.03", "--feature-backend", "scalar", "--quiet",
-        ])
-        assert code == 2
-        assert "packet-level" in capsys.readouterr().err
-
-    def test_stream_unavailable_backend_is_an_error(
-        self, capsys, monkeypatch,
-    ):
-        if _native.load_kernel() is not None:
-            monkeypatch.setattr(_native, "_cached_kernel", None)
-            monkeypatch.setattr(
-                _native, "_unavailable_reason", "forced off for test",
-            )
-        code = main([
-            "stream", "--ids", "kitsune", "--dataset", "mirai",
-            "--scale", "0.03", "--feature-backend", "vector-native",
-            "--quiet",
-        ])
-        assert code == 2
-        assert "unavailable" in capsys.readouterr().err
+    def test_stream_pcap_decodes_through_mmap(self, tmp_path, mirai_pcap):
+        """A ``--pcap`` replay decodes through mmap, bit-identical to the
+        packet-object reference route on the same capture."""
+        out = tmp_path / "report.json"
+        assert main([
+            "stream", "--ids", "kitsune", "--pcap", str(mirai_pcap),
+            "--train-packets", "250", "--threshold", "1e-3",
+            "--batch", "64", "--json", str(out), "--quiet",
+        ]) == 0
+        notes = json.loads(out.read_text())["notes"]
+        assert notes["ingest_backend"] == "columnar-mmap"
+        oracle = stream_capture(
+            PcapReplaySource(mirai_pcap),
+            build_streaming_detector("Kitsune", labelled=False,
+                                     warmup_packets=250, batch_size=64),
+            warmup_packets=250, threshold=1e-3,
+            ingest_backend="packet-objects",
+        )
+        assert oracle.n_scored > 0
+        assert notes["score_digest"] == oracle.notes["score_digest"]
+        assert notes["coverage_digest"] == oracle.notes["coverage_digest"]
 
     def test_profile_json_reports_backends(self, monkeypatch, tmp_path):
         # With the native kernel disabled the profile's feature stage
@@ -322,17 +294,26 @@ class TestBackendsCLI:
 
 
 class TestIngestRegistry:
-    def test_ingest_backends_always_available(self):
-        names = [
-            spec.name
-            for spec in backends.available_backends(backends.INGEST)
-        ]
-        assert names == ["packet-objects", "columnar-mmap"]
+    """``resolve_ingest_backend``: the default decodes through mmap
+    wherever there is a capture file; packet objects stay the
+    reference route."""
 
-    def test_auto_prefers_columnar(self):
-        assert backends.resolve(backends.INGEST).name == "columnar-mmap"
-        assert backends.default_ingest_backend() == "columnar-mmap"
+    def test_ingest_backends_always_available(self, mirai_pcap):
+        for source in (PcapReplaySource(mirai_pcap),
+                       DatasetSource("Mirai", scale=0.02)):
+            assert resolve_ingest_backend(source, "packet-objects") == (
+                "packet-objects"
+            )
 
-    def test_explicit_names_resolve(self):
+    def test_auto_prefers_columnar(self, mirai_pcap):
+        assert resolve_ingest_backend(PcapReplaySource(mirai_pcap)) == (
+            "columnar-mmap"
+        )
+        assert resolve_ingest_backend(DatasetSource("Mirai", scale=0.02)) == (
+            "packet-objects"
+        )
+
+    def test_explicit_names_resolve(self, mirai_pcap):
+        source = PcapReplaySource(mirai_pcap)
         for name in ("packet-objects", "columnar-mmap"):
-            assert backends.resolve(backends.INGEST, name).name == name
+            assert resolve_ingest_backend(source, name) == name

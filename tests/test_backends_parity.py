@@ -1,16 +1,13 @@
-"""Per-backend parity contracts, driven by the shared fixtures.
+"""Parity contracts of the compute engines.
 
-Every backend registered in ``repro.backends`` ships with a declared
-parity contract; this module is where those contracts are enforced.
-The ``feature_backend`` fixture (in ``conftest.py``) parameterizes
-each test over every feature-engine backend whose capability probe
-passes on this host, so adding a backend to the registry automatically
-subjects it to the full contract: bit-for-bit equality with the scalar
-AfterImage reference on adversarial streams, across the batched
-``update_batch`` path, at chunk boundaries, under prune churn, and
-against the committed golden fixture. The ``ensemble_backend`` fixture
-does the same for KitNET's execute-phase backend, against the per-row
-``KitNET._execute`` loop as the oracle.
+The ``feature_backend`` fixture (in ``conftest.py``) parameterizes each
+feature-engine test over every engine this host can run (``scalar``,
+plus ``vector-native`` when the C kernel loads): bit-for-bit equality
+with the scalar AfterImage reference on adversarial streams, across
+the batched ``update_batch`` path, at chunk boundaries, under prune
+churn, and against the committed golden fixture. The ensemble tests
+run once per accepted ``ensemble_backend`` spelling, against the
+per-row ``KitNET._execute`` loop as the oracle.
 """
 
 from __future__ import annotations
@@ -18,8 +15,10 @@ from __future__ import annotations
 import pickle
 
 import numpy as np
+import pytest
 
 from repro.features.netstat import NetStat
+from repro.ids.kitsune.kitnet import ENSEMBLE_BACKENDS
 
 from tests.test_features_parity import (
     GOLDEN_PATH, golden_stream, random_stream,
@@ -27,7 +26,7 @@ from tests.test_features_parity import (
 
 
 class TestFeatureBackendContract:
-    """Bit-for-bit vs the scalar reference, for every usable backend."""
+    """Bit-for-bit vs the scalar reference, for every usable engine."""
 
     def test_update_batch_matches_scalar_reference(self, feature_backend):
         packets = random_stream(7, count=900)
@@ -92,8 +91,9 @@ def per_row_scores(kitnet, rows) -> np.ndarray:
     return np.array([kitnet._execute(row) for row in rows])
 
 
+@pytest.mark.parametrize("ensemble_backend", ENSEMBLE_BACKENDS)
 class TestEnsembleBackendContract:
-    """KitNET execute-phase backends score identically per row."""
+    """KitNET's packed execute path scores identically per row."""
 
     def test_backends_score_bit_identically(self, ensemble_backend):
         from repro.ids.kitsune import Kitsune
@@ -113,4 +113,4 @@ class TestEnsembleBackendContract:
 
         ids = Kitsune(fm_grace=10, ad_grace=10,
                       ensemble_backend=ensemble_backend)
-        assert ids.kitnet.resolved_ensemble_backend == ensemble_backend
+        assert ids.kitnet.resolved_ensemble_backend == "batched-einsum"

@@ -27,10 +27,9 @@ from repro.net.pcap import (
     read_pcap,
     write_pcap,
 )
+from repro.stream.service import INGEST_BACKENDS
 
 from tests.conftest import make_tcp_packet, make_udp_packet
-
-INGEST_BACKENDS = ("packet-objects", "columnar-mmap")
 
 
 def _mixed_packets() -> list[Packet]:
@@ -145,14 +144,13 @@ class TestColumnDecodeParity:
     def test_flow_table_first_occurrence_order(self, capture):
         batch = _one_batch(capture)
         inverse, flows = batch.flow_table()
-        first_rows = batch.flow_first_rows()
-        assert len(first_rows) == len(flows)
-        # Flow j's first row must be the first row mapping to j, and
-        # flow numbering must follow first-occurrence order.
+        # Every flow has a row, and flow numbering follows
+        # first-occurrence order.
         seen = {}
         for row, flow_id in enumerate(inverse.tolist()):
             seen.setdefault(flow_id, row)
-        assert [seen[j] for j in range(len(flows))] == first_rows
+        assert len(seen) == len(flows)
+        first_rows = [seen[j] for j in range(len(flows))]
         assert first_rows == sorted(first_rows)
 
     def test_features_bit_identical_across_engines(self, capture):

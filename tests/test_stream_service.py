@@ -241,9 +241,11 @@ class TestIngestBackends:
                            ingest_backend="columnar-mmap")
 
     def test_auto_ingest_falls_back_to_packet_objects(self):
+        # The default ingest decodes through mmap only where the source
+        # has a capture file; a packet list goes through objects.
         report = stream_capture(ListSource(_packets(5)),
                                 RecordingDetector(), warmup_packets=1,
-                                threshold=1.0, ingest_backend="auto")
+                                threshold=1.0)
         assert report.notes["ingest_backend"] == "packet-objects"
         assert report.n_scored == 4
 
