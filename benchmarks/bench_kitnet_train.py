@@ -1,4 +1,4 @@
-"""KitNET cold start: both grace periods, reference vs shipped engines.
+"""KitNET cold start: both grace periods, reference vs shipped engine.
 
 A Kitsune session scores nothing until its two grace periods finish,
 so their cost is the detector's cold start. This bench replays the
@@ -11,19 +11,15 @@ Mirai feature stream's grace prefix and times each phase on its own:
   the shipped mapper updates one cluster-distance matrix per merge.
   Both must produce identical groups or the bench fails.
 * **training** — the sequential per-row reference
-  (``KitNET.process``), the shipped default ``process_batch`` (the
+  (``KitNET.process``) against the shipped ``process_batch`` (the
   stacked online engine), which must match the reference **bit for
-  bit** — scores, every weight and both scalers — or the bench fails,
-  and the stacked mini-batch SGD engine (``train_mode="minibatch"``)
-  at several flush sizes: an intentionally different learning
-  trajectory (pinned by its own golden fixture in the test suite), so
-  it is only sanity-checked for finiteness here.
+  bit** — scores, every weight and both scalers — or the bench fails.
 
 Run the acceptance configuration with::
 
     PYTHONPATH=src pytest benchmarks/bench_kitnet_train.py -s --scale 1.0
 
-At full scale the best training engine must be >= 3x the sequential
+At full scale the stacked online engine must be >= 3x the sequential
 reference. Results land in ``BENCH_kitnet_train.json``.
 """
 
@@ -43,8 +39,7 @@ from tests.test_feature_mapper_cluster import brute_force_cluster
 DEFAULT_SCALE = 1.0
 SEED = 0
 DATASET = "Mirai"
-TRAIN_BATCHES = (64, 256, 1024)
-#: Acceptance gate for the best training engine at scale >= 1.0.
+#: Acceptance gate for the stacked online engine at scale >= 1.0.
 FULL_SCALE_SPEEDUP = 3.0
 
 
@@ -93,13 +88,12 @@ def test_kitnet_train_throughput(bench_scale):
     n_rows = len(train_rows)
     assert n_rows > 0, f"no training rows at scale {scale}"
 
-    def fresh(**kwargs) -> KitNET:
+    def fresh() -> KitNET:
         return KitNET(
             dim,
             fm_grace=fm_grace,
             ad_grace=ad_grace,
             rng=SeededRNG(SEED, "bench-kitnet-train"),
-            **kwargs,
         )
 
     # Feature mapping: per-row sums, then clustering (oracle vs shipped).
@@ -139,29 +133,8 @@ def test_kitnet_train_throughput(bench_scale):
         for a, b in zip(_state(reference), _state(shipped))
     ), "stacked online weights or scalers diverged from the reference"
 
-    # Mini-batch SGD engine: different trajectory by design, so only
-    # sanity-checked (the golden fixture pins its scores in the tests).
-    minibatch_rows = {}
-    for train_batch in TRAIN_BATCHES:
-        detector = fresh(train_mode="minibatch", train_batch=train_batch)
-        detector.process_batch(fm_rows)
-        start = time.perf_counter()
-        scores = detector.process_batch(train_rows)
-        elapsed = time.perf_counter() - start
-        assert np.all(np.isfinite(scores)), (
-            f"minibatch train_batch={train_batch} produced "
-            "non-finite scores"
-        )
-        minibatch_rows[train_batch] = {
-            "seconds": elapsed,
-            "pps": n_rows / elapsed,
-        }
-
-    best_batch = max(minibatch_rows, key=lambda b: minibatch_rows[b]["pps"])
-    minibatch_speedup = minibatch_rows[best_batch]["pps"] / reference_pps
     online_speedup = reference_seconds / online_seconds
     fm_speedup = fm_oracle_seconds / fm_seconds
-    speedup = max(minibatch_speedup, online_speedup)
 
     lines = [
         f"kitnet cold start @ scale={scale} dataset={DATASET} "
@@ -177,28 +150,15 @@ def test_kitnet_train_throughput(bench_scale):
         f"{reference_seconds:9.3f}",
         f"  {'stacked online (shipped)':30s} "
         f"{n_rows / online_seconds:12,.0f} {online_seconds:9.3f}",
-    ]
-    for train_batch, row in minibatch_rows.items():
-        lines.append(
-            f"  {f'minibatch (tb={train_batch})':30s} "
-            f"{row['pps']:12,.0f} {row['seconds']:9.3f}"
-        )
-    lines.append(
-        f"  fm-grace speedup: {fm_speedup:.2f}x (identical groups verified)"
-    )
-    lines.append(
+        f"  fm-grace speedup: {fm_speedup:.2f}x (identical groups verified)",
         f"  stacked online speedup: {online_speedup:.2f}x "
-        "(bit-for-bit parity verified: scores, weights, scalers)"
-    )
-    lines.append(
-        f"  minibatch speedup: {minibatch_speedup:.2f}x "
-        f"(best train_batch {best_batch}, different trajectory by design)"
-    )
+        "(bit-for-bit parity verified: scores, weights, scalers)",
+    ]
     save_result("kitnet_train", "\n".join(lines))
     save_bench_json(
         "kitnet_train",
         metric="train_speedup",
-        value=round(speedup, 3),
+        value=round(online_speedup, 3),
         scale=scale,
         dataset=DATASET,
         fm_rows=len(fm_rows),
@@ -209,23 +169,17 @@ def test_kitnet_train_throughput(bench_scale):
         fm_speedup=round(fm_speedup, 3),
         online_parity=True,
         online_speedup=round(online_speedup, 3),
-        minibatch_speedup=round(minibatch_speedup, 3),
-        best_train_batch=best_batch,
         reference_rows_per_second=round(reference_pps),
         online_rows_per_second=round(n_rows / online_seconds),
-        minibatch_rows_per_second={
-            str(batch): round(row["pps"])
-            for batch, row in minibatch_rows.items()
-        },
     )
 
     # The shipped default must never lose to the reference it replays.
     assert online_speedup > 1.0, (
         f"stacked online training {online_speedup:.2f}x the reference"
     )
-    # The best engine must clear the acceptance gate at full scale.
+    # And it must clear the acceptance gate at full scale.
     if scale >= 1.0:
-        assert speedup >= FULL_SCALE_SPEEDUP, (
-            f"best training speedup {speedup:.2f}x below the "
+        assert online_speedup >= FULL_SCALE_SPEEDUP, (
+            f"stacked online training {online_speedup:.2f}x below the "
             f"{FULL_SCALE_SPEEDUP}x acceptance gate at scale {scale}"
         )

@@ -40,27 +40,18 @@ class OnlineMinMaxScaler:
             f"got {rows.shape}"
         )
 
-    def partial_fit(self, rows: np.ndarray) -> None:
-        """Update the running extrema with one observation or a batch.
+    def partial_fit(self, row: np.ndarray) -> None:
+        """Update the running extrema with one ``(dim,)`` observation.
 
-        A ``(n, dim)`` batch folds in via ``np.minimum.reduce`` /
-        ``np.maximum.reduce`` — extrema are order-independent, so the
-        result is exactly what ``n`` sequential single-row calls
-        produce.
+        Batches fold in through :meth:`fit_transform_running`.
         """
         if self.frozen:
             return
-        rows = self._checked(rows)
-        if rows.ndim == 2:
-            if rows.shape[0] == 0:
-                return
-            np.minimum(self.min, np.minimum.reduce(rows, axis=0),
-                       out=self.min)
-            np.maximum(self.max, np.maximum.reduce(rows, axis=0),
-                       out=self.max)
-            return
-        np.minimum(self.min, rows, out=self.min)
-        np.maximum(self.max, rows, out=self.max)
+        row = np.asarray(row, dtype=np.float64)
+        if row.shape != (self.dim,):
+            raise ValueError(f"expected shape ({self.dim},), got {row.shape}")
+        np.minimum(self.min, row, out=self.min)
+        np.maximum(self.max, row, out=self.max)
 
     def freeze(self) -> None:
         """Stop learning extrema (training phase over)."""
@@ -92,15 +83,15 @@ class OnlineMinMaxScaler:
 
         Single rows only: a whole-batch fit-then-transform would see
         extrema from *future* rows, silently breaking the online
-        training semantics. Batch callers fit and transform explicitly
-        (or use :meth:`fit_transform_running` for the exact sequential
-        trajectory over a batch).
+        training semantics. Batch callers use
+        :meth:`fit_transform_running` for the exact sequential
+        trajectory over a batch.
         """
         row = self._checked(row)
         if row.ndim != 1:
             raise ValueError(
                 "fit_transform is the online per-row call; for batches "
-                "use partial_fit(batch) then transform(batch)"
+                "use fit_transform_running(batch)"
             )
         self.partial_fit(row)
         return self.transform(row)

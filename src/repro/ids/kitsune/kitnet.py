@@ -9,8 +9,6 @@ then pure execution.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from repro import obs
@@ -33,11 +31,6 @@ class KitNET:
     ``hidden_ratio=0.75``, ``learning_rate=0.1``.
     """
 
-    # Class-level fallbacks so checkpoints pickled before the training
-    # engine existed still dispatch to the online reference path.
-    train_mode = "online"
-    train_batch = 32
-
     def __init__(
         self,
         dim: int,
@@ -47,18 +40,11 @@ class KitNET:
         max_group: int = 10,
         hidden_ratio: float = 0.75,
         learning_rate: float = 0.1,
-        train_mode: str = "online",
-        train_batch: int = 32,
         ensemble_backend: str = "auto",
         rng: SeededRNG,
     ) -> None:
         if dim <= 0:
             raise ValueError("dim must be positive")
-        if train_mode not in ("online", "minibatch"):
-            raise ValueError(
-                f"train_mode must be 'online' or 'minibatch', "
-                f"got {train_mode!r}"
-            )
         if ensemble_backend not in ENSEMBLE_BACKENDS:
             # Execute-phase rows always score through the packed
             # ensemble; "auto" is its other spelling.
@@ -71,12 +57,6 @@ class KitNET:
         self.ad_grace = int(check_positive("ad_grace", ad_grace))
         self.hidden_ratio = hidden_ratio
         self.learning_rate = learning_rate
-        #: ``"online"`` (the paper's per-packet SGD, the bit-exact
-        #: reference) or ``"minibatch"`` (stacked mini-batch SGD — an
-        #: intentionally different learning trajectory, see
-        #: :mod:`repro.ml.batched_train`).
-        self.train_mode = train_mode
-        self.train_batch = int(check_positive("train_batch", train_batch))
         self._rng = rng
         self.mapper = FeatureMapper(dim, max_group=max_group)
         # AfterImage normalisation does not clip: post-training regime
@@ -88,9 +68,6 @@ class KitNET:
         self.samples_seen = 0
         #: Lazily packed execute-phase scorer; any train step resets it.
         self._batched_ensemble = None
-        #: Lazily built mini-batch engine (see repro.ml.batched_train);
-        #: torn down when the training grace period completes.
-        self._minibatch_engine = None
 
     # -- lifecycle -------------------------------------------------------
     @property
@@ -147,12 +124,6 @@ class KitNET:
         if self.output_layer is None:  # fm_grace satisfied mid-stream
             self._build_ensemble()
         if self.in_training:
-            if self.train_mode == "minibatch":
-                # A lone row is its own (size-1) mini-batch.
-                score = float(self._train_rows_minibatch(row.reshape(1, -1))[0])
-                if self.samples_seen == self.fm_grace + self.ad_grace - 1:
-                    self._finish_training()
-                return score
             return self._train_step(row)
         return self._execute(row)
 
@@ -187,11 +158,6 @@ class KitNET:
         return rmses
 
     def _train_step(self, row: np.ndarray) -> float:
-        if getattr(self, "_minibatch_engine", None) is not None:
-            raise RuntimeError(
-                "mini-batch training is in progress; a per-row train "
-                "step would diverge from the packed weights"
-            )
         # Weights are about to move: drop any packed snapshot so the
         # batched execute path rebuilds from the post-update ensemble.
         self._record_training(1)
@@ -200,10 +166,7 @@ class KitNET:
         rmses = self._group_rmses(scaled, train=True)
         assert self._output_scaler is not None and self.output_layer is not None
         scaled_rmses = self._output_scaler.fit_transform(rmses)
-        score = self.output_layer.train_score(scaled_rmses)
-        if self.samples_seen == self.fm_grace + self.ad_grace - 1:
-            self._finish_training()
-        return score
+        return self.output_layer.train_score(scaled_rmses)
 
     def _record_training(self, rows: int) -> None:
         """Obs bookkeeping for a training step (no-op when disabled).
@@ -226,51 +189,6 @@ class KitNET:
             )
 
     # -- batched training ---------------------------------------------------
-    def _minibatch_trainer(self):
-        """The packed mini-batch engine (train_mode="minibatch" only).
-
-        Owns the canonical training weights from first use until
-        :meth:`_finish_training` syncs them back into the ensemble.
-        """
-        engine = getattr(self, "_minibatch_engine", None)
-        if engine is None:
-            from repro.ml.batched_train import MiniBatchTrainer
-
-            engine = MiniBatchTrainer(
-                self.ensemble,
-                self._group_arrays(),
-                learning_rate=self.learning_rate,
-            )
-            self._minibatch_engine = engine
-        return engine
-
-    def _train_rows_minibatch(self, matrix: np.ndarray) -> np.ndarray:
-        """Mini-batch SGD over training-phase rows (trajectory change).
-
-        Rows are consumed in ``train_batch``-sized flush groups: the
-        input scaler fits on the whole group before transforming it,
-        every group autoencoder takes one stacked averaged-gradient
-        step per group, and the output autoencoder trains on the
-        group's RMSE matrix the same way. Scores are the pre-update
-        RMSEs, as in online mode.
-        """
-        self._record_training(matrix.shape[0])
-        self._batched_ensemble = None
-        assert self._output_scaler is not None and self.output_layer is not None
-        trainer = self._minibatch_trainer()
-        scores = np.empty(matrix.shape[0])
-        for start in range(0, matrix.shape[0], self.train_batch):
-            chunk = matrix[start : start + self.train_batch]
-            self.scaler.partial_fit(chunk)
-            scaled = self.scaler.transform(chunk)
-            rmses = trainer.train_step(scaled)
-            self._output_scaler.partial_fit(rmses)
-            scaled_rmses = self._output_scaler.transform(rmses)
-            scores[start : start + len(chunk)] = self.output_layer.train_batch(
-                scaled_rmses
-            )
-        return scores
-
     def _train_rows_online(self, matrix: np.ndarray) -> np.ndarray:
         """Online training over a run of rows — bit-identical to
         :meth:`_train_step` per row.
@@ -308,23 +226,6 @@ class KitNET:
         ensemble.sync()
         output.sync()
         return scores
-
-    def _finish_training(self) -> None:
-        """Last training row done: sync and tear down the mini-batch
-        engine.
-
-        Fires at ``samples_seen == fm_grace + ad_grace - 1`` — the last
-        row the online reference actually trains on. The row that takes
-        ``samples_seen`` to the boundary itself goes through
-        :meth:`_execute` (``in_training`` is checked after the
-        increment), so the engine must be synced before it scores. The
-        scalers are deliberately *not* frozen: the reference trajectory
-        never freezes them, and bit-parity extends to detector state.
-        """
-        engine = getattr(self, "_minibatch_engine", None)
-        if engine is not None:
-            engine.sync()
-            self._minibatch_engine = None
 
     def _execute(self, row: np.ndarray) -> float:
         assert self._output_scaler is not None and self.output_layer is not None
@@ -399,14 +300,11 @@ class KitNET:
     def process_batch(self, matrix: np.ndarray) -> np.ndarray:
         """Feed a batch of instances; returns one score per row.
 
-        In the default online mode this is bit-identical to looping
-        :meth:`process` — scores and every piece of detector state.
-        Feature-mapping rows go one at a time, training rows through
-        the stacked online engine (:meth:`_train_rows_online`), and
-        the remaining execute-phase rows through :meth:`execute_batch`.
-        With ``train_mode="minibatch"`` training rows take the stacked
-        mini-batch SGD path instead, an intentionally different
-        learning trajectory pinned by its own golden fixture.
+        Bit-identical to looping :meth:`process` — scores and every
+        piece of detector state. Feature-mapping rows go one at a time,
+        training rows through the stacked online engine
+        (:meth:`_train_rows_online`), and the remaining execute-phase
+        rows through :meth:`execute_batch`.
         """
         matrix = self._as_matrix(matrix)
         n = matrix.shape[0]
@@ -430,13 +328,8 @@ class KitNET:
             if take > 0:
                 chunk = matrix[i : i + take]
                 self.samples_seen += take
-                if self.train_mode == "minibatch":
-                    scores[i : i + take] = self._train_rows_minibatch(chunk)
-                else:
-                    scores[i : i + take] = self._train_rows_online(chunk)
+                scores[i : i + take] = self._train_rows_online(chunk)
                 i += take
-            if self.samples_seen == boundary - 1:
-                self._finish_training()
             # The boundary-crossing row (per-row execute semantics).
             while i < n and self.samples_seen < boundary:
                 scores[i] = self.process(matrix[i])
@@ -444,7 +337,3 @@ class KitNET:
         if i < n:
             scores[i:] = self.execute_batch(matrix[i:])
         return scores
-
-    def score_matrix(self, matrix: np.ndarray) -> np.ndarray:
-        """Process a matrix of instances (online semantics preserved)."""
-        return self.process_batch(matrix)

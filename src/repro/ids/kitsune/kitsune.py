@@ -38,15 +38,11 @@ class Kitsune(PacketIDS):
         decays: tuple[float, ...] = (5.0, 3.0, 1.0, 0.1, 0.01),
         seed: int = 0,
         netstat_engine: str = "vector",
-        train_mode: str = "online",
-        train_batch: int = 32,
         ensemble_backend: str = "auto",
     ) -> None:
         # The vectorized AfterImage engine is bit-identical to the
         # scalar reference (tests/test_features_parity.py), so the
-        # engine choice is a pure throughput knob;
-        # ``train_mode="minibatch"`` is an opt-in trajectory change
-        # (see repro.ml.batched_train).
+        # engine choice is a pure throughput knob.
         self.netstat = NetStat(decays, engine=netstat_engine)
         from repro.ids.kitsune.kitnet import KitNET
 
@@ -57,8 +53,6 @@ class Kitsune(PacketIDS):
             max_group=max_group,
             hidden_ratio=hidden_ratio,
             learning_rate=learning_rate,
-            train_mode=train_mode,
-            train_batch=train_batch,
             ensemble_backend=ensemble_backend,
             rng=SeededRNG(seed, "kitsune"),
         )

@@ -63,9 +63,10 @@ from repro.utils.rng import SeededRNG
 # Version history:
 #   1 — initial format; the sample counter was stored under a misspelled
 #       meta key (``"decaysamples_seen"``) and ignored on load.
-#   2 — counter stored as ``"samples_seen"`` and restored faithfully;
-#       training-engine config (``train_mode``/``train_batch``) recorded
-#       so a restored detector keeps its training semantics.
+#   2 — counter stored as ``"samples_seen"`` and restored faithfully.
+#       Files written while KitNET still had a mini-batch training
+#       mode also carry its two config keys; load ignores them, because
+#       a saved model is always past its grace periods.
 _FORMAT_VERSION = 2
 _SUPPORTED_VERSIONS = (1, 2)
 
@@ -100,8 +101,6 @@ def save_kitnet(kitnet: KitNET, path: str | Path) -> None:
         "ad_grace": kitnet.ad_grace,
         "hidden_ratio": kitnet.hidden_ratio,
         "learning_rate": kitnet.learning_rate,
-        "train_mode": kitnet.train_mode,
-        "train_batch": kitnet.train_batch,
         "groups": kitnet.mapper.groups,
         "ensemble_size": len(kitnet.ensemble),
     }
@@ -134,8 +133,6 @@ def load_kitnet(path: str | Path) -> KitNET:
             ad_grace=meta["ad_grace"],
             hidden_ratio=meta["hidden_ratio"],
             learning_rate=meta["learning_rate"],
-            train_mode=meta.get("train_mode", "online"),
-            train_batch=meta.get("train_batch", 32),
             rng=SeededRNG(0, "loaded-kitnet"),
         )
         kitnet.mapper.groups = [list(g) for g in meta["groups"]]

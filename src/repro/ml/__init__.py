@@ -8,8 +8,7 @@ BPTT (HELAD's temporal model), and a feed-forward binary classifier
 packs an ensemble of autoencoders for batched execute-phase scoring,
 bit-identical to the per-row loops; :mod:`repro.ml.batched_train` is
 its training counterpart — stacked online training with the exact
-per-row trajectory, plus stacked mini-batch SGD over the same shape
-buckets.
+per-row trajectory.
 """
 
 from repro.ml.activations import identity, relu, sigmoid, tanh
@@ -18,7 +17,7 @@ from repro.ml.optimizers import SGD, Adam
 from repro.ml.losses import binary_cross_entropy, mean_squared_error
 from repro.ml.autoencoder import Autoencoder
 from repro.ml.batched import BatchedEnsemble
-from repro.ml.batched_train import MiniBatchTrainer, OnlineEnsembleTrainer
+from repro.ml.batched_train import OnlineEnsembleTrainer
 from repro.ml.lstm import LSTMRegressor
 from repro.ml.mlp import MLPClassifier
 
@@ -34,7 +33,6 @@ __all__ = [
     "mean_squared_error",
     "Autoencoder",
     "BatchedEnsemble",
-    "MiniBatchTrainer",
     "OnlineEnsembleTrainer",
     "LSTMRegressor",
     "MLPClassifier",

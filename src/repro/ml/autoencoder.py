@@ -102,31 +102,6 @@ class Autoencoder:
         self.samples_trained += 1
         return rmse
 
-    def train_batch(self, matrix: np.ndarray) -> np.ndarray:
-        """One mini-batch SGD step; returns the *pre-update* RMSE per row.
-
-        The whole batch is forwarded against the current weights, the
-        loss gradient is the mean of the per-row gradients, and one
-        optimizer step is applied. With a single row this is
-        bit-identical to :meth:`train_score`; with larger batches it is
-        an intentionally different (mini-batch) learning trajectory —
-        the opt-in engine behind ``KitNET(train_mode="minibatch")``.
-        """
-        matrix = np.atleast_2d(np.asarray(matrix, dtype=np.float64))
-        if matrix.size == 0:
-            return np.empty(0)
-        reconstruction = self.reconstruct(matrix)
-        rmses = np.sqrt(np.mean((reconstruction - matrix) ** 2, axis=1))
-        grad = 2.0 * (reconstruction - matrix) / (
-            matrix.shape[1] * matrix.shape[0]
-        )
-        grad = self.decoder.backward(grad)
-        self.encoder.backward(grad)
-        self.optimizer.step(self.decoder.parameters())
-        self.optimizer.step(self.encoder.parameters())
-        self.samples_trained += matrix.shape[0]
-        return rmses
-
     def score_batch(self, matrix: np.ndarray) -> np.ndarray:
         """Row-wise RMSE for a matrix of instances (no training).
 

@@ -1,26 +1,16 @@
-"""Stacked training engines for an autoencoder ensemble.
+"""Stacked online training for an autoencoder ensemble.
 
 :mod:`repro.ml.batched` made KitNET's *execute* phase a handful of
 stacked einsum contractions; this module is its training counterpart.
-Both engines pack the per-group weights into shape buckets, with very
-different contracts:
+:class:`OnlineEnsembleTrainer` packs the per-group weights into shape
+buckets and keeps **the exact online trajectory**: rows are still
+trained one at a time (SGD is sequential), but each row drives one
+stacked forward/backward pass per bucket instead of one Python-level
+``train_score`` call per group. Scores, weights and ``samples_trained``
+are **bit-identical** to the per-row reference loop; KitNET's
+``process_batch`` trains through it.
 
-* :class:`OnlineEnsembleTrainer` — **the exact online trajectory**.
-  Rows are still trained one at a time (SGD is sequential), but each
-  row drives one stacked forward/backward pass per bucket instead of
-  one Python-level ``train_score`` call per group. Scores, weights and
-  ``samples_trained`` are **bit-identical** to the per-row reference
-  loop; KitNET's default ``process_batch`` trains through it.
-
-* :class:`MiniBatchTrainer` — **mini-batch SGD**. A chunk of N scaled
-  rows is forwarded and backpropagated against *all* groups in a few
-  stacked contractions, and one averaged-gradient SGD step is applied
-  per autoencoder per chunk. This intentionally changes the
-  online-learning trajectory (scores are pinned by their own golden
-  fixture) in exchange for removing the per-row loop — the opt-in
-  behind ``KitNET(train_mode="minibatch")``.
-
-Both engines consume rows scaled by
+The trainer consumes rows scaled by
 :meth:`~repro.features.normalize.OnlineMinMaxScaler.fit_transform_running`
 (the vectorized, trajectory-exact online normalisation), so the input
 scaler never re-serialises the batch.
@@ -28,7 +18,6 @@ scaler never re-serialises the batch.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -38,124 +27,6 @@ from repro.ml.autoencoder import Autoencoder
 #: Most rows :class:`OnlineEnsembleTrainer` callers gather per pass, so
 #: the stacked inputs stay the same size however long the grace is.
 ROWS_PER_PASS = 1024
-
-
-@dataclass
-class _TrainBucket:
-    """All groups sharing one autoencoder shape, packed *mutably*.
-
-    Unlike the execute engine's frozen snapshot, these stacked tensors
-    are the live training weights: every mini-batch step updates them
-    in place, and :meth:`MiniBatchTrainer.sync` writes them back into
-    the per-group :class:`Autoencoder` objects.
-    """
-
-    group_ids: np.ndarray  # (B,) positions in the original group order
-    gather: np.ndarray     # (B, in_dim) feature indices into a scaled row
-    enc_w: np.ndarray      # (B, in_dim, hidden)
-    enc_b: np.ndarray      # (B, hidden)
-    dec_w: np.ndarray      # (B, hidden, in_dim)
-    dec_b: np.ndarray      # (B, in_dim)
-
-
-class MiniBatchTrainer:
-    """Stacked mini-batch SGD over a KitNET-style ensemble.
-
-    Owns packed copies of the per-group weights for the duration of the
-    training phase; the wrapped :class:`Autoencoder` objects are stale
-    until :meth:`sync` scatters the trained weights back (KitNET calls
-    it the moment its training grace period ends).
-    """
-
-    def __init__(
-        self,
-        ensemble: Sequence[Autoencoder],
-        group_index: Sequence[np.ndarray],
-        *,
-        learning_rate: float,
-    ) -> None:
-        if len(ensemble) != len(group_index):
-            raise ValueError(
-                f"{len(ensemble)} autoencoders for {len(group_index)} groups"
-            )
-        self._ensemble = list(ensemble)
-        self.n_groups = len(ensemble)
-        self.learning_rate = float(learning_rate)
-        self._enc_act = ensemble[0].encoder.activation
-        self._dec_act = ensemble[0].decoder.activation
-        self.rows_trained = 0
-        by_shape: dict[tuple[int, int], list[int]] = {}
-        for position, autoencoder in enumerate(ensemble):
-            shape = (autoencoder.dim, autoencoder.hidden_dim)
-            by_shape.setdefault(shape, []).append(position)
-        self._buckets = [
-            _TrainBucket(
-                group_ids=np.asarray(positions, dtype=np.intp),
-                gather=np.stack(
-                    [np.asarray(group_index[p], dtype=np.intp)
-                     for p in positions]
-                ),
-                enc_w=np.stack(
-                    [ensemble[p].encoder.weights for p in positions]
-                ),
-                enc_b=np.stack([ensemble[p].encoder.bias for p in positions]),
-                dec_w=np.stack(
-                    [ensemble[p].decoder.weights for p in positions]
-                ),
-                dec_b=np.stack([ensemble[p].decoder.bias for p in positions]),
-            )
-            for positions in by_shape.values()
-        ]
-
-    def train_step(self, scaled: np.ndarray) -> np.ndarray:
-        """One mini-batch step over every group; pre-update RMSEs.
-
-        ``scaled`` is ``(N, dim)``; returns ``(N, n_groups)`` RMSEs
-        computed against the weights *before* this step (KitNET's
-        execute-then-train semantics). The loss gradient per group is
-        the mean of the per-row gradients, so one chunk is one SGD step
-        per autoencoder.
-        """
-        scaled = np.ascontiguousarray(scaled, dtype=np.float64)
-        n = scaled.shape[0]
-        rmses = np.empty((n, self.n_groups))
-        lr = self.learning_rate
-        for bucket in self._buckets:
-            sub = np.ascontiguousarray(scaled[:, bucket.gather])  # (N,B,d)
-            hidden = self._enc_act.f(
-                np.einsum("ngi,gih->ngh", sub, bucket.enc_w) + bucket.enc_b
-            )
-            recon = self._dec_act.f(
-                np.einsum("ngh,ghi->ngi", hidden, bucket.dec_w) + bucket.dec_b
-            )
-            diff = recon - sub
-            rmses[:, bucket.group_ids] = np.sqrt(np.mean(diff**2, axis=2))
-            # Backward: mean-of-per-row-gradients, matching
-            # Autoencoder.train_batch's scaling (2*(r-x)/d averaged
-            # over the chunk).
-            delta_dec = (2.0 / (sub.shape[2] * n)) * diff * self._dec_act.df(
-                recon
-            )
-            grad_hidden = np.einsum("ngi,ghi->ngh", delta_dec, bucket.dec_w)
-            delta_enc = grad_hidden * self._enc_act.df(hidden)
-            bucket.dec_w -= lr * np.einsum("ngh,ngi->ghi", hidden, delta_dec)
-            bucket.dec_b -= lr * delta_dec.sum(axis=0)
-            bucket.enc_w -= lr * np.einsum("ngi,ngh->gih", sub, delta_enc)
-            bucket.enc_b -= lr * delta_enc.sum(axis=0)
-        self.rows_trained += n
-        return rmses
-
-    def sync(self) -> None:
-        """Scatter the packed weights back into the ensemble objects."""
-        for bucket in self._buckets:
-            for lane, position in enumerate(bucket.group_ids):
-                autoencoder = self._ensemble[position]
-                autoencoder.encoder.weights = bucket.enc_w[lane].copy()
-                autoencoder.encoder.bias = bucket.enc_b[lane].copy()
-                autoencoder.decoder.weights = bucket.dec_w[lane].copy()
-                autoencoder.decoder.bias = bucket.dec_b[lane].copy()
-                autoencoder.samples_trained += self.rows_trained
-        self.rows_trained = 0
 
 
 def _arena(shapes: Sequence[tuple[int, ...]]) -> tuple[np.ndarray, list]:

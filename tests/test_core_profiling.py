@@ -35,7 +35,6 @@ class Spy:
         self.batch_rows: list[int] = []
         self.read_pcap_calls = 0
         self.netstat_engines: list[str] = []
-        self.kitnet_train_modes: list[str] = []
 
 
 @pytest.fixture(scope="module")
@@ -46,7 +45,6 @@ def spied() -> tuple[PacketPathProfile, Spy]:
     read_pcap = pcap.read_pcap
     process = KitNET.process
     process_batch = KitNET.process_batch
-    kitnet_init = KitNET.__init__
     netstat_init = NetStat.__init__
 
     def spy_process(self, x):
@@ -61,10 +59,6 @@ def spied() -> tuple[PacketPathProfile, Spy]:
         spy.read_pcap_calls += 1
         return read_pcap(*args, **kwargs)
 
-    def spy_kitnet_init(self, *args, **kwargs):
-        spy.kitnet_train_modes.append(kwargs.get("train_mode", "online"))
-        kitnet_init(self, *args, **kwargs)
-
     def spy_netstat_init(self, *args, **kwargs):
         spy.netstat_engines.append(kwargs.get("engine", "vector"))
         netstat_init(self, *args, **kwargs)
@@ -72,7 +66,6 @@ def spied() -> tuple[PacketPathProfile, Spy]:
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(KitNET, "process", spy_process)
         patch.setattr(KitNET, "process_batch", spy_process_batch)
-        patch.setattr(KitNET, "__init__", spy_kitnet_init)
         patch.setattr(NetStat, "__init__", spy_netstat_init)
         patch.setattr(pcap, "read_pcap", spy_read_pcap)
         profile = profile_packet_path(
@@ -96,7 +89,6 @@ class TestShippedPathOnly:
         assert set(spy.process_callers) == {"process_batch"}
         assert spy.read_pcap_calls == 0
         assert spy.netstat_engines == ["vector"]
-        assert spy.kitnet_train_modes == ["online"]
 
     def test_stage_names_and_row_counts(self, profile):
         _, _, boundary = kitnet_grace_split(PACKETS)

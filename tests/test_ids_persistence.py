@@ -142,13 +142,10 @@ class TestSamplesSeenRoundTrip:
         def downgrade(meta):
             meta["format_version"] = 1
             meta["decaysamples_seen"] = meta.pop("samples_seen")
-            meta.pop("train_mode")
-            meta.pop("train_batch")
 
         _rewrite_meta(path, downgrade)
         loaded = load_kitnet(path)
         assert loaded.samples_seen == trained_kitnet.samples_seen
-        assert loaded.train_mode == "online"  # v1 default
         rng = SeededRNG(8)
         rows = rng.uniform(0.0, 1.5, size=(10, 12))
         expected = np.array([trained_kitnet._execute(row) for row in rows])
@@ -165,8 +162,6 @@ class TestSamplesSeenRoundTrip:
         def strip(meta):
             meta["format_version"] = 1
             meta.pop("samples_seen")
-            meta.pop("train_mode")
-            meta.pop("train_batch")
 
         _rewrite_meta(path, strip)
         loaded = load_kitnet(path)
@@ -188,21 +183,22 @@ class TestTrainModeRoundTrip:
         assert meta["samples_seen"] == trained_kitnet.samples_seen
         assert "decaysamples_seen" not in meta
 
-    def test_minibatch_detector_roundtrip(self, tmp_path):
-        net = KitNET(
-            12, fm_grace=40, ad_grace=200, max_group=4, rng=SeededRNG(1),
-            train_mode="minibatch", train_batch=24,
-        )
-        rng = SeededRNG(2)
-        net.process_batch(rng.uniform(0.3, 0.7, size=(250, 12)))
-        assert not net.in_training
+    def test_retired_train_mode_keys_are_ignored(self, trained_kitnet,
+                                                 tmp_path):
+        """v2 files written while KitNET still had a mini-batch training
+        mode carry its config. A saved model is past its grace periods,
+        so the keys never mattered on load and are ignored now."""
         path = tmp_path / "kitnet.npz"
-        save_kitnet(net, path)
+        save_kitnet(trained_kitnet, path)
+
+        def add_retired_keys(meta):
+            assert "train_mode" not in meta and "train_batch" not in meta
+            meta.update(train_mode="minibatch", train_batch=24)
+
+        _rewrite_meta(path, add_retired_keys)
         loaded = load_kitnet(path)
-        assert loaded.train_mode == "minibatch"
-        assert loaded.train_batch == 24
-        rows = rng.uniform(0.0, 1.5, size=(20, 12))
-        expected = np.array([net._execute(row) for row in rows])
+        rows = SeededRNG(9).uniform(0.0, 1.5, size=(20, 12))
+        expected = np.array([trained_kitnet._execute(row) for row in rows])
         assert np.array_equal(loaded.process_batch(rows), expected)
 
 

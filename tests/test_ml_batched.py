@@ -117,12 +117,6 @@ class TestProcessBatchParity:
         net = _kitnet()
         assert np.array_equal(net.process_batch(rows), expected)
 
-    def test_score_matrix_delegates_to_batched_path(self):
-        rows = _stream(400, 24)
-        reference = _kitnet()
-        expected = np.array([reference.process(row) for row in rows])
-        assert np.array_equal(_kitnet().score_matrix(rows), expected)
-
     def test_execute_batch_rejects_grace_period_rows(self):
         net = _kitnet()
         with pytest.raises(RuntimeError, match="grace"):

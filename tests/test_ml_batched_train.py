@@ -1,30 +1,16 @@
-"""Batched KitNET training: parity, determinism, goldens.
+"""Batched KitNET training: parity with the per-row reference.
 
-Two engines, two contracts (see :mod:`repro.ml.batched_train`):
-
-* the stacked online engine behind the default ``process_batch`` must
-  be **bit-identical** to the sequential per-row reference — scores,
-  every autoencoder's weights and ``samples_trained``, and both
-  scalers — for any chunking, any shape-bucket layout, and any mix of
-  per-row and batched calls;
-* mini-batch SGD (``train_mode="minibatch"``) is an intentionally
-  different learning trajectory: deterministic under a fixed call
-  chunking, pinned by its own golden fixture, and never bit-compared
-  to the online reference.
-
-The golden compare allows rtol 1e-9 (``np.exp`` SIMD ulp drift across
-CPU generations, as in test_ml_batched.py); everything in-process is
-exact. Regenerate after an intentional semantic change::
-
-    REPRO_REGEN_GOLDEN=1 PYTHONPATH=src pytest tests/test_ml_batched_train.py
+The stacked online engine behind ``process_batch`` (see
+:mod:`repro.ml.batched_train`) must be **bit-identical** to the
+sequential per-row reference — scores, every autoencoder's weights and
+``samples_trained``, and both scalers — for any chunking, any
+shape-bucket layout, and any mix of per-row and batched calls.
 """
 
 from __future__ import annotations
 
-import os
 import pickle
 from functools import lru_cache
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -32,13 +18,8 @@ import pytest
 from repro.features.normalize import OnlineMinMaxScaler
 from repro.ids.kitsune.kitnet import KitNET
 from repro.ml.autoencoder import Autoencoder
-from repro.ml.batched_train import MiniBatchTrainer, OnlineEnsembleTrainer
+from repro.ml.batched_train import OnlineEnsembleTrainer
 from repro.utils.rng import SeededRNG
-
-GOLDEN_PATH = (
-    Path(__file__).parent / "golden" / "kitnet_train_minibatch.npz"
-)
-
 
 def _stream(n: int, dim: int, seed: int = 11) -> np.ndarray:
     rng = SeededRNG(seed, "batched-stream")
@@ -125,43 +106,9 @@ class TestRunningScaler:
 
 
 class TestAutoencoderTrainBatch:
-    def test_single_row_bit_identical_to_train_score(self):
-        rng = SeededRNG(21)
-        one = Autoencoder(9, rng=rng.child("ae"))
-        two = Autoencoder(9, rng=rng.child("ae"))
-        rows = rng.uniform(size=(40, 9))
-        for row in rows:
-            expected = one.train_score(row)
-            got = two.train_batch(row.reshape(1, -1))
-            assert got.shape == (1,)
-            assert got[0] == expected
-        for mine, theirs in zip(
-            (one.encoder.weights, one.encoder.bias,
-             one.decoder.weights, one.decoder.bias),
-            (two.encoder.weights, two.encoder.bias,
-             two.decoder.weights, two.decoder.bias),
-        ):
-            assert np.array_equal(mine, theirs)
-        assert one.samples_trained == two.samples_trained == 40
-
-    def test_batch_step_returns_pre_update_rmses(self):
-        rng = SeededRNG(22)
-        ae = Autoencoder(7, rng=rng.child("ae"))
-        rows = rng.uniform(size=(16, 7))
-        # Expected pre-update RMSEs via the same (training) forward pass
-        # — score_batch's einsum execute path rounds differently from
-        # the BLAS training forward, so it is not the reference here.
-        reconstruction = ae.reconstruct(rows)
-        before = np.sqrt(np.mean((reconstruction - rows) ** 2, axis=1))
-        got = ae.train_batch(rows)
-        assert np.array_equal(got, before)  # execute-then-train semantics
-        after = ae.reconstruct(rows)
-        assert not np.array_equal(after, reconstruction)  # weights moved
-
     def test_empty_batch(self):
         rng = SeededRNG(23)
         ae = Autoencoder(5, rng=rng.child("ae"))
-        assert ae.train_batch(np.empty((0, 5))).shape == (0,)
         assert ae.score_batch(np.empty((0, 5))).shape == (0,)
         assert ae.samples_trained == 0
 
@@ -193,15 +140,13 @@ class TestEngineValidation:
     def test_mismatched_lengths(self):
         ensemble, index = self._ensemble()
         with pytest.raises(ValueError, match="autoencoders for"):
-            MiniBatchTrainer(ensemble, index[:-1], learning_rate=0.1)
-        with pytest.raises(ValueError, match="autoencoders for"):
             OnlineEnsembleTrainer(ensemble[:-1], index)
 
     def test_kitnet_train_param_validation(self):
-        with pytest.raises(ValueError, match="train_mode"):
-            _kitnet(train_mode="sgd")
-        with pytest.raises(ValueError, match="train_batch"):
-            _kitnet(train_batch=0)
+        with pytest.raises(ValueError, match="ad_grace"):
+            _kitnet(ad=0)
+        with pytest.raises(ValueError, match="ensemble backend"):
+            _kitnet(ensemble_backend="per-row")
 
 
 class TestParallelOnlineParity:
@@ -408,8 +353,10 @@ class TestOnlineEngineOnTraffic:
 class TestCheckpointCompatibility:
     def test_checkpoint_with_retired_parallel_settings(self):
         """Detectors pickled before the stacked online engine carry the
-        retired cross-group trainer's attributes. They must restore and
-        continue bit-identically; nothing reads those attributes."""
+        retired cross-group trainer's attributes, and those pickled
+        before the mini-batch mode was deleted carry its settings. They
+        must restore and continue bit-identically; nothing reads those
+        attributes."""
         rows = _stream(500, 24)
         reference, expected = TestParallelOnlineParity()._reference(rows)
         net = _kitnet()
@@ -417,6 +364,9 @@ class TestCheckpointCompatibility:
         net.train_workers = None
         net.train_backend = "thread"
         net._sharded_engine = None
+        net.train_mode = "online"
+        net.train_batch = 32
+        net._minibatch_engine = None
         restored = pickle.loads(pickle.dumps(net))
         got = np.concatenate([first, restored.process_batch(rows[120:])])
         assert np.array_equal(expected, got)
@@ -427,60 +377,10 @@ class TestCheckpointCompatibility:
             _kitnet(train_workers=2)
         with pytest.raises(TypeError):
             _kitnet(train_backend="thread")
-
-
-class TestMiniBatchMode:
-    def test_deterministic_under_identical_chunking(self):
-        rows = _stream(500, 24)
-        one = _kitnet(train_mode="minibatch", train_batch=16)
-        two = _kitnet(train_mode="minibatch", train_batch=16)
-        assert np.array_equal(one.process_batch(rows), two.process_batch(rows))
-        _assert_same_state(one, two)
-
-    def test_trajectory_differs_from_online(self):
-        rows = _stream(500, 24)
-        online = _kitnet().process_batch(rows)
-        minibatch = _kitnet(
-            train_mode="minibatch", train_batch=16
-        ).process_batch(rows)
-        assert minibatch.shape == online.shape
-        assert not np.array_equal(minibatch, online)
-
-    def test_per_row_training_step_guard(self):
-        """Once the packed minibatch engine owns the weights, a stray
-        per-row online step must be refused, not silently diverge."""
-        rows = _stream(500, 24)
-        net = _kitnet(train_mode="minibatch")
-        net.process_batch(rows[:100])  # mid-training: engine is live
-        assert net.in_training
-        with pytest.raises(RuntimeError, match="mini-batch training"):
-            net._train_step(rows[100])
-
-    def test_engine_synced_at_boundary_and_executes(self):
-        rows = _stream(500, 24)
-        net = _kitnet(train_mode="minibatch", train_batch=32)
-        scores = net.process_batch(rows)
-        assert net._minibatch_engine is None  # synced and dropped
-        assert not net.in_training
-        assert np.all(np.isfinite(scores))
-        # Regime shift at the stream tail must still read as anomalous.
-        assert scores[-100:].mean() > scores[250:300].mean()
-
-    def test_scores_match_golden(self):
-        rows = _stream(600, 24, seed=13)
-        net = _kitnet(train_mode="minibatch", train_batch=32)
-        scores = net.process_batch(rows)
-        if os.environ.get("REPRO_REGEN_GOLDEN"):
-            GOLDEN_PATH.parent.mkdir(parents=True, exist_ok=True)
-            np.savez_compressed(GOLDEN_PATH, scores=scores)
-            pytest.skip(f"regenerated {GOLDEN_PATH}")
-        if not GOLDEN_PATH.exists():
-            pytest.fail(
-                "golden fixture missing; regenerate with REPRO_REGEN_GOLDEN=1"
-            )
-        golden = np.load(GOLDEN_PATH)["scores"]
-        assert golden.shape == scores.shape == (600,)
-        np.testing.assert_allclose(golden, scores, rtol=1e-9)
+        with pytest.raises(TypeError):
+            _kitnet(train_mode="minibatch")
+        with pytest.raises(TypeError):
+            _kitnet(train_batch=32)
 
 
 class TestBatchStateSafety:

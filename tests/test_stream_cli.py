@@ -65,23 +65,30 @@ class TestStreamCommand:
         assert "--threshold" in capsys.readouterr().err
 
     def test_pcap_mode_unlabelled_report(self, tmp_path, capsys):
+        import warnings
+
         from repro.datasets import generate_dataset
 
         pcap = tmp_path / "tiny.pcap"
         generate_dataset("Mirai", seed=0, scale=0.02).to_pcap(pcap)
         out = tmp_path / "report.json"
-        code = main([
-            "stream", "--ids", "Kitsune", "--pcap", str(pcap),
-            "--threshold", "0.5", "--train-packets", "150",
-            "--batch", "64", "--window", "60s", "--json", str(out),
-            "--quiet",
-        ])
+        # 250 packets cover Kitsune's minimum combined grace (fm 100 +
+        # ad 150), so no score is a training-step output; a shorter
+        # prefix warns.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code = main([
+                "stream", "--ids", "Kitsune", "--pcap", str(pcap),
+                "--threshold", "0.5", "--train-packets", "250",
+                "--batch", "64", "--window", "60s", "--json", str(out),
+                "--quiet",
+            ])
         assert code == 0
         payload = json.loads(out.read_text())
         assert payload["labelled"] is False
         assert payload["metrics"] is None  # no ground truth in pcap
         assert payload["threshold_source"] == "fixed"
-        assert payload["n_warmup"] == 150
+        assert payload["n_warmup"] == 250
         assert payload["n_scored"] > 0
 
     def test_pcap_mode_scales_kitsune_grace_to_prefix(self):
