@@ -145,8 +145,6 @@ class TestEngineValidation:
     def test_kitnet_train_param_validation(self):
         with pytest.raises(ValueError, match="ad_grace"):
             _kitnet(ad=0)
-        with pytest.raises(ValueError, match="ensemble backend"):
-            _kitnet(ensemble_backend="per-row")
 
 
 class TestParallelOnlineParity:
