@@ -85,7 +85,7 @@ def run_contamination_point(config: ExperimentConfig, provider) -> ExperimentRes
     ids = Kitsune(fm_grace=fm, ad_grace=max(100, len(train) - fm), seed=0)
     fit_score_start = time.perf_counter()
     ids.fit(train)
-    scores = ids.anomaly_scores(test)
+    scores = ids.score_batch(test)
     fit_score_seconds = time.perf_counter() - fit_score_start
     threshold = fpr_budget_threshold(y_true, scores, max_fpr=0.05)
     return ExperimentResult(

@@ -12,8 +12,8 @@ so once ``score_batch`` has the batched autoencoder column every
 packet's window is known and one stacked
 ``LSTMRegressor.predict_windows`` call replaces the per-packet
 recurrence. The fitted detector scores the test packets from identical
-copies: through :meth:`HELAD.anomaly_scores` (the per-packet reference
-loop) and through :meth:`HELAD.score_batch`, as one batch and in live
+copies: through the per-packet reference loop (``tests/lstm_oracle.py``)
+and through :meth:`HELAD.score_batch`, as one batch and in live
 micro-batches.
 
 Both use the real Table IV BoT-IoT cell (same adaptation and seed as
@@ -40,7 +40,7 @@ from repro.core.experiment import ExperimentConfig, build_packet_cell
 from repro.datasets.registry import generate_dataset_uncached
 
 from benchmarks.conftest import save_bench_json, save_result, scale_or
-from tests.lstm_oracle import helad_fit, helad_state
+from tests.lstm_oracle import helad_fit, helad_scores, helad_state
 
 DEFAULT_SCALE = 1.0
 SEED = 0
@@ -96,7 +96,7 @@ def test_helad_batch_throughput(bench_scale):
 
     reference = copy.deepcopy(detector)
     reference_scores, reference_seconds = _timed(
-        lambda: reference.anomaly_scores(packets)
+        lambda: helad_scores(reference, packets)
     )
 
     def run(path, fn):

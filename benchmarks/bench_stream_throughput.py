@@ -203,12 +203,14 @@ class _ThrottleProbeDetector:
     def process_columns(self, batch):
         import time
 
-        from repro.stream.detector import ScoreBatch, StreamScore
+        from repro.stream.detector import StreamScore
+
+        from tests.stream_oracle import batch_of
 
         time.sleep(self.delay_seconds * len(batch))
         base = self.items_scored
         self.items_scored += len(batch)
-        return ScoreBatch.from_scores(
+        return batch_of(
             StreamScore(
                 index=base + row,
                 timestamp=stamp,

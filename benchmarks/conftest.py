@@ -112,12 +112,15 @@ def _git(*args: str) -> str:
 
 
 def _git_rev() -> str:
-    """The short HEAD rev, with ``-dirty`` when a tracked file differs
-    from it: numbers measured before a commit are not HEAD's."""
+    """The short HEAD rev, with ``-dirty`` when a tracked file other
+    than a ``BENCH_*.json`` result differs from it: numbers measured
+    before a commit are not HEAD's, but a bench file written earlier in
+    the same run does not change the code being measured."""
     rev = _git("rev-parse", "--short", "HEAD")
     if not rev:
         return "unknown"
-    if _git("status", "--porcelain", "--untracked-files=no"):
+    if _git("status", "--porcelain", "--untracked-files=no",
+            "--", ".", ":(exclude)BENCH_*.json"):
         rev += "-dirty"
     return rev
 

@@ -3,7 +3,7 @@
 The pipeline's point is standardised comparison, so adding a fifth
 system should be (and is) a ~30-line exercise: subclass
 :class:`repro.ids.base.PacketIDS`, implement ``fit`` and
-``anomaly_scores``, and reuse the shared adaptation + threshold +
+``score_batch``, and reuse the shared adaptation + threshold +
 metrics machinery.
 
 The custom system here is a deliberately simple per-source rate
@@ -63,7 +63,7 @@ class RateThresholdIDS(PacketIDS):
         for packet in packets:
             self._train_max = max(self._train_max, self._bump(packet))
 
-    def anomaly_scores(self, packets: Sequence[Packet]) -> np.ndarray:
+    def score_batch(self, packets: Sequence[Packet]) -> np.ndarray:
         return np.array([self._bump(p) / self._train_max for p in packets])
 
 
@@ -83,7 +83,7 @@ def main() -> None:
         )
         ids = RateThresholdIDS()
         ids.fit(data.train_packets)
-        scores = ids.anomaly_scores(data.test_packets)
+        scores = ids.score_batch(data.test_packets)
         threshold = standard_threshold(data.y_true, scores,
                                        strategy="fpr-budget", max_fpr=0.05)
         metrics = compute_metrics(data.y_true, scores >= threshold)

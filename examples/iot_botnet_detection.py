@@ -71,7 +71,7 @@ def main() -> None:
     ids.fit(train)
 
     print(f"Scoring the remaining {len(test)} packets ...\n")
-    scores = ids.anomaly_scores(test)
+    scores = ids.score_batch(test)
     timestamps = np.array([p.timestamp for p in test])
     labels = np.array([p.label for p in test])
     score_timeline(timestamps, scores, labels)

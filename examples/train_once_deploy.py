@@ -42,13 +42,12 @@ def main() -> None:
 
     # --- day 0: train --------------------------------------------------
     netstat = NetStat()
-    features = [netstat.update(p) for p in benign]
+    features = netstat.extract_all(benign)
     fm = max(50, len(features) // 10)
     kitnet = KitNET(netstat.feature_count, fm_grace=fm,
                     ad_grace=max(50, len(features) - fm),
                     rng=SeededRNG(args.seed, "deploy"))
-    for row in features:
-        kitnet.process(row)
+    kitnet.process_batch(features)
     print(f"trained KitNET: {len(kitnet.ensemble)} ensemble autoencoders")
 
     with tempfile.TemporaryDirectory() as tmp:
@@ -58,9 +57,8 @@ def main() -> None:
               f"({model_path.stat().st_size / 1024:.1f} KiB)")
 
         # --- day N: restore in a fresh process and execute -------------
-        # The restored detector is execute-only, so whole micro-batches
-        # go through the packed batched engine (bit-identical to the
-        # per-packet loop, dozens of times faster).
+        # The restored detector is execute-only, so the whole batch
+        # goes through the packed ensemble engine.
         restored = load_kitnet(model_path)
         fresh_netstat = NetStat()  # stream state rebuilds online
         scores = restored.process_batch(

@@ -655,12 +655,9 @@ def build_parser() -> argparse.ArgumentParser:
                           help="micro-batch size for online scoring "
                                "(a pure throughput knob: scores are "
                                "bit-identical at any batch size; "
-                               "batch-capable IDSs score each "
-                               "micro-batch through their packed "
-                               "batched engine — the report's "
-                               "scoring_path note records whether the "
-                               "batched path or the per-packet "
-                               "fallback ran)")
+                               "packet IDSs score each micro-batch in "
+                               "one score_batch call, flow IDSs in one "
+                               "feature-matrix call)")
     p_stream.add_argument("--threshold", type=float,
                           help="fixed alert threshold; default derives "
                                "the batch pipeline's standardized "

@@ -279,9 +279,6 @@ def run_experiment(
         ids, data = build_packet_cell(config, dataset)
         fit_score_start = time.perf_counter()
         ids.fit(data.train_packets)
-        # score_batch feeds the batched execute path where the IDS
-        # advertises one (bit-identical to the per-packet reference;
-        # tests/test_ml_batched.py) and falls back to it otherwise.
         scores = ids.score_batch(data.test_packets)
         fit_score_seconds = time.perf_counter() - fit_score_start
         y_true = data.y_true

@@ -200,13 +200,3 @@ class NetStat:
         every packet's features straight into the preallocated result
         matrix with one kernel dispatch per batch."""
         return self.update_batch(packets)
-
-    def __setstate__(self, state: dict) -> None:
-        # Checkpoints from before packed keys carry a per-flow entry
-        # cache; the database resolves keys itself now.
-        state.pop("_entries", None)
-        self.__dict__.update(state)
-        # Checkpoints from before ``backend`` was stored may name a
-        # removed engine; the database they carry decides what runs.
-        scalar = isinstance(self._db, IncStatDB)
-        self.backend = "scalar" if scalar else "vector-native"

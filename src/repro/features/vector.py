@@ -62,13 +62,13 @@ import math
 import numpy as np
 
 from repro.features import _native
-from repro.net.addresses import ip_to_int, mac_to_bytes
 from repro.utils.validation import check_positive
 
 _HYPOT = math.hypot
 
-# Key kinds (the low byte of ``key1``), as in the C kernel.
-_MAC, _IP, _CH, _SK, _COV = 1, 2, 3, 4, 8
+# The covariance bit of a key's kind byte (the low byte of ``key1``),
+# as in the C kernel.
+_COV = 8
 # ``_counts`` slots and resolver statuses, as in the C kernel.
 _SIZE, _NFREE, _NKEYS, _NCOVS, _NEXT_SEQ, _STATUS = range(6)
 _DONE, _GROW, _PRUNE = range(3)
@@ -416,65 +416,8 @@ class VectorIncStatDB:
         return state
 
     def __setstate__(self, state: dict) -> None:
-        # Checkpoints from before the engine was native-only carry a
-        # ``kernel`` choice and row-kernel layout caches; every one of
-        # them continues on the native kernel.
-        for stale in ("kernel", "_block_1d", "_block_2d", "_native_fn",
-                      "_aux", "_aux_ptr", "_state_ptr", "_last_ptr"):
-            state.pop(stale, None)
-        if "_keys" in state:
-            _unpack_dict_state(state)
-        self.__dict__.update(state)
+        # ``setattr`` interns the names, as pickle's default restore
+        # does, so a restored engine pickles byte-identically again.
+        for name, value in state.items():
+            setattr(self, name, value)
         self._init_kernel()
-
-
-def _pack_key(key: tuple, cov: int = 0) -> tuple[int, int]:
-    """Packed ``(key0, key1)`` of a component-tuple key from a
-    dict-keyed checkpoint (``("ch", src, dst)`` and so on)."""
-    kind = key[0]
-    if kind == "mac":
-        mac = 0 if key[1] == "??" else (
-            1 << 48 | int.from_bytes(mac_to_bytes(key[1]), "big")
-        )
-        return mac, _MAC | ip_to_int(key[2]) << 32
-    if kind == "ip":
-        return ip_to_int(key[1]), _IP
-    if kind == "ch":
-        return ip_to_int(key[1]) << 32 | ip_to_int(key[2]), _CH | cov
-    _, src, sport, dst, dport = key
-    return (
-        ip_to_int(src) << 32 | ip_to_int(dst),
-        _SK | cov | sport << 16 | dport << 32,
-    )
-
-
-def _unpack_dict_state(state: dict) -> None:
-    """Convert a dict-keyed checkpoint (``_keys``/``_cov_keys`` dicts,
-    a free list) to the packed table, in place. Insertion order — the
-    dicts' order — becomes ``seq``: streams first, then covariances
-    (only the order within each kind is ever compared)."""
-    keys = state.pop("_keys")
-    cov_keys = state.pop("_cov_keys")
-    free = state.pop("_free")
-    for stale in ("_cov_pair", "epoch"):
-        state.pop(stale, None)
-    capacity = state["_capacity"]
-    key0 = np.zeros(capacity, dtype=np.uint64)
-    key1 = np.zeros(capacity, dtype=np.uint64)
-    seq = np.zeros(capacity, dtype=np.int64)
-    entries = [(key, row, 0) for key, row in keys.items()]
-    entries += [(key, row, _COV) for key, row in cov_keys.items()]
-    for order, (key, row, cov) in enumerate(entries):
-        key0[row], key1[row] = _pack_key(key, cov)
-        seq[row] = order
-    free_rows = np.empty(capacity, dtype=np.int64)
-    free_rows[: len(free)] = free
-    state.update(
-        _key0=key0, _key1=key1, _seq=seq, _free=free_rows,
-        _counts=np.array(
-            [state.pop("_size"), len(free), len(keys), len(cov_keys),
-             len(entries), _DONE],
-            dtype=np.int64,
-        ),
-    )
-    state.pop("_next_seq", None)

@@ -21,7 +21,6 @@ from repro.ids.slips import SlipsIDS
 from repro.ids.registry import (
     INVESTIGATED_IDS,
     IDSRecord,
-    batch_capable_ids,
     evaluated_ids_factories,
 )
 
@@ -36,6 +35,5 @@ __all__ = [
     "SlipsIDS",
     "INVESTIGATED_IDS",
     "IDSRecord",
-    "batch_capable_ids",
     "evaluated_ids_factories",
 ]

@@ -41,11 +41,6 @@ class IDSBase(abc.ABC):
     input_kind: InputKind
     #: Whether training requires labels.
     supervised: bool = False
-    #: Whether :meth:`PacketIDS.score_batch` is a true batched fast
-    #: path (bit-identical to the per-packet reference) rather than the
-    #: base-class fallback. The registry advertises this so pipeline
-    #: cells and streaming micro-batches know which path they fed.
-    supports_batch: bool = False
 
     @classmethod
     def default_config(cls) -> dict:
@@ -71,20 +66,12 @@ class PacketIDS(IDSBase):
         """Train on a (presumed benign) packet stream."""
 
     @abc.abstractmethod
-    def anomaly_scores(self, packets: Sequence[Packet]) -> np.ndarray:
-        """One non-negative anomaly score per packet."""
-
     def score_batch(self, packets: Sequence[Packet]) -> np.ndarray:
-        """Batched anomaly scoring over ``packets``.
+        """One non-negative anomaly score per packet of ``packets``.
 
-        The contract is *bit-for-bit* agreement with
-        :meth:`anomaly_scores` (the per-packet reference loop) — a
-        batched implementation is a pure throughput knob, never a
-        semantic one. Subclasses that provide a genuine batched path
-        override this and set ``supports_batch = True``; the default
-        simply falls back to the reference.
+        Consecutive calls continue one online session: scoring a stream
+        in pieces gives the scores one call over the whole stream gives.
         """
-        return self.anomaly_scores(packets)
 
 
 class FlowIDS(IDSBase):

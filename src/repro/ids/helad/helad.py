@@ -44,7 +44,6 @@ class HELAD(PacketIDS):
 
     name = "HELAD"
     supervised = False
-    supports_batch = True
 
     def __init__(
         self,
@@ -102,11 +101,11 @@ class HELAD(PacketIDS):
     def _squash(self, ae_rmse):
         """Bounded anomaly amplitude: tanh of the scaled RMSE.
 
-        The single definition of the squash, shared by the per-packet
-        reference, the batched path and ``fit`` — scalar in, scalar
-        out; array in, elementwise array out (``np.tanh`` rounds a
-        value identically either way, which the batched==per-packet
-        parity contract relies on).
+        The single definition of the squash, shared by ``score_batch``,
+        ``fit`` and the per-packet test oracle — scalar in, scalar out;
+        array in, elementwise array out (``np.tanh`` rounds a value
+        identically either way, which the batched==per-packet parity
+        contract relies on).
         """
         return np.tanh(ae_rmse / self._ae_scale / 2.0)
 
@@ -149,22 +148,9 @@ class HELAD(PacketIDS):
         self._score_history = list(squashed[-self.window :])
         self.trained = True
 
-    def anomaly_scores(self, packets: Sequence[Packet]) -> np.ndarray:
-        """Blended anomaly score per packet (reference loop)."""
-        if not self.trained:
-            raise RuntimeError("HELAD.anomaly_scores called before fit()")
-        scores = np.empty(len(packets))
-        history = list(self._score_history)
-        for idx, packet in enumerate(packets):
-            features = self.netstat.update(packet)
-            scaled = self.scaler.transform(features)
-            ae_component = float(self._squash(self.autoencoder.score(scaled)))
-            scores[idx] = self._blend_step(history, ae_component)
-        self._score_history = history[-self.window :]
-        return scores
-
     def score_batch(self, packets: Sequence[Packet]) -> np.ndarray:
-        """Batched scoring, bit-identical to :meth:`anomaly_scores`.
+        """Blended anomaly score per packet, bit-identical to the
+        per-packet loop in ``tests/lstm_oracle.py``.
 
         The autoencoder stage runs over the whole micro-batch (one
         scaler transform, one 2-D forward, one vectorized squash).
@@ -184,7 +170,7 @@ class HELAD(PacketIDS):
         )
         # Packet j's window is series[n_history + j - window : n_history
         # + j]; packets whose history is still shorter than ``window``
-        # keep an LSTM component of 0, as in :meth:`_blend_step`.
+        # keep an LSTM component of 0.
         first = min(max(self.window - n_history, 0), len(packets))
         lstm_components = np.zeros(len(packets))
         if first < len(packets):
@@ -198,21 +184,3 @@ class HELAD(PacketIDS):
         )
         self._score_history = series[-self.window :].tolist()
         return scores
-
-    def _blend_step(self, history: list[float], ae_component: float) -> float:
-        """One packet's blend of the AE amplitude with the LSTM's
-        prediction from ``history``, which it appends to and trims."""
-        if len(history) >= self.window:
-            predicted = self.lstm.predict_window(
-                np.asarray(history[-self.window :])
-            )
-            lstm_component = float(np.clip(predicted, 0.0, 1.0))
-        else:
-            lstm_component = 0.0
-        score = (
-            self.blend * ae_component + (1.0 - self.blend) * lstm_component
-        )
-        history.append(ae_component)
-        if len(history) > 4 * self.window:
-            del history[: -2 * self.window]
-        return score

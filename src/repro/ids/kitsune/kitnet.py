@@ -62,6 +62,9 @@ class KitNET:
         # AfterImage normalisation does not clip: post-training regime
         # shifts scale past [0, 1] and drive reconstruction RMSE up.
         self.scaler = OnlineMinMaxScaler(dim, clip=False)
+        #: Per-group feature gather indices, one ``np.intp`` array per
+        #: autoencoder (set with the ensemble).
+        self._group_index: list[np.ndarray] = []
         self.ensemble: list[Autoencoder] = []
         self.output_layer: Autoencoder | None = None
         self._output_scaler: OnlineMinMaxScaler | None = None
@@ -127,27 +130,8 @@ class KitNET:
             return self._train_step(row)
         return self._execute(row)
 
-    def _group_arrays(self) -> list[np.ndarray]:
-        """The feature-group gather indices as ``np.intp`` arrays.
-
-        ``_build_ensemble`` materialises these, but a detector restored
-        by :func:`repro.ids.persistence.load_kitnet` — or unpickled
-        from a checkpoint predating the index arrays — arrives with
-        only ``mapper.groups`` plain lists. Materialise lazily so the
-        per-group gather is a fancy-index everywhere, never a
-        list-to-array conversion per call.
-        """
-        groups = getattr(self, "_group_index", None)
-        if groups is None:
-            groups = [
-                np.asarray(group, dtype=np.intp)
-                for group in (self.mapper.groups or [])
-            ]
-            self._group_index = groups
-        return groups
-
     def _group_rmses(self, scaled: np.ndarray, *, train: bool) -> np.ndarray:
-        groups = self._group_arrays()
+        groups = self._group_index
         rmses = np.empty(len(groups))
         for i, group in enumerate(groups):
             sub = scaled[group]
@@ -210,7 +194,7 @@ class KitNET:
         self._record_training(matrix.shape[0])
         self._batched_ensemble = None
         assert self._output_scaler is not None and self.output_layer is not None
-        ensemble = OnlineEnsembleTrainer(self.ensemble, self._group_arrays())
+        ensemble = OnlineEnsembleTrainer(self.ensemble, self._group_index)
         output = OnlineEnsembleTrainer(
             [self.output_layer], [np.arange(len(self.ensemble))]
         )
@@ -236,13 +220,13 @@ class KitNET:
     # -- batched execution ------------------------------------------------
     def _packed(self):
         """The lazily built packed-ensemble scorer (execute phase only)."""
-        packed = getattr(self, "_batched_ensemble", None)
+        packed = self._batched_ensemble
         if packed is None:
             from repro.ml.batched import BatchedEnsemble
 
             assert self.output_layer is not None
             packed = BatchedEnsemble(
-                self.ensemble, self._group_arrays(), self.output_layer
+                self.ensemble, self._group_index, self.output_layer
             )
             self._batched_ensemble = packed
             if obs.is_enabled():

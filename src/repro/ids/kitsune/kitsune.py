@@ -18,14 +18,13 @@ class Kitsune(PacketIDS):
     ``fit`` runs the feature-mapping and training grace periods over
     the provided stream (assumed benign, per the paper's methodology of
     training on each dataset's initial benign traffic);
-    ``anomaly_scores`` runs pure execution. The NetStat state persists
+    ``score_batch`` runs pure execution. The NetStat state persists
     across both calls — Kitsune is an *online* system and its damped
     statistics must flow continuously from training into execution.
     """
 
     name = "Kitsune"
     supervised = False
-    supports_batch = True
 
     def __init__(
         self,
@@ -79,19 +78,14 @@ class Kitsune(PacketIDS):
         """
         self.kitnet.process_batch(self.netstat.extract_all(packets))
 
-    def anomaly_scores(self, packets: Sequence[Packet]) -> np.ndarray:
-        """Execute-mode RMSE scores, one per packet (reference loop)."""
-        return np.array(
-            [self.kitnet.process(self.netstat.update(p)) for p in packets]
-        )
-
     def score_batch(self, packets: Sequence[Packet]) -> np.ndarray:
-        """Batched scoring: features into one matrix, KitNET in batches.
+        """Execute-mode RMSE scores, one per packet.
 
         NetStat stays sequential (damped statistics are order-defined)
         but writes into one preallocated matrix; KitNET then scores all
         execute-phase rows through its packed ensemble. Bit-identical
-        to :meth:`anomaly_scores`.
+        to a per-packet ``KitNET.process(NetStat.update(p))`` loop
+        (``tests/kitsune_oracle.py``).
         """
         return self.kitnet.process_batch(self.netstat.extract_all(packets))
 

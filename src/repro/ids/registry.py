@@ -90,22 +90,6 @@ def evaluated_ids_factories() -> dict[str, Callable[..., IDSBase]]:
     }
 
 
-def batch_capable_ids() -> dict[str, bool]:
-    """Which evaluated IDSs provide a true batched scoring fast path.
-
-    ``True`` means the class overrides ``score_batch`` with a batched
-    implementation that is bit-identical to its per-packet reference
-    (``supports_batch``); ``False`` means callers feeding
-    ``score_batch`` get the reference loop. Flow-level IDSs already
-    score feature matrices in one call and report ``False`` here —
-    the flag is about the *packet* path's execution strategy.
-    """
-    return {
-        name: bool(getattr(cls, "supports_batch", False))
-        for name, cls in evaluated_ids_factories().items()
-    }
-
-
 def backend_notes(ids) -> dict[str, str]:
     """The concrete compute backends driving a constructed IDS, for
     stream and runner reports.

@@ -43,33 +43,14 @@ class LSTMRegressor:
         self.w_head = rng.normal(0.0, 1.0 / np.sqrt(hidden_dim), size=hidden_dim)
         self.b_head = 0.0
 
-    # -- forward -------------------------------------------------------
-    def _step(self, x, h, c):
-        z = np.concatenate([x, h])
-        i = sigmoid_fn(z @ self.w["i"] + self.b["i"])
-        f = sigmoid_fn(z @ self.w["f"] + self.b["f"])
-        o = sigmoid_fn(z @ self.w["o"] + self.b["o"])
-        g = np.tanh(z @ self.w["g"] + self.b["g"])
-        c_new = f * c + i * g
-        h_new = o * np.tanh(c_new)
-        return h_new, c_new, (z, i, f, o, g, c, c_new, h_new)
-
-    def predict_window(self, window: np.ndarray) -> float:
-        """Predict the value following ``window`` (shape (T,) or (T, d))."""
-        window = self._shape(window)
-        h = np.zeros(self.hidden_dim)
-        c = np.zeros(self.hidden_dim)
-        for x in window:
-            h, c, _ = self._step(x, h, c)
-        return float(h @ self.w_head + self.b_head)
-
     def predict_windows(self, windows: np.ndarray) -> np.ndarray:
-        """:meth:`predict_window` over N windows at once (shape (N, T)
-        or (N, T, d)); returns shape (N,), bit-identical per row.
+        """Predict the value following each of N windows (shape (N, T)
+        or (N, T, d)); returns shape (N,), bit-identical per row to the
+        per-step forward pass in ``tests/lstm_oracle.py``.
 
         Each contraction is ``np.matmul`` on a stack of ``(1, k)``
-        slices, so numpy runs the same per-slice product as the 1-D
-        ``z @ W`` in :meth:`_step`; a 2-D GEMM or ``einsum`` sums in a
+        slices, so numpy runs the same per-slice product as that
+        reference's 1-D ``z @ W``; a 2-D GEMM or ``einsum`` sums in a
         different order and moves some results by an ulp.
         """
         windows = self._shape_windows(windows)
@@ -91,11 +72,6 @@ class LSTMRegressor:
         return np.matmul(h[:, None, :], self.w_head[:, None])[:, 0, 0] + (
             self.b_head
         )
-
-    def train_window(self, window: np.ndarray, target: float) -> float:
-        """One BPTT step on (window -> target); returns squared error."""
-        window = self._shape(window)
-        return float(self.train_windows(window[None], [target])[0])
 
     def train_windows(self, windows: np.ndarray, targets) -> np.ndarray:
         """Sequential BPTT/SGD over N windows (shape (N, T) or
@@ -240,13 +216,3 @@ class LSTMRegressor:
                 f"{self.input_dim})"
             )
         return windows
-
-    def _shape(self, window: np.ndarray) -> np.ndarray:
-        window = np.asarray(window, dtype=np.float64)
-        if window.ndim == 1:
-            window = window[:, None]
-        if window.shape[1] != self.input_dim:
-            raise ValueError(
-                f"window feature dim {window.shape[1]} != {self.input_dim}"
-            )
-        return window

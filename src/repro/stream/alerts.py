@@ -89,23 +89,6 @@ class HysteresisAlerter:
     def active(self) -> bool:
         return self._active is not None
 
-    def update(
-        self,
-        timestamp: float,
-        score: float,
-        *,
-        attack_type: str = "",
-    ) -> AlertEpisode | None:
-        """Feed one scored item; return an episode iff this item closed
-        one."""
-        closed = self.update_batch(
-            np.array([timestamp], dtype=np.float64),
-            np.array([score], dtype=np.float64),
-            np.zeros(1, dtype=np.int32) if attack_type else None,
-            (attack_type,),
-        )
-        return closed[-1] if closed else None
-
     def update_batch(
         self,
         timestamps: np.ndarray,

@@ -9,7 +9,7 @@ detector that way, whatever its ingest backend.
 
 **Parity contract.** The evaluated packet IDSs (Kitsune, HELAD) are
 online systems: their internal state advances one packet at a time, so
-calling ``anomaly_scores`` on consecutive micro-batches produces the
+calling ``score_batch`` on consecutive micro-batches produces the
 *bit-identical* score sequence a single batch call would — that is what
 makes micro-batching a pure throughput knob rather than a semantic one
 (``tests/test_stream_parity.py`` enforces it). The packet IDSs extract
@@ -69,15 +69,10 @@ class StreamingDetector(abc.ABC):
 
     #: What one emitted score row covers.
     unit: str  # "packet" | "flow"
-    #: Which engine the IDS *advertises* for micro-batch scoring:
-    #: ``"batched"`` (``supports_batch`` — the packed batch engine),
-    #: ``"per-packet"`` (the reference loop fallback) or
+    #: How micro-batches are scored, exported in stream reports and
+    #: benches: ``"batched"`` (packet IDSs' ``score_batch``) or
     #: ``"flow-matrix"`` (flow IDSs score encoded matrices natively).
-    #: Exported in stream reports/benches so losing the batched
-    #: advertisement is visible; a throughput regression *behind* the
-    #: advertisement is caught by ``bench_stream_throughput.py``'s
-    #: batch>1-beats-batch-1 gate.
-    scoring_path: str = "per-packet"
+    scoring_path: str
 
     def __init__(self, *, batch_size: int = 256) -> None:
         self.batch_size = int(check_positive("batch_size", batch_size))
@@ -101,16 +96,13 @@ class PacketStreamDetector(StreamingDetector):
     """Micro-batched per-packet scoring for Kitsune/HELAD."""
 
     unit = "packet"
+    scoring_path = "batched"
 
     def __init__(self, ids: PacketIDS, *, batch_size: int = 256) -> None:
         super().__init__(batch_size=batch_size)
         if ids.input_kind is not InputKind.PACKET:
             raise TypeError(f"{ids.name} is not a packet-level IDS")
         self.ids = ids
-        self.scoring_path = (
-            "batched" if getattr(ids, "supports_batch", False)
-            else "per-packet"
-        )
 
     def warmup(self, packets: Sequence[Packet]) -> None:
         self.ids.fit(packets)

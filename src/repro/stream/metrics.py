@@ -108,14 +108,6 @@ class WindowedMetrics:
         self.total_items = 0
         self.total_alerts = 0
 
-    def add(self, timestamp: float, alerted: bool, label: int | None) -> None:
-        """Record one scored item (``label=None`` for unlabelled)."""
-        self.add_batch(
-            np.array([timestamp], dtype=np.float64),
-            np.array([alerted], dtype=bool),
-            None if label is None else np.array([label], dtype=np.int64),
-        )
-
     def add_batch(
         self,
         timestamps: np.ndarray,

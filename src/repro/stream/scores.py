@@ -6,7 +6,7 @@ and is the unit detectors return, shard workers ship, the sharded
 merge sorts, and windows, alerts and digests consume. Nothing on that
 path builds a Python object per item. :class:`StreamScore` is the lazy
 row view (:meth:`ScoreBatch.rows`) for callers that want one object per
-item; :meth:`ScoreBatch.from_scores` turns such rows back into columns.
+item.
 
 Attack families are dictionary-encoded: ``attack_codes`` index into
 ``attack_vocab``, or are ``None`` when every item's family is ``""``
@@ -95,20 +95,6 @@ class ScoreBatch:
         return cls(
             np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float64),
             np.empty(0, dtype=np.float64), np.empty(0, dtype=np.int64),
-        )
-
-    @classmethod
-    def from_scores(cls, items: Iterable[StreamScore]) -> "ScoreBatch":
-        """Columns of a :class:`StreamScore` sequence (the inverse of
-        :meth:`rows`)."""
-        items = list(items)
-        return cls.build(
-            [item.index for item in items],
-            [item.timestamp for item in items],
-            [item.score for item in items],
-            [NO_LABEL if item.label is None else item.label
-             for item in items],
-            [item.attack_type for item in items],
         )
 
     @classmethod

@@ -27,7 +27,7 @@ import hashlib
 import itertools
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -50,7 +50,7 @@ from repro.stream.detector import (
     StreamingDetector,
 )
 from repro.stream.metrics import WindowedMetrics, WindowSnapshot
-from repro.stream.scores import ScoreBatch, StreamScore, coverage_digest
+from repro.stream.scores import ScoreBatch, coverage_digest
 from repro.stream.sources import PacketSource
 from repro.net.columnar import ColumnBatch, iter_column_batches
 
@@ -178,7 +178,7 @@ def _jsonable(value):
 
 
 def _evaluate_stream(
-    emitted: ScoreBatch | Sequence[StreamScore],
+    emitted: ScoreBatch,
     *,
     labelled: bool,
     threshold: float,
@@ -196,8 +196,6 @@ def _evaluate_stream(
     """
     windows = WindowedMetrics(window_seconds, on_close=on_window)
     alerter = HysteresisAlerter(threshold)
-    if not isinstance(emitted, ScoreBatch):
-        emitted = ScoreBatch.from_scores(emitted)
     ordered = emitted.take(np.lexsort((emitted.index, emitted.timestamp)))
     windows.add_batch(
         ordered.timestamp,

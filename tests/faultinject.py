@@ -46,6 +46,7 @@ from repro.stream.sharded import FaultInjection, stream_capture_sharded
 from repro.stream.sources import ListSource
 
 from tests.conftest import make_tcp_packet
+from tests.stream_oracle import batch_of
 
 __all__ = [
     "ChannelMeanDetector",
@@ -107,7 +108,7 @@ class ChannelMeanDetector:
         attacks = batch.row_attack_types()
         base = self.items_scored
         self.items_scored += len(means)
-        return ScoreBatch.from_scores(
+        return batch_of(
             StreamScore(
                 index=base + row,
                 timestamp=stamps[row],

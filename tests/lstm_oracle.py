@@ -1,14 +1,18 @@
-"""Reference LSTM training step: BPTT one time step at a time.
+"""Reference LSTM and HELAD loops: one time step, window or packet at
+a time.
 
-This is the straightforward form of
-:meth:`repro.ml.lstm.LSTMRegressor.train_windows` for one window: it
-runs :meth:`~repro.ml.lstm.LSTMRegressor._step` per time step, keeps a
-cache per step, and backpropagates gate by gate with one ``np.outer``
-and one ``+=`` per gate and step. It costs ~40 small ufunc calls per
-time step, so the shipped regressor trains through the fused-gate
-``train_windows`` instead; this function stays only as the oracle it is
-checked against (``tests/test_ml_models.py``,
-``tests/test_ids_helad_dnn.py`` and ``benchmarks/bench_helad_batch.py``).
+These are the straightforward forms of what
+:class:`repro.ml.lstm.LSTMRegressor` and :class:`repro.ids.helad.HELAD`
+ship as stacked array code. :func:`step` is one LSTM time step;
+:func:`predict_window` runs it over one window; :func:`train_window`
+backpropagates one window gate by gate, with one ``np.outer`` and one
+``+=`` per gate and step (~40 small ufunc calls per time step);
+:func:`helad_fit` and :func:`helad_scores` train and score HELAD one
+packet at a time. The shipped code runs ``predict_windows``,
+``train_windows``, ``HELAD.fit`` and ``HELAD.score_batch`` instead;
+these functions stay only as the oracles they are checked against
+(``tests/test_ml_models.py``, ``tests/test_ids_helad_dnn.py``,
+``tests/test_ml_batched.py`` and ``benchmarks/bench_helad_batch.py``).
 """
 
 from __future__ import annotations
@@ -17,17 +21,50 @@ import pickle
 
 import numpy as np
 
+from repro.ml.activations import _sigmoid
 from repro.ml.lstm import LSTMRegressor
+
+
+def _shape(lstm: LSTMRegressor, window: np.ndarray) -> np.ndarray:
+    """One ``(T,)`` or ``(T, d)`` window as a float ``(T, d)``."""
+    window = np.asarray(window, dtype=np.float64)
+    if window.ndim == 1:
+        window = window[:, None]
+    if window.shape[1] != lstm.input_dim:
+        raise ValueError(
+            f"window feature dim {window.shape[1]} != {lstm.input_dim}"
+        )
+    return window
+
+
+def step(lstm: LSTMRegressor, x, h, c):
+    """One LSTM time step; returns ``h``, ``c`` and the backward cache."""
+    z = np.concatenate([x, h])
+    i = _sigmoid(z @ lstm.w["i"] + lstm.b["i"])
+    f = _sigmoid(z @ lstm.w["f"] + lstm.b["f"])
+    o = _sigmoid(z @ lstm.w["o"] + lstm.b["o"])
+    g = np.tanh(z @ lstm.w["g"] + lstm.b["g"])
+    c_new = f * c + i * g
+    h_new = o * np.tanh(c_new)
+    return h_new, c_new, (z, i, f, o, g, c, c_new, h_new)
+
+
+def predict_window(lstm: LSTMRegressor, window: np.ndarray) -> float:
+    """Predict the value following one window (shape (T,) or (T, d))."""
+    h = np.zeros(lstm.hidden_dim)
+    c = np.zeros(lstm.hidden_dim)
+    for x in _shape(lstm, window):
+        h, c, _ = step(lstm, x, h, c)
+    return float(h @ lstm.w_head + lstm.b_head)
 
 
 def train_window(lstm: LSTMRegressor, window: np.ndarray, target: float) -> float:
     """One BPTT step on (window -> target); returns squared error."""
-    window = lstm._shape(window)
     h = np.zeros(lstm.hidden_dim)
     c = np.zeros(lstm.hidden_dim)
     caches = []
-    for x in window:
-        h, c, cache = lstm._step(x, h, c)
+    for x in _shape(lstm, window):
+        h, c, cache = step(lstm, x, h, c)
         caches.append(cache)
     prediction = float(h @ lstm.w_head + lstm.b_head)
     error = prediction - target
@@ -94,6 +131,35 @@ def helad_fit(ids, packets) -> None:
         train_window(ids.lstm, squashed[i - ids.window : i], squashed[i])
     ids._score_history = list(squashed[-ids.window :])
     ids.trained = True
+
+
+def helad_scores(ids, packets) -> np.ndarray:
+    """``HELAD.score_batch`` as a per-packet loop: one ``NetStat.update``,
+    one scaler transform and one ``Autoencoder.score`` per packet, then
+    the packet's blend of that amplitude with the LSTM's
+    :func:`predict_window` over the amplitudes before it."""
+    if not ids.trained:
+        raise RuntimeError("HELAD scored before fit()")
+    scores = np.empty(len(packets))
+    history = list(ids._score_history)
+    for idx, packet in enumerate(packets):
+        scaled = ids.scaler.transform(ids.netstat.update(packet))
+        ae_component = float(ids._squash(ids.autoencoder.score(scaled)))
+        if len(history) >= ids.window:
+            predicted = predict_window(
+                ids.lstm, np.asarray(history[-ids.window :])
+            )
+            lstm_component = float(np.clip(predicted, 0.0, 1.0))
+        else:
+            lstm_component = 0.0
+        scores[idx] = (
+            ids.blend * ae_component + (1.0 - ids.blend) * lstm_component
+        )
+        history.append(ae_component)
+        if len(history) > 4 * ids.window:
+            del history[: -2 * ids.window]
+    ids._score_history = history[-ids.window :]
+    return scores
 
 
 def lstm_state(lstm: LSTMRegressor) -> bytes:

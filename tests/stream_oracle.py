@@ -5,7 +5,8 @@ as array code: :class:`ItemWindowedMetrics` steps one item at a time
 through its windows, :class:`ItemHysteresisAlerter` through its
 Schmitt trigger, :func:`evaluate_items` replays :class:`StreamScore`
 rows through both in stream time, and :func:`merge_items` is the
-sort-and-replace merge of the sharded engine. The shipped
+sort-and-replace merge of the sharded engine. :func:`batch_of` turns
+rows into the columns the shipped consumers take. The shipped
 :class:`~repro.stream.metrics.WindowedMetrics`,
 :class:`~repro.stream.alerts.HysteresisAlerter`,
 ``repro.stream.service._evaluate_stream`` and
@@ -23,8 +24,20 @@ from typing import Callable, Sequence
 from repro.core.metrics import MetricReport, metrics_from_counts
 from repro.stream.alerts import AlertEpisode
 from repro.stream.metrics import WindowSnapshot
-from repro.stream.scores import StreamScore
+from repro.stream.scores import NO_LABEL, ScoreBatch, StreamScore
 from repro.utils.validation import check_fraction, check_positive
+
+
+def batch_of(rows: Sequence[StreamScore]) -> ScoreBatch:
+    """The columns of ``rows`` (the inverse of :meth:`ScoreBatch.rows`)."""
+    rows = list(rows)
+    return ScoreBatch.build(
+        [row.index for row in rows],
+        [row.timestamp for row in rows],
+        [row.score for row in rows],
+        [NO_LABEL if row.label is None else row.label for row in rows],
+        [row.attack_type for row in rows],
+    )
 
 
 class ItemWindowedMetrics:

@@ -1,9 +1,8 @@
 """Tests for the structure-of-arrays AfterImage engine.
 
 Covers :class:`VectorIncStatDB` construction, interning, capacity
-growth and pickling (including checkpoints that still name a removed
-kernel, and dict-keyed checkpoints from before packed keys), and the
-partial-selection prune: crafted packet streams run through
+growth and pickling (a pickle needs the native kernel to load), and
+the partial-selection prune: crafted packet streams run through
 ``NetStat("scalar")`` and ``NetStat("vector-native")`` with a small
 ``max_streams`` must agree on every feature, on the number of tracked
 streams and on which stream and covariance keys survive, after every
@@ -14,10 +13,8 @@ boundaries and prunes; the out-of-order-timestamp repro of the
 orphaned-covariance divergence is pinned as a strict xfail.
 """
 
-import gzip
 import pickle
 import random
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,18 +25,11 @@ from repro.features.afterimage import DEFAULT_DECAYS, IncStatDB
 from repro.features.netstat import NetStat
 from repro.features.vector import VectorIncStatDB
 from repro.net.addresses import bytes_to_mac, int_to_ip
-from repro.net.arp import ARPHeader
 from repro.net.columnar import ColumnBatch
-from repro.net.ethernet import ETHERTYPE_ARP, EthernetHeader
-from repro.net.packet import Packet
 
 from tests.conftest import make_tcp_packet, make_udp_packet
 
 NATIVE_AVAILABLE = _native.load_kernel() is not None
-
-FIXTURES = Path(__file__).parent / "fixtures"
-LEGACY_CHECKPOINTS = FIXTURES / "legacy_netstat_checkpoints.pkl.gz"
-DICT_KEYED_CHECKPOINTS = FIXTURES / "dict_keyed_netstat_checkpoints.pkl.gz"
 
 needs_native = pytest.mark.skipif(
     not NATIVE_AVAILABLE, reason="native AfterImage kernel unavailable"
@@ -260,133 +250,24 @@ class TestEvictionOrder:
         _assert_lockstep(packets, 12)
 
 
-def _checkpoint_stream() -> list:
-    """The stream behind ``fixtures/legacy_netstat_checkpoints.pkl.gz``."""
-    return [
-        make_tcp_packet(0.1 * i, src=f"10.0.0.{i % 7}", dst="10.0.9.9",
-                        sport=1000 + i % 3, payload=b"x" * i)
-        for i in range(30)
-    ]
-
-
-def _legacy_checkpoints() -> dict[str, bytes]:
-    """Pickled ``NetStat(engine=E, max_streams=40)`` objects after the
-    first 15 packets of :func:`_checkpoint_stream`, one per engine of
-    the multi-kernel feature engine (a NumPy row kernel, a thread-pool
-    kernel and the ``"vector"`` auto alias). They were written by that
-    engine, so their state still carries its ``kernel`` choice and
-    row-kernel slice layout."""
-    with gzip.open(LEGACY_CHECKPOINTS, "rb") as handle:
-        return pickle.load(handle)
-
-
 class TestCheckpointCompat:
-    """Checkpoints whose state still names a removed kernel revive on
-    the native kernel and continue bit-identically."""
+    """A pickled vector-engine NetStat only revives where the native
+    kernel loads; without it, unpickling says so instead of running
+    another engine."""
 
     @needs_native
-    def test_revives_on_native_kernel(self):
-        packets = _checkpoint_stream()
-        scalar = NetStat(engine="scalar", max_streams=40)
-        scalar.update_batch(packets[:15])
-        expected = scalar.update_batch(packets[15:])
-        checkpoints = _legacy_checkpoints()
-        assert len(checkpoints) == 3
-        for engine, blob in checkpoints.items():
-            assert b"kernel" in blob, engine
-            revived = pickle.loads(blob)
-            assert revived.backend == "vector-native", engine
-            for stale in ("kernel", "_block_1d", "_block_2d"):
-                assert stale not in vars(revived._db), engine
-            assert np.array_equal(
-                expected, revived.update_batch(packets[15:])
-            ), engine
-
     def test_refuses_to_load_without_the_kernel(self, monkeypatch):
+        extractor = NetStat(engine="vector")
+        assert extractor.backend == "vector-native"
+        extractor.update_batch([
+            make_tcp_packet(0.1 * i, src=f"10.0.0.{i % 7}", dst="10.0.9.9",
+                            sport=1000 + i % 3, payload=b"x" * i)
+            for i in range(15)
+        ])
+        blob = pickle.dumps(extractor)
         monkeypatch.setattr(_native, "load_kernel", lambda: None)
-        for blob in _legacy_checkpoints().values():
-            with pytest.raises(RuntimeError, match="unavailable"):
-                pickle.loads(blob)
-
-
-def _pruned_checkpoint_stream() -> list:
-    """The stream behind ``fixtures/dict_keyed_netstat_checkpoints.pkl.gz``:
-    TCP, UDP, ARP, non-IP and Ethernet-less frames over a few hosts with
-    port churn, which prunes every few packets under
-    ``max_streams=30``."""
-    rng = random.Random(11)
-    packets = []
-    ts = 0.0
-    for _ in range(200):
-        ts += rng.choice([0.0, 0.002, 0.05, 0.7])
-        src = f"10.4.0.{rng.randrange(9)}"
-        dst = f"10.4.1.{rng.randrange(4)}"
-        roll = rng.random()
-        if roll < 0.1:
-            packets.append(Packet(
-                timestamp=ts,
-                ether=EthernetHeader(ethertype=ETHERTYPE_ARP),
-                arp=ARPHeader(sender_ip=src, target_ip=dst),
-            ))
-        elif roll < 0.15:
-            packets.append(Packet(
-                timestamp=ts, ether=EthernetHeader(ethertype=0x86DD),
-                payload=b"v" * rng.randrange(64),
-            ))
-        else:
-            make = make_tcp_packet if roll < 0.6 else make_udp_packet
-            packet = make(ts, src=src, dst=dst,
-                          sport=1000 + rng.randrange(40),
-                          dport=rng.choice([53, 80, 443]),
-                          payload=b"p" * rng.randrange(200))
-            if roll > 0.85:
-                packet.ether = None
-            elif roll > 0.75:
-                packet.ether.src_mac = (
-                    f"02:00:00:00:00:{rng.randrange(16):02x}"
-                )
-            packets.append(packet)
-    return packets
-
-
-class TestDictKeyedCheckpoints:
-    """Checkpoints written while the engine kept its keys in dicts.
-
-    ``fixtures/dict_keyed_netstat_checkpoints.pkl.gz`` holds pickled
-    ``NetStat(engine="vector-native", max_streams=30)`` objects after
-    the first 133 packets of :func:`_pruned_checkpoint_stream`, fed per
-    packet, as one packet batch and as 17-row column batches. They were
-    written by the dict-keyed engine (``_keys``/``_cov_keys``/
-    ``_cov_pair`` dicts of component tuples, a free-row list and a
-    per-flow entry cache), after prunes, with rows on the free list and
-    an Ethernet-less (``"??"``) MAC key among the tracked streams.
-    """
-
-    CUT = 133
-
-    @needs_native
-    def test_continue_bit_identically(self):
-        packets = _pruned_checkpoint_stream()
-        scalar = NetStat(engine="scalar", max_streams=30)
-        scalar.update_batch(packets[: self.CUT])
-        tracked = _tracked(scalar)
-        assert any(key.startswith("mac:??|") for key in tracked[0])
-        expected = scalar.update_batch(packets[self.CUT :])
-        with gzip.open(DICT_KEYED_CHECKPOINTS, "rb") as handle:
-            checkpoints = pickle.load(handle)
-        assert sorted(checkpoints) == [
-            "column-batches", "packet-batch", "per-packet",
-        ]
-        for name, blob in checkpoints.items():
-            revived = pickle.loads(blob)
-            db = revived._db
-            assert "_entries" not in vars(revived), name
-            assert "_keys" not in vars(db) and db._counts[1] > 0, name
-            assert _tracked(revived) == tracked, name
-            assert np.array_equal(
-                expected, revived.update_batch(packets[self.CUT :])
-            ), name
-            assert _tracked(revived) == _tracked(scalar), name
+        with pytest.raises(RuntimeError, match="unavailable"):
+            pickle.loads(blob)
 
 
 def _watch_prunes(extractor: NetStat) -> list[int]:

@@ -10,7 +10,7 @@ from repro.ids.dnn import DNNClassifierIDS
 from repro.ids.helad import HELAD
 
 from tests.conftest import make_udp_packet
-from tests.lstm_oracle import helad_fit, helad_state
+from tests.lstm_oracle import helad_fit, helad_scores, helad_state
 
 
 class TestHELAD:
@@ -21,8 +21,8 @@ class TestHELAD:
             HELAD(blend=1.5)
 
     def test_score_before_fit_raises(self):
-        with pytest.raises(RuntimeError):
-            HELAD().anomaly_scores([make_udp_packet(0.0)])
+        with pytest.raises(RuntimeError, match="before fit"):
+            HELAD().score_batch([make_udp_packet(0.0)])
 
     def test_flags_sustained_flood(self):
         benign = [make_udp_packet(float(i) * 0.5, sport=5000,
@@ -35,7 +35,7 @@ class TestHELAD:
         ids = HELAD(seed=0)
         ids.fit(benign[:500])
         assert ids.trained
-        scores = ids.anomaly_scores(benign[500:] + flood)
+        scores = ids.score_batch(benign[500:] + flood)
         benign_scores = scores[:100]
         flood_scores = scores[120:]  # skip the onset ramp
         assert np.median(flood_scores) > np.quantile(benign_scores, 0.95)
@@ -50,7 +50,7 @@ class TestHELAD:
         ids.fit(benign[:450])
         spike = make_udp_packet(226.0, src="9.9.9.9", sport=2000,
                                 payload=b"q" * 1400)
-        scores = ids.anomaly_scores(benign[450:] + [spike])
+        scores = ids.score_batch(benign[450:] + [spike])
         assert scores[-1] <= 0.6 * 1.0 + 0.4 * 1.0  # bounded by blend
         assert scores[-1] < 1.0
 
@@ -62,7 +62,7 @@ class TestHELAD:
         packets = [make_udp_packet(float(i) * 0.1) for i in range(60)]
         ids = HELAD(seed=2, window=4)
         ids.fit(packets[:40])
-        assert len(ids.anomaly_scores(packets[40:])) == 20
+        assert len(ids.score_batch(packets[40:])) == 20
 
     def test_fit_on_empty_stream_raises(self):
         ids = HELAD(seed=0)
@@ -176,7 +176,7 @@ class TestHELADBatchCarry:
         reference = self._fitted(n_train)
         single = self._fitted(n_train)
         chained = self._fitted(n_train)
-        expected = reference.anomaly_scores(packets)
+        expected = helad_scores(reference, packets)
         assert single.score_batch(packets).tobytes() == expected.tobytes()
         assert single._score_history == reference._score_history
 
@@ -185,7 +185,7 @@ class TestHELADBatchCarry:
         for start in range(0, len(packets), chunk):
             batch = packets[start : start + chunk]
             parts.append(chained.score_batch(batch))
-            check.anomaly_scores(batch)
+            helad_scores(check, batch)
             assert chained._score_history == check._score_history
         assert np.concatenate(parts).tobytes() == expected.tobytes()
         assert chained._score_history == reference._score_history
@@ -195,7 +195,7 @@ class TestHELADBatchCarry:
         packets = _varied_packets(n_batch, start=50.0)
         reference = self._fitted(5)
         batched = self._fitted(5)
-        expected = reference.anomaly_scores(packets)
+        expected = helad_scores(reference, packets)
         got = batched.score_batch(packets)
         assert got.shape == (n_batch,)
         assert got.tobytes() == expected.tobytes()
@@ -203,7 +203,7 @@ class TestHELADBatchCarry:
         # A follow-up batch still agrees once the window has filled.
         more = _varied_packets(20, start=80.0)
         assert (batched.score_batch(more).tobytes()
-                == reference.anomaly_scores(more).tobytes())
+                == helad_scores(reference, more).tobytes())
         assert batched._score_history == reference._score_history
 
 

@@ -119,7 +119,7 @@ class TestKitsuneEndToEnd:
         ids = Kitsune(fm_grace=100, ad_grace=500, seed=0)
         ids.fit(benign[:600])
         assert ids.trained
-        scores = ids.anomaly_scores(benign[600:] + flood)
+        scores = ids.score_batch(benign[600:] + flood)
         benign_scores = scores[:100]
         flood_scores = scores[100:]
         assert np.median(flood_scores) > 5 * np.median(benign_scores)
@@ -132,4 +132,4 @@ class TestKitsuneEndToEnd:
         ids = Kitsune(fm_grace=10, ad_grace=20, seed=1)
         packets = [make_udp_packet(float(i) * 0.1) for i in range(40)]
         ids.fit(packets[:30])
-        assert len(ids.anomaly_scores(packets[30:])) == 10
+        assert len(ids.score_batch(packets[30:])) == 10

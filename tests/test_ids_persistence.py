@@ -69,20 +69,6 @@ class TestSaveLoad:
             trained_kitnet.mapper.groups
         )
 
-    def test_legacy_state_materialises_group_index(self, trained_kitnet):
-        # A checkpoint from before the index arrays existed (e.g. an
-        # old pickle) must lazily rebuild them on first use.
-        state = dict(trained_kitnet.__dict__)
-        state.pop("_group_index", None)
-        state.pop("_batched_ensemble", None)
-        legacy = KitNET.__new__(KitNET)
-        legacy.__dict__.update(state)
-        rng = SeededRNG(6)
-        rows = rng.uniform(0.0, 1.5, size=(10, 12))
-        expected = np.array([trained_kitnet._execute(row) for row in rows])
-        assert np.array_equal(legacy.execute_batch(rows), expected)
-        assert all(g.dtype == np.intp for g in legacy._group_index)
-
     def test_loaded_model_batched_execution_matches_per_row(
         self, trained_kitnet, tmp_path
     ):

@@ -4,7 +4,9 @@ The packed :class:`~repro.ml.batched.BatchedEnsemble` and every
 ``*_batch`` surface above it (``Autoencoder.score_batch``,
 ``KitNET.execute_batch``/``process_batch``, ``Kitsune.score_batch``,
 ``HELAD.score_batch``) must agree with the per-packet reference
-*exactly* — batching is a throughput knob, never a semantic one.
+*exactly* — batching is a throughput knob, never a semantic one. The
+per-packet Kitsune and HELAD references live in
+``tests/kitsune_oracle.py`` and ``tests/lstm_oracle.py``.
 
 A golden fixture pins the KitNET score trajectory for a seeded stream.
 Unlike the NetStat golden (pure libm ``pow``/``hypot``), these scores
@@ -29,6 +31,9 @@ from repro.ids.kitsune.kitnet import KitNET
 from repro.ml.autoencoder import Autoencoder
 from repro.ml.batched import BatchedEnsemble
 from repro.utils.rng import SeededRNG
+
+from tests.kitsune_oracle import kitsune_scores
+from tests.lstm_oracle import helad_scores
 
 GOLDEN_PATH = Path(__file__).parent / "golden" / "kitnet_scores.npz"
 
@@ -71,25 +76,25 @@ class TestBatchedEnsemble:
     def test_group_rmses_match_per_row_scores(self):
         net = self._trained()
         packed = BatchedEnsemble(
-            net.ensemble, net._group_arrays(), net.output_layer
+            net.ensemble, net._group_index, net.output_layer
         )
         rng = SeededRNG(31)
         scaled = net.scaler.transform(rng.uniform(0.0, 2.0, size=(25, 24)))
         batched = packed.group_rmses(scaled)
         for n, row in enumerate(scaled):
-            for g, group in enumerate(net._group_arrays()):
+            for g, group in enumerate(net._group_index):
                 assert batched[n, g] == net.ensemble[g].score(row[group])
 
     def test_rejects_mismatched_shapes(self):
         net = self._trained()
         with pytest.raises(ValueError, match="groups"):
-            BatchedEnsemble(net.ensemble[:-1], net._group_arrays(),
+            BatchedEnsemble(net.ensemble[:-1], net._group_index,
                             net.output_layer)
         wrong_output = Autoencoder(
             len(net.ensemble) + 1, rng=SeededRNG(8, "wrong")
         )
         with pytest.raises(ValueError, match="output layer"):
-            BatchedEnsemble(net.ensemble, net._group_arrays(), wrong_output)
+            BatchedEnsemble(net.ensemble, net._group_index, wrong_output)
 
 
 class TestProcessBatchParity:
@@ -186,13 +191,6 @@ class TestPacketIDSBatchSurface:
         ]
         return benign + flood
 
-    def test_registry_advertises_batch_capability(self):
-        from repro.ids.registry import batch_capable_ids
-
-        assert batch_capable_ids() == {
-            "Kitsune": True, "HELAD": True, "DNN": False, "Slips": False,
-        }
-
     def test_kitsune_score_batch_bit_identical(self):
         from repro.ids.kitsune import Kitsune
 
@@ -202,7 +200,7 @@ class TestPacketIDSBatchSurface:
         a.fit(packets[:700])
         b.fit(packets[:700])
         assert np.array_equal(
-            b.score_batch(packets[700:]), a.anomaly_scores(packets[700:])
+            b.score_batch(packets[700:]), kitsune_scores(a, packets[700:])
         )
 
     def test_helad_score_batch_bit_identical(self):
@@ -216,27 +214,32 @@ class TestPacketIDSBatchSurface:
         # Two consecutive calls also exercise the score-history carry.
         assert np.array_equal(
             b.score_batch(packets[700:1000]),
-            a.anomaly_scores(packets[700:1000]),
+            helad_scores(a, packets[700:1000]),
         )
         assert np.array_equal(
-            b.score_batch(packets[1000:]), a.anomaly_scores(packets[1000:])
+            b.score_batch(packets[1000:]), helad_scores(a, packets[1000:])
         )
 
-    def test_default_score_batch_falls_back_to_reference(self):
+    def test_score_batch_is_the_one_scoring_method(self):
+        """A packet IDS implements ``score_batch`` or cannot be built;
+        there is no per-packet method to fall back to."""
         from repro.ids.base import PacketIDS
 
-        class Dummy(PacketIDS):
-            name = "Dummy"
+        class FitOnly(PacketIDS):
+            name = "FitOnly"
 
             def fit(self, packets):
                 pass
 
-            def anomaly_scores(self, packets):
+        with pytest.raises(TypeError, match="score_batch"):
+            FitOnly()
+
+        class Zeros(FitOnly):
+            def score_batch(self, packets):
                 return np.zeros(len(packets))
 
-        dummy = Dummy()
-        assert not dummy.supports_batch
-        assert np.array_equal(dummy.score_batch([None] * 3), np.zeros(3))
+        assert np.array_equal(Zeros().score_batch([None] * 3), np.zeros(3))
+        assert not hasattr(PacketIDS, "anomaly_scores")
 
     def test_streaming_detector_reports_batched_path(self):
         from repro.ids.kitsune import Kitsune

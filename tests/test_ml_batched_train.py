@@ -220,6 +220,7 @@ class TestParallelOnlineParity:
         """Kitsune.fit now routes through process_batch; the default
         configuration must keep the exact per-packet trajectory."""
         from tests.conftest import make_udp_packet
+        from tests.kitsune_oracle import kitsune_scores
 
         from repro.ids.kitsune import Kitsune
 
@@ -230,11 +231,11 @@ class TestParallelOnlineParity:
         reference = Kitsune(fm_grace=100, ad_grace=500, seed=3)
         for packet in packets[:600]:
             reference.kitnet.process(reference.netstat.update(packet))
-        expected = reference.anomaly_scores(packets[600:])
+        expected = kitsune_scores(reference, packets[600:])
 
         batched = Kitsune(fm_grace=100, ad_grace=500, seed=3)
         batched.fit(packets[:600])
-        got = batched.anomaly_scores(packets[600:])
+        got = kitsune_scores(batched, packets[600:])
         assert np.array_equal(expected, got)
 
 

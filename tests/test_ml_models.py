@@ -4,6 +4,7 @@ import copy
 
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 from hypothesis import given, settings, strategies as st
 
 from repro.ml.autoencoder import Autoencoder
@@ -12,7 +13,10 @@ from repro.ml.mlp import MLPClassifier
 from repro.utils.rng import SeededRNG
 
 from tests.conftest import scaled_examples
-from tests.lstm_oracle import train_window as oracle_train_window
+from tests.lstm_oracle import (
+    predict_window as oracle_predict_window,
+    train_window as oracle_train_window,
+)
 
 
 class TestAutoencoder:
@@ -70,37 +74,39 @@ class TestLSTM:
     def test_learns_constant_series(self):
         lstm = LSTMRegressor(hidden_dim=8, rng=SeededRNG(6))
         series = np.full(200, 0.7)
-        errors = [
-            lstm.train_window(series[i - 8 : i], series[i])
-            for i in range(8, 200)
-        ]
+        errors = lstm.train_windows(
+            sliding_window_view(series[:-1], 8), series[8:]
+        )
         assert np.mean(errors[-30:]) < np.mean(errors[:30])
-        assert lstm.predict_window(series[:8]) == pytest.approx(0.7, abs=0.15)
+        (value,) = lstm.predict_windows(series[None, :8])
+        assert value == pytest.approx(0.7, abs=0.15)
 
     def test_learns_periodic_series(self):
         lstm = LSTMRegressor(hidden_dim=12, learning_rate=0.05,
                              rng=SeededRNG(7))
         t = np.arange(600) * 0.4
         series = 0.5 + 0.3 * np.sin(t)
-        errors = [
-            lstm.train_window(series[i - 10 : i], series[i])
-            for i in range(10, 600)
-        ]
+        errors = lstm.train_windows(
+            sliding_window_view(series[:-1], 10), series[10:]
+        )
         assert np.mean(errors[-50:]) < 0.5 * np.mean(errors[:50])
 
     def test_window_shape_validation(self):
         lstm = LSTMRegressor(input_dim=2, rng=SeededRNG(8))
-        with pytest.raises(ValueError, match="feature dim"):
-            lstm.predict_window(np.zeros((5, 3)))
+        with pytest.raises(ValueError, match="windows shape"):
+            lstm.predict_windows(np.zeros((1, 5, 3)))
 
     def test_1d_window_accepted(self):
+        """A window without a feature axis (an ``(N, T)`` stack) is
+        read as ``input_dim == 1``."""
         lstm = LSTMRegressor(rng=SeededRNG(9))
-        value = lstm.predict_window(np.zeros(5))
+        (value,) = lstm.predict_windows(np.zeros((1, 5)))
         assert np.isfinite(value)
 
 
 class TestLSTMPredictWindows:
-    """``predict_windows`` is bit-identical to a ``predict_window`` loop."""
+    """``predict_windows`` is bit-identical to a loop of the per-window
+    reference ``predict_window`` (``tests/lstm_oracle.py``)."""
 
     @staticmethod
     def _lstm(input_dim, seed, train_steps):
@@ -108,7 +114,8 @@ class TestLSTMPredictWindows:
                              rng=SeededRNG(seed))
         rng = np.random.default_rng(seed)
         for _ in range(train_steps):
-            lstm.train_window(rng.random((10, input_dim)), rng.random())
+            oracle_train_window(lstm, rng.random((10, input_dim)),
+                                rng.random())
         return lstm
 
     @pytest.mark.parametrize("train_steps", [0, 25])
@@ -125,7 +132,8 @@ class TestLSTMPredictWindows:
             windows = windows[:, :, 0]  # the (N, T) form
         batched = lstm.predict_windows(windows)
         looped = np.array(
-            [lstm.predict_window(w) for w in windows], dtype=np.float64
+            [oracle_predict_window(lstm, w) for w in windows],
+            dtype=np.float64,
         )
         assert batched.shape == (n,)
         assert batched.tobytes() == looped.tobytes()
@@ -203,15 +211,6 @@ class TestLSTMTrainWindows:
             expected.tobytes()
         )
         _assert_same_lstm(lstm, whole)
-
-    def test_train_window_is_one_window_of_train_windows(self):
-        lstm = LSTMRegressor(hidden_dim=8, rng=SeededRNG(3))
-        reference = copy.deepcopy(lstm)
-        window = np.linspace(0.0, 1.0, 10)
-        error = lstm.train_window(window, 0.25)
-        assert type(error) is float
-        assert error == oracle_train_window(reference, window, 0.25)
-        _assert_same_lstm(lstm, reference)
 
     def test_rejects_bad_shapes(self):
         lstm = LSTMRegressor(input_dim=2, rng=SeededRNG(8))

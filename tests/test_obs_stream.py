@@ -273,11 +273,16 @@ class TestBenchGitRev:
         monkeypatch.setattr(bench_conftest, "REPO_ROOT", tmp_path)
         self._git(tmp_path, "init", "-q")
         (tmp_path / "tracked.txt").write_text("one\n")
-        self._git(tmp_path, "add", "tracked.txt")
+        (tmp_path / "BENCH_x.json").write_text("{}\n")
+        self._git(tmp_path, "add", "tracked.txt", "BENCH_x.json")
         self._git(tmp_path, "commit", "-q", "-m", "one")
         clean = bench_conftest._git_rev()
         assert clean != "unknown" and not clean.endswith("-dirty")
         (tmp_path / "untracked.txt").write_text("new\n")
+        assert bench_conftest._git_rev() == clean
+        # A bench file written earlier in the same run is not a change
+        # to the code being measured.
+        (tmp_path / "BENCH_x.json").write_text('{"value": 2}\n')
         assert bench_conftest._git_rev() == clean
         (tmp_path / "tracked.txt").write_text("two\n")
         assert bench_conftest._git_rev() == clean + "-dirty"

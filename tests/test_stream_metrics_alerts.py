@@ -12,24 +12,41 @@ from hypothesis import given, settings, strategies as st
 
 from repro.stream.alerts import HysteresisAlerter
 from repro.stream.metrics import WindowedMetrics
-from repro.stream.scores import ScoreBatch, StreamScore, coverage_digest
+from repro.stream.scores import StreamScore, coverage_digest
 from repro.stream.service import _evaluate_stream
 from repro.stream.sharded import _merge_shards
 
 from tests.conftest import scaled_examples
-from tests.stream_oracle import evaluate_items, merge_items
+from tests.stream_oracle import batch_of, evaluate_items, merge_items
+
+
+def _add(wm: WindowedMetrics, timestamp, alerted, label) -> None:
+    """Record one scored item through ``add_batch``."""
+    wm.add_batch(np.array([timestamp]), np.array([alerted]),
+                 None if label is None else np.array([label]))
+
+
+def _update(alerter: HysteresisAlerter, timestamp, score, attack_type=""):
+    """Feed one scored item through ``update_batch``; return the episode
+    it closed, if any."""
+    closed = alerter.update_batch(
+        np.array([timestamp]), np.array([score]),
+        np.zeros(1, dtype=np.int32) if attack_type else None,
+        (attack_type,),
+    )
+    return closed[-1] if closed else None
 
 
 class TestWindowedMetrics:
     def test_hand_computed_two_windows(self):
         wm = WindowedMetrics(10.0)
         # Window 0 ([100, 110)): tp, fp, tn
-        wm.add(100.0, True, 1)   # tp
-        wm.add(104.0, True, 0)   # fp
-        wm.add(109.9, False, 0)  # tn
+        _add(wm, 100.0, True, 1)   # tp
+        _add(wm, 104.0, True, 0)   # fp
+        _add(wm, 109.9, False, 0)  # tn
         # Window 1 ([110, 120)): fn, tp
-        wm.add(110.0, False, 1)  # fn
-        wm.add(115.0, True, 1)   # tp
+        _add(wm, 110.0, False, 1)  # fn
+        _add(wm, 115.0, True, 1)   # tp
         windows = wm.finalize()
         assert [w.index for w in windows] == [0, 1]
         w0, w1 = windows
@@ -51,16 +68,16 @@ class TestWindowedMetrics:
 
     def test_gap_windows_are_skipped(self):
         wm = WindowedMetrics(1.0)
-        wm.add(0.0, False, 0)
-        wm.add(100.0, False, 0)  # 99 empty windows in between
+        _add(wm, 0.0, False, 0)
+        _add(wm, 100.0, False, 0)  # 99 empty windows in between
         windows = wm.finalize()
         assert [w.index for w in windows] == [0, 100]
         assert all(w.items == 1 for w in windows)
 
     def test_unlabelled_stream_has_no_reports(self):
         wm = WindowedMetrics(10.0)
-        wm.add(0.0, True, None)
-        wm.add(1.0, False, None)
+        _add(wm, 0.0, True, None)
+        _add(wm, 1.0, False, None)
         (window,) = wm.finalize()
         assert window.report is None
         assert window.alerts == 1
@@ -69,8 +86,8 @@ class TestWindowedMetrics:
     def test_on_close_fires_per_window(self):
         closed = []
         wm = WindowedMetrics(1.0, on_close=closed.append)
-        wm.add(0.0, False, 0)
-        wm.add(1.5, False, 0)
+        _add(wm, 0.0, False, 0)
+        _add(wm, 1.5, False, 0)
         assert len(closed) == 1  # first window closed by the second item
         wm.finalize()
         assert len(closed) == 2
@@ -96,7 +113,7 @@ class TestEvaluateStreamOrdering:
             StreamScore(index=2, timestamp=14.0, score=1.0, label=1),
         ]
         windows, alerter = _evaluate_stream(
-            emitted, labelled=True, threshold=0.5,
+            batch_of(emitted), labelled=True, threshold=0.5,
             window_seconds=10.0, on_window=None,
         )
         assert [w.index for w in windows.windows] == [0, 1, 2]
@@ -115,12 +132,12 @@ class TestHysteresisAlerter:
     def test_episode_opens_at_threshold_closes_below_release(self):
         # threshold 1.0, release 0.8: 0.9 keeps the episode alive.
         alerter = HysteresisAlerter(1.0, release_ratio=0.8)
-        assert alerter.update(0.0, 0.5) is None
-        assert alerter.update(1.0, 1.2) is None      # opens
+        assert _update(alerter, 0.0, 0.5) is None
+        assert _update(alerter, 1.0, 1.2) is None      # opens
         assert alerter.active
-        assert alerter.update(2.0, 0.9) is None      # hysteresis holds
-        assert alerter.update(3.0, 1.5) is None      # new peak
-        episode = alerter.update(4.0, 0.1)           # closes
+        assert _update(alerter, 2.0, 0.9) is None      # hysteresis holds
+        assert _update(alerter, 3.0, 1.5) is None      # new peak
+        episode = _update(alerter, 4.0, 0.1)           # closes
         assert episode is not None
         assert (episode.start, episode.end) == (1.0, 3.0)
         assert episode.items == 3
@@ -133,30 +150,30 @@ class TestHysteresisAlerter:
         """The score dips to 0.9 twice; one episode, not three."""
         alerter = HysteresisAlerter(1.0, release_ratio=0.8)
         for ts, score in enumerate([1.1, 0.9, 1.1, 0.9, 1.1]):
-            alerter.update(float(ts), score)
+            _update(alerter, float(ts), score)
         assert alerter.finish() is not None
         assert len(alerter.episodes) == 1
         assert alerter.episodes[0].items == 5
 
     def test_finish_closes_open_episode(self):
         alerter = HysteresisAlerter(0.5)
-        alerter.update(0.0, 0.7)
+        _update(alerter, 0.0, 0.7)
         episode = alerter.finish()
         assert episode is not None and episode.items == 1
         assert alerter.finish() is None
 
     def test_attack_type_majority_vote(self):
         alerter = HysteresisAlerter(0.5)
-        alerter.update(0.0, 0.9, attack_type="ddos")
-        alerter.update(1.0, 0.9, attack_type="scan")
-        alerter.update(2.0, 0.9, attack_type="ddos")
+        _update(alerter, 0.0, 0.9, attack_type="ddos")
+        _update(alerter, 1.0, 0.9, attack_type="scan")
+        _update(alerter, 2.0, 0.9, attack_type="ddos")
         episode = alerter.finish()
         assert episode.attack_type == "ddos"
 
     def test_nonpositive_threshold_release_does_not_rise(self):
         alerter = HysteresisAlerter(-0.5, release_ratio=0.8)
         assert alerter.release == -0.5
-        alerter.update(0.0, 0.0)
+        _update(alerter, 0.0, 0.0)
         assert alerter.active
 
 
@@ -211,7 +228,7 @@ class TestArrayConsumersMatchOracle:
         rows, threshold, labelled = stream
         got_closed, want_closed = [], []
         windows, alerter = _evaluate_stream(
-            ScoreBatch.from_scores(rows), labelled=labelled,
+            batch_of(rows), labelled=labelled,
             threshold=threshold, window_seconds=window,
             on_window=got_closed.append,
         )
@@ -238,14 +255,14 @@ class TestArrayConsumersMatchOracle:
         rows, threshold, labelled = stream
         ordered = sorted(rows, key=lambda it: (it.timestamp, it.index))
         whole, _ = _evaluate_stream(
-            ordered, labelled=labelled, threshold=threshold,
+            batch_of(ordered), labelled=labelled, threshold=threshold,
             window_seconds=1.0, on_window=None,
         )
         _, oracle = evaluate_items(
             ordered, labelled=labelled, threshold=threshold,
             window_seconds=1.0, on_window=None,
         )
-        batch = ScoreBatch.from_scores(ordered)
+        batch = batch_of(ordered)
         windows = WindowedMetrics(1.0)
         alerter = HysteresisAlerter(threshold)
         bounds = sorted({0, len(ordered),
@@ -274,7 +291,7 @@ class TestArrayConsumersMatchOracle:
                                 label=i % 2, attack_type=ATTACKS[i % 5])
                     for i, t in enumerate(stamps)]
             tagged.extend((worker, row) for row in rows)
-            batches.append((worker, ScoreBatch.from_scores(rows)))
+            batches.append((worker, batch_of(rows)))
         merged = _merge_shards(batches)
         want = merge_items(tagged)
         assert [_fields(row) for row in merged.rows()] == [
@@ -306,8 +323,8 @@ class TestCoverageDigestPin:
         for ordered, expected in ((rows, self.FORWARD),
                                   (rows[::-1], self.REVERSED)):
             assert coverage_digest(ordered) == expected
-            assert coverage_digest(ScoreBatch.from_scores(ordered)) == expected
+            assert coverage_digest(batch_of(ordered)) == expected
 
     def test_rows_round_trip_through_columns(self):
         rows = self._rows()
-        assert ScoreBatch.from_scores(rows).rows() == rows
+        assert batch_of(rows).rows() == rows

@@ -13,11 +13,12 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.stream.detector import ScoreBatch, StreamScore
+from repro.stream.detector import StreamScore
 from repro.stream.service import stream_capture
 from repro.stream.sources import ListSource
 
 from tests.conftest import make_tcp_packet
+from tests.stream_oracle import batch_of
 
 
 class RecordingDetector:
@@ -66,13 +67,13 @@ class RecordingDetector:
         emitted = []
         for packet in batch.iter_packets():
             emitted.extend(self.process(packet))
-        return ScoreBatch.from_scores(emitted)
+        return batch_of(emitted)
 
     def finish(self):
         self.calls.append("finish")
         self.finished += 1
         emitted, self._buffer = self._buffer, []
-        return ScoreBatch.from_scores(emitted)
+        return batch_of(emitted)
 
 
 def _packets(n, *, label_from=None):
