@@ -5,10 +5,10 @@ time inside the KitNET autoencoder ensemble, so its execute loop bounds
 every Kitsune/HELAD cell of the Table IV matrix and the streaming
 subsystem's packets/second. This bench trains one KitNET over the Mirai
 replay's feature stream, then scores the execute-phase rows twice —
-the per-packet reference loop and the packed batched engine at several
-micro-batch sizes — cross-checking bit-for-bit parity while it
-measures (a fast-but-wrong engine must not pass), and records the
-speedup in ``BENCH_kitnet_batch.json``.
+the per-packet reference loop (``tests/kitsune_oracle.py``) and the
+packed batched engine at several micro-batch sizes — cross-checking
+bit-for-bit parity while it measures (a fast-but-wrong engine must not
+pass), and records the speedup in ``BENCH_kitnet_batch.json``.
 
 Run the acceptance configuration with::
 
@@ -30,6 +30,7 @@ from repro.ids.kitsune.kitnet import KitNET
 from repro.utils.rng import SeededRNG
 
 from benchmarks.conftest import save_bench_json, save_result, scale_or
+from tests.kitsune_oracle import kitnet_scores
 
 DEFAULT_SCALE = 1.0
 SEED = 0
@@ -58,8 +59,7 @@ def _trained_detector(scale: float):
         ad_grace=ad_grace,
         rng=SeededRNG(SEED, "bench-kitnet-batch"),
     )
-    for row in features[:boundary]:
-        detector.process(row)
+    detector.process_batch(features[:boundary])
     return detector, features[boundary:]
 
 
@@ -71,9 +71,7 @@ def test_kitnet_batch_throughput(bench_scale):
 
     reference = copy.deepcopy(detector)
     start = time.perf_counter()
-    reference_scores = np.array(
-        [reference.process(row) for row in execute_rows]
-    )
+    reference_scores = kitnet_scores(reference, execute_rows)
     reference_seconds = time.perf_counter() - start
 
     rows = {}

@@ -11,9 +11,10 @@ Mirai feature stream's grace prefix and times each phase on its own:
   the shipped mapper updates one cluster-distance matrix per merge.
   Both must produce identical groups or the bench fails.
 * **training** — the sequential per-row reference
-  (``KitNET.process``) against the shipped ``process_batch`` (the
-  stacked online engine), which must match the reference **bit for
-  bit** — scores, every weight and both scalers — or the bench fails.
+  (``tests/kitsune_oracle.py``) against the shipped ``process_batch``
+  (the stacked online engine), which must match the reference **bit
+  for bit** — scores, every weight and both scalers — or the bench
+  fails.
 
 Run the acceptance configuration with::
 
@@ -34,6 +35,7 @@ from repro.ids.kitsune.kitnet import KitNET
 from repro.utils.rng import SeededRNG
 
 from benchmarks.conftest import save_bench_json, save_result, scale_or
+from tests.kitsune_oracle import kitnet_scores
 from tests.test_feature_mapper_cluster import brute_force_cluster
 
 DEFAULT_SCALE = 1.0
@@ -103,8 +105,7 @@ def test_kitnet_train_throughput(bench_scale):
         distance, mapper.max_group
     )
     start = time.perf_counter()
-    for row in fm_rows:
-        reference.process(row)
+    kitnet_scores(reference, fm_rows)
     fm_oracle_seconds = time.perf_counter() - start
     shipped = fresh()
     start = time.perf_counter()
@@ -116,9 +117,7 @@ def test_kitnet_train_throughput(bench_scale):
 
     # Training: per-row reference vs the shipped default process_batch.
     start = time.perf_counter()
-    reference_scores = np.array(
-        [reference.process(row) for row in train_rows]
-    )
+    reference_scores = kitnet_scores(reference, train_rows)
     reference_seconds = time.perf_counter() - start
     reference_pps = n_rows / reference_seconds
     start = time.perf_counter()

@@ -31,6 +31,7 @@ from repro.core.preprocessing import (
 from repro.core.thresholds import standard_threshold
 from repro.datasets import generate_dataset
 from repro.ids.base import InputKind
+from repro.ids.kitsune import grace_periods
 from repro.ids.registry import backend_notes, evaluated_ids_factories
 from repro.utils.rng import SeededRNG
 
@@ -214,15 +215,13 @@ def build_packet_cell(config: ExperimentConfig, dataset):
         max_test_packets=config.max_test_packets,
         max_train_packets=config.max_train_packets,
     )
+    kwargs.setdefault("seed", config.seed)
     if config.ids_name == "Kitsune":
         # Grace periods must fit the available training stream —
         # the per-dataset setup labour the paper describes.
-        fm = max(100, len(data.train_packets) // 10)
-        kwargs.setdefault("seed", config.seed)
-        kwargs["fm_grace"] = fm
-        kwargs["ad_grace"] = max(100, len(data.train_packets) - fm)
-    else:
-        kwargs.setdefault("seed", config.seed)
+        kwargs["fm_grace"], kwargs["ad_grace"] = grace_periods(
+            len(data.train_packets)
+        )
     return factory(**kwargs), data
 
 

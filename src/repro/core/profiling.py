@@ -28,6 +28,7 @@ import time
 from dataclasses import dataclass
 
 from repro.features.netstat import NetStat
+from repro.ids.kitsune import grace_periods
 from repro.utils.rng import SeededRNG
 
 #: Rows per ``ml.execute`` call: the live stream's default micro-batch.
@@ -119,16 +120,15 @@ class PacketPathProfile:
 
 def kitnet_grace_split(count: int) -> tuple[int, int, int]:
     """Grace-period arithmetic for a ``count``-packet replay: train on
-    the first half (fm/ad scaled to it, the experiment pipeline's
-    per-cell arithmetic), execute the rest. Shared by the profile's
-    ``ml.train``/``ml.execute`` stages and the ``bench_kitnet_batch``
-    and ``bench_kitnet_train`` benches so all measure the same phases.
+    the first half (:func:`~repro.ids.kitsune.grace_periods` of it, the
+    experiment pipeline's per-cell arithmetic), execute the rest.
+    Shared by the profile's ``ml.train``/``ml.execute`` stages and the
+    ``bench_kitnet_batch`` and ``bench_kitnet_train`` benches so all
+    measure the same phases.
     Returns ``(fm_grace, ad_grace, boundary)``; rows past ``boundary``
     are execute-phase.
     """
-    train_count = count // 2
-    fm_grace = max(100, train_count // 10)
-    ad_grace = max(100, train_count - fm_grace)
+    fm_grace, ad_grace = grace_periods(count // 2)
     return fm_grace, ad_grace, min(fm_grace + ad_grace, count)
 
 

@@ -31,14 +31,9 @@ class OnlineMinMaxScaler:
 
     def _checked(self, rows: np.ndarray) -> np.ndarray:
         rows = np.asarray(rows, dtype=np.float64)
-        if rows.shape == (self.dim,) or (
-            rows.ndim == 2 and rows.shape[1] == self.dim
-        ):
+        if rows.ndim == 2 and rows.shape[1] == self.dim:
             return rows
-        raise ValueError(
-            f"expected shape ({self.dim},) or (n, {self.dim}), "
-            f"got {rows.shape}"
-        )
+        raise ValueError(f"expected shape (n, {self.dim}), got {rows.shape}")
 
     def partial_fit(self, row: np.ndarray) -> None:
         """Update the running extrema with one ``(dim,)`` observation.
@@ -60,58 +55,32 @@ class OnlineMinMaxScaler:
     def transform(self, rows: np.ndarray) -> np.ndarray:
         """Scale into the learned range; constant dimensions map to 0.
 
-        Accepts one ``(dim,)`` row or a ``(n, dim)`` batch; the batch
-        path is purely elementwise, so each output row is bit-identical
-        to transforming that row alone. With ``clip=True`` output is
-        clamped to [0, 1]; with ``clip=False`` out-of-range inputs
-        extrapolate beyond it.
+        Takes a ``(n, dim)`` batch and is purely elementwise, so each
+        output row is bit-identical to transforming that row alone.
+        With ``clip=True`` output is clamped to [0, 1]; with
+        ``clip=False`` out-of-range inputs extrapolate beyond it.
         """
         rows = self._checked(rows)
         span = self.max - self.min
         ok = np.isfinite(span) & (span > 0)
         out = np.zeros_like(rows)
-        if rows.ndim == 2:
-            out[:, ok] = (rows[:, ok] - self.min[ok]) / span[ok]
-        else:
-            out[ok] = (rows[ok] - self.min[ok]) / span[ok]
+        out[:, ok] = (rows[:, ok] - self.min[ok]) / span[ok]
         if self.clip:
             return np.clip(out, 0.0, 1.0)
         return out
 
-    def fit_transform(self, row: np.ndarray) -> np.ndarray:
-        """Partial-fit then transform — the online training-phase call.
-
-        Single rows only: a whole-batch fit-then-transform would see
-        extrema from *future* rows, silently breaking the online
-        training semantics. Batch callers use
-        :meth:`fit_transform_running` for the exact sequential
-        trajectory over a batch.
-        """
-        row = self._checked(row)
-        if row.ndim != 1:
-            raise ValueError(
-                "fit_transform is the online per-row call; for batches "
-                "use fit_transform_running(batch)"
-            )
-        self.partial_fit(row)
-        return self.transform(row)
-
     def fit_transform_running(self, rows: np.ndarray) -> np.ndarray:
         """Vectorized *online* fit-transform over a ``(n, dim)`` batch.
 
-        Bit-identical to calling :meth:`fit_transform` on each row in
-        order: row ``i`` is scaled against the extrema of rows
-        ``0..i`` (plus any previously learned state), never against
-        future rows. ``np.minimum.accumulate`` computes exactly the
-        running extrema the sequential loop would (min/max are exact,
-        order-insensitive IEEE operations) and the transform arithmetic
-        is elementwise, so this is the batched training engines' way of
-        keeping the online normalisation trajectory while dropping the
-        per-row Python dispatch.
+        Bit-identical to folding the rows into the extrema one at a
+        time with :meth:`partial_fit`, each scaled right after its own
+        fold: row ``i`` is scaled against the extrema of rows ``0..i``
+        (plus any previously learned state), never against future rows.
+        ``np.minimum.accumulate`` computes exactly the running extrema
+        the sequential loop would (min/max are exact, order-insensitive
+        IEEE operations) and the transform arithmetic is elementwise.
         """
         rows = self._checked(rows)
-        if rows.ndim != 2:
-            rows = rows.reshape(1, -1)
         if rows.shape[0] == 0:
             return np.empty_like(rows)
         if self.frozen:
@@ -153,6 +122,3 @@ class ZScoreScaler:
             raise RuntimeError("ZScoreScaler used before fit()")
         matrix = np.asarray(matrix, dtype=np.float64)
         return (matrix - self.mean) / self.std
-
-    def fit_transform(self, matrix: np.ndarray) -> np.ndarray:
-        return self.fit(matrix).transform(matrix)

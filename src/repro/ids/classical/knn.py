@@ -48,7 +48,7 @@ class KNNIDS(FlowIDS):
 
             idx = SeededRNG(self.seed, "knn").permutation(x.shape[0])[: self.max_train]
             x, y = x[idx], y[idx]
-        self._x = self._scaler.fit_transform(x)
+        self._x = self._scaler.fit(x).transform(x)
         self._y = y
 
     def anomaly_scores(

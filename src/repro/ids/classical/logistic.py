@@ -43,7 +43,8 @@ class LogisticRegressionIDS(FlowIDS):
     ) -> None:
         if labels is None:
             raise ValueError("LogisticRegression requires labels")
-        x = self._scaler.fit_transform(np.asarray(features, dtype=np.float64))
+        x = np.asarray(features, dtype=np.float64)
+        x = self._scaler.fit(x).transform(x)
         y = np.asarray(labels, dtype=np.float64).ravel()
         n, d = x.shape
         weights = np.zeros(d)

@@ -9,6 +9,6 @@ RMSEs.
 
 from repro.ids.kitsune.feature_mapper import FeatureMapper
 from repro.ids.kitsune.kitnet import KitNET
-from repro.ids.kitsune.kitsune import Kitsune
+from repro.ids.kitsune.kitsune import Kitsune, grace_periods
 
-__all__ = ["FeatureMapper", "KitNET", "Kitsune"]
+__all__ = ["FeatureMapper", "KitNET", "Kitsune", "grace_periods"]

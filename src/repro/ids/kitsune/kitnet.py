@@ -69,7 +69,7 @@ class KitNET:
         self.output_layer: Autoencoder | None = None
         self._output_scaler: OnlineMinMaxScaler | None = None
         self.samples_seen = 0
-        #: Lazily packed execute-phase scorer; any train step resets it.
+        #: Packed execute-phase scorer, built by the first execute row.
         self._batched_ensemble = None
 
     # -- lifecycle -------------------------------------------------------
@@ -88,9 +88,6 @@ class KitNET:
 
     def _build_ensemble(self) -> None:
         groups = self.mapper.finalise()
-        # Pre-built index arrays make the per-packet feature-group
-        # gather a single optimized fancy-index instead of a
-        # list-to-array conversion on every call.
         self._group_index = [
             np.asarray(group, dtype=np.intp) for group in groups
         ]
@@ -113,58 +110,12 @@ class KitNET:
         if obs.is_enabled():
             obs.gauge("ml.kitnet.ensemble_groups").set(len(groups))
 
-    def process(self, row: np.ndarray) -> float:
-        """Feed one instance; returns its anomaly score (0.0 while the
-        feature mapper is still collecting)."""
-        row = np.asarray(row, dtype=np.float64)
-        self.samples_seen += 1
-        if self.samples_seen <= self.fm_grace:
-            self.mapper.partial_fit(row)
-            self.scaler.partial_fit(row)
-            if self.samples_seen == self.fm_grace:
-                self._build_ensemble()
-            return 0.0
-        if self.output_layer is None:  # fm_grace satisfied mid-stream
-            self._build_ensemble()
-        if self.in_training:
-            return self._train_step(row)
-        return self._execute(row)
-
-    def _group_rmses(self, scaled: np.ndarray, *, train: bool) -> np.ndarray:
-        groups = self._group_index
-        rmses = np.empty(len(groups))
-        for i, group in enumerate(groups):
-            sub = scaled[group]
-            if train:
-                rmses[i] = self.ensemble[i].train_score(sub)
-            else:
-                rmses[i] = self.ensemble[i].score(sub)
-        return rmses
-
-    def _train_step(self, row: np.ndarray) -> float:
-        # Weights are about to move: drop any packed snapshot so the
-        # batched execute path rebuilds from the post-update ensemble.
-        self._record_training(1)
-        self._batched_ensemble = None
-        scaled = self.scaler.fit_transform(row)
-        rmses = self._group_rmses(scaled, train=True)
-        assert self._output_scaler is not None and self.output_layer is not None
-        scaled_rmses = self._output_scaler.fit_transform(rmses)
-        return self.output_layer.train_score(scaled_rmses)
-
     def _record_training(self, rows: int) -> None:
-        """Obs bookkeeping for a training step (no-op when disabled).
-
-        ``ml.kitnet.batch_invalidations`` counts the packed execute
-        scorer being thrown away by a weight update — a rebuild-churn
-        signal when training and execution interleave.
-        """
+        """Obs bookkeeping for a training run (no-op when disabled)."""
         if not obs.is_enabled():
             return
         registry = obs.get_registry()
         registry.counter("ml.kitnet.rows_trained").inc(rows)
-        if self._batched_ensemble is not None:
-            registry.counter("ml.kitnet.batch_invalidations").inc()
         if self.ad_grace:
             trained = min(max(self.samples_seen - self.fm_grace, 0),
                           self.ad_grace)
@@ -175,7 +126,7 @@ class KitNET:
     # -- batched training ---------------------------------------------------
     def _train_rows_online(self, matrix: np.ndarray) -> np.ndarray:
         """Online training over a run of rows — bit-identical to
-        :meth:`_train_step` per row.
+        training every autoencoder on each row in turn.
 
         In passes of at most ``ROWS_PER_PASS`` rows, both scalers'
         per-row trajectories are computed vectorized (running extrema)
@@ -184,7 +135,7 @@ class KitNET:
         autoencoder over the pass's scaled RMSE rows (each row's input
         depends only on that row's group RMSEs). The engines pack the
         weights here and write them back before returning, so calls of
-        any size compose with per-row :meth:`process` calls.
+        any size compose.
         """
         from repro.ml.batched_train import (
             ROWS_PER_PASS,
@@ -192,7 +143,6 @@ class KitNET:
         )
 
         self._record_training(matrix.shape[0])
-        self._batched_ensemble = None
         assert self._output_scaler is not None and self.output_layer is not None
         ensemble = OnlineEnsembleTrainer(self.ensemble, self._group_index)
         output = OnlineEnsembleTrainer(
@@ -210,12 +160,6 @@ class KitNET:
         ensemble.sync()
         output.sync()
         return scores
-
-    def _execute(self, row: np.ndarray) -> float:
-        assert self._output_scaler is not None and self.output_layer is not None
-        scaled = self.scaler.transform(row)
-        rmses = self._group_rmses(scaled, train=False)
-        return self.output_layer.score(self._output_scaler.transform(rmses))
 
     # -- batched execution ------------------------------------------------
     def _packed(self):
@@ -256,21 +200,19 @@ class KitNET:
     def execute_batch(self, matrix: np.ndarray) -> np.ndarray:
         """Score a batch of execute-phase rows in one shot.
 
-        Bit-identical to calling :meth:`process` on each row, but the
-        whole batch goes through the packed ensemble: one scaler
+        The whole batch goes through the packed ensemble: one scaler
         transform, a few stacked einsum contractions for all groups,
-        and the output-layer RMSE per row. Only legal once both grace
-        periods are over (training advances state row by row).
+        and the output-layer RMSE per row. Each row scores as it would
+        alone. Legal from the row that reaches the grace boundary on:
+        that row is scored without fitting, like every later one.
         """
         matrix = self._as_matrix(matrix)
-        if self.in_feature_mapping or self.in_training:
+        if self.samples_seen < self.fm_grace + self.ad_grace - 1:
             raise RuntimeError(
                 "execute_batch during the grace periods; use process_batch"
             )
         if matrix.shape[0] == 0:
             return np.empty(0)
-        if self.output_layer is None:  # fm_grace satisfied mid-stream
-            self._build_ensemble()
         assert self._output_scaler is not None
         packed = self._packed()
         scaled = self.scaler.transform(matrix)
@@ -284,40 +226,32 @@ class KitNET:
     def process_batch(self, matrix: np.ndarray) -> np.ndarray:
         """Feed a batch of instances; returns one score per row.
 
-        Bit-identical to looping :meth:`process` — scores and every
-        piece of detector state. Feature-mapping rows go one at a time,
-        training rows through the stacked online engine
-        (:meth:`_train_rows_online`), and the remaining execute-phase
-        rows through :meth:`execute_batch`.
+        Rows move through the phases in order. Feature-mapping rows
+        score 0.0 and fold into the mapper and the input scaler one at
+        a time: the mapper finalises at an exact row index. Rows whose
+        count lands in ``[fm_grace + 1, fm_grace + ad_grace - 1]`` train
+        through the stacked online engine (:meth:`_train_rows_online`).
+        The rest, from the row that reaches the grace boundary on,
+        score through :meth:`execute_batch`. Any chunking of a stream
+        gives the same scores and state as one call
+        (``tests/kitsune_oracle.py`` holds the per-row form).
         """
         matrix = self._as_matrix(matrix)
         n = matrix.shape[0]
-        scores = np.empty(n)
-        if n == 0:
-            return scores
-        boundary = self.fm_grace + self.ad_grace
+        scores = np.zeros(n)
         i = 0
-        # Feature-mapping rows stay per-row: the mapper accumulates
-        # correlation sums and finalises at an exact row index.
         while i < n and self.samples_seen < self.fm_grace:
-            scores[i] = self.process(matrix[i])
+            self.mapper.partial_fit(matrix[i])
+            self.scaler.partial_fit(matrix[i])
+            self.samples_seen += 1
             i += 1
-        if i < n and self.samples_seen < boundary:
-            if self.output_layer is None:
+            if self.samples_seen == self.fm_grace:
                 self._build_ensemble()
-            # The reference trains rows whose post-increment count is
-            # in [fm+1, fm+ad-1]; the row reaching the boundary goes
-            # through per-row _execute without fitting the scalers.
-            take = min(n - i, boundary - 1 - self.samples_seen)
-            if take > 0:
-                chunk = matrix[i : i + take]
-                self.samples_seen += take
-                scores[i : i + take] = self._train_rows_online(chunk)
-                i += take
-            # The boundary-crossing row (per-row execute semantics).
-            while i < n and self.samples_seen < boundary:
-                scores[i] = self.process(matrix[i])
-                i += 1
+        take = min(n - i, self.fm_grace + self.ad_grace - 1 - self.samples_seen)
+        if take > 0:
+            self.samples_seen += take
+            scores[i : i + take] = self._train_rows_online(matrix[i : i + take])
+            i += take
         if i < n:
             scores[i:] = self.execute_batch(matrix[i:])
         return scores

@@ -12,6 +12,27 @@ from repro.net.packet import Packet
 from repro.utils.rng import SeededRNG
 
 
+def grace_periods(
+    train_packets: int,
+    *,
+    fm_grace: int | None = None,
+    ad_grace: int | None = None,
+) -> tuple[int, int]:
+    """``(fm_grace, ad_grace)`` scaled to a ``train_packets``-long
+    training stream: a tenth of it maps features, the rest trains, each
+    at least 100 rows. A period passed in is kept, and the other fills
+    the remainder (at least 100), so the pair never silently mixes a
+    scaled period with a default one.
+    """
+    if fm_grace is None and ad_grace is None:
+        fm_grace = max(100, train_packets // 10)
+    if ad_grace is None:
+        ad_grace = max(100, train_packets - fm_grace)
+    elif fm_grace is None:
+        fm_grace = max(100, train_packets - ad_grace)
+    return fm_grace, ad_grace
+
+
 class Kitsune(PacketIDS):
     """Plug-and-play packet anomaly detector (Mirsky et al. 2018).
 
@@ -72,9 +93,8 @@ class Kitsune(PacketIDS):
         """Consume the training stream (grace periods).
 
         Features are extracted sequentially into one matrix and handed
-        to :meth:`KitNET.process_batch` — bit-identical to the per-row
-        loop in the default configuration, and the hook through which
-        the stacked training engines see whole chunks.
+        to :meth:`KitNET.process_batch`, through which the stacked
+        training engine sees whole chunks.
         """
         self.kitnet.process_batch(self.netstat.extract_all(packets))
 
@@ -84,8 +104,7 @@ class Kitsune(PacketIDS):
         NetStat stays sequential (damped statistics are order-defined)
         but writes into one preallocated matrix; KitNET then scores all
         execute-phase rows through its packed ensemble. Bit-identical
-        to a per-packet ``KitNET.process(NetStat.update(p))`` loop
-        (``tests/kitsune_oracle.py``).
+        to the per-packet loop in ``tests/kitsune_oracle.py``.
         """
         return self.kitnet.process_batch(self.netstat.extract_all(packets))
 

@@ -170,7 +170,6 @@ def load_kitnet(path: str | Path) -> KitNET:
         kitnet._group_index = [
             np.asarray(group, dtype=np.intp) for group in groups
         ]
-        kitnet._batched_ensemble = None
         # Restore the true sample counter. Version-1 checkpoints stored
         # it under a misspelled key (and the old loader discarded it,
         # hardcoding fm+ad+1 — wrong for any detector that had executed

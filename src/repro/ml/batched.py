@@ -7,8 +7,9 @@ into stacked tensors so a micro-batch of N instances is scored against
 every group in a handful of ``einsum`` contractions.
 
 **Bit-for-bit parity.** The packed path must reproduce the per-row
-reference (`Autoencoder.score` on one group slice at a time) exactly,
-which pins down two implementation choices:
+reference (one autoencoder scored on one group slice at a time,
+``tests/kitsune_oracle.py``) exactly, which pins down two
+implementation choices:
 
 * contractions use ``np.einsum`` — its accumulation order over the
   contracted axis depends only on that axis' length, so the same row
@@ -25,9 +26,9 @@ which pins down two implementation choices:
 Every einsum operand is materialised C-contiguous first: NumPy executes
 strided operands with different inner loops that can round differently.
 
-The packed tensors are weight *snapshots*: construct lazily once
-training stops, and invalidate on any further train step (KitNET does
-both — see :meth:`repro.ids.kitsune.kitnet.KitNET.execute_batch`).
+The packed tensors are weight *snapshots*: KitNET builds them once,
+on its first execute-phase row, after training has stopped for good
+(see :meth:`repro.ids.kitsune.kitnet.KitNET.execute_batch`).
 """
 
 from __future__ import annotations
@@ -132,7 +133,8 @@ class BatchedEnsemble:
 
         ``scaled`` is ``(N, dim)``; returns ``(N, n_groups)`` with
         columns in the original group order — each entry bit-identical
-        to ``ensemble[g].score(scaled_row[group_index[g]])``.
+        to scoring ``scaled_row[group_index[g]]`` alone with
+        ``ensemble[g]``.
         """
         scaled = np.ascontiguousarray(scaled, dtype=np.float64)
         rmses = np.empty((scaled.shape[0], self.n_groups))

@@ -6,9 +6,10 @@ stacked einsum contractions; this module is its training counterpart.
 buckets and keeps **the exact online trajectory**: rows are still
 trained one at a time (SGD is sequential), but each row drives one
 stacked forward/backward pass per bucket instead of one Python-level
-``train_score`` call per group. Scores, weights and ``samples_trained``
-are **bit-identical** to the per-row reference loop; KitNET's
-``process_batch`` trains through it.
+SGD step per group. Scores, weights and ``samples_trained`` are
+**bit-identical** to the per-row reference loop
+(``tests/kitsune_oracle.py``); KitNET's ``process_batch`` and
+``HELAD.fit`` train through it.
 
 The trainer consumes rows scaled by
 :meth:`~repro.features.normalize.OnlineMinMaxScaler.fit_transform_running`
@@ -50,8 +51,9 @@ class OnlineEnsembleTrainer:
     here.) All buckets' weights, biases and activations live in flat
     buffers with one view per bucket, so each elementwise step of a row
     is one ufunc call for the whole ensemble. Those steps are the ops
-    of :meth:`Autoencoder.train_score`, :meth:`DenseLayer.backward` and
-    :meth:`SGD.step` in the same order, so RMSEs and weights are
+    of one autoencoder's online step (:meth:`DenseLayer.forward` and
+    :meth:`DenseLayer.backward` through both layers, then
+    :meth:`SGD.step`) in the same order, so RMSEs and weights are
     **bit-identical** to training each autoencoder on each row in turn.
     The wrapped autoencoders are stale until :meth:`sync`.
     """

@@ -5,7 +5,7 @@ it, then fits and scores in one shot. This package is the *push* mode
 the evaluated systems were actually built for: a
 :class:`~repro.stream.sources.PacketSource` feeds packets one at a time
 into a :class:`~repro.stream.detector.StreamingDetector`, flows are
-assembled incrementally (:class:`~repro.stream.tracker.StreamingFlowTracker`),
+assembled incrementally (:class:`~repro.flows.assembler.FlowAssembler`),
 scores emerge in micro-batches, and sliding-window metrics
 (:class:`~repro.stream.metrics.WindowedMetrics`) plus a hysteresis alert
 sink (:class:`~repro.stream.alerts.HysteresisAlerter`) summarise the
@@ -47,7 +47,6 @@ from repro.stream.sources import (
     PacketSource,
     PcapReplaySource,
 )
-from repro.stream.tracker import StreamingFlowTracker
 from repro.stream.service import (
     StreamReport,
     resolve_ingest_backend,
@@ -55,10 +54,8 @@ from repro.stream.service import (
     stream_experiment,
 )
 from repro.stream.shard import (
-    shard_for_packet,
     shard_ids_for_batch,
     shard_key_for_flow,
-    shard_key_for_packet,
     shard_of_key,
 )
 from repro.stream.sharded import (
@@ -84,15 +81,12 @@ __all__ = [
     "MixedSource",
     "PacketSource",
     "PcapReplaySource",
-    "StreamingFlowTracker",
     "StreamReport",
     "resolve_ingest_backend",
     "stream_capture",
     "stream_experiment",
-    "shard_for_packet",
     "shard_ids_for_batch",
     "shard_key_for_flow",
-    "shard_key_for_packet",
     "shard_of_key",
     "FaultInjection",
     "coverage_digest",

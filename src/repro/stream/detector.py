@@ -33,13 +33,14 @@ import numpy as np
 
 from repro import obs
 from repro.features.encoding import FlowVectorEncoder
+from repro.flows.assembler import FlowAssembler
 from repro.flows.record import FlowRecord
 from repro.ids.base import FlowIDS, InputKind, PacketIDS
+from repro.ids.kitsune import grace_periods
 from repro.ids.registry import evaluated_ids_factories
 from repro.net.columnar import ColumnBatch
 from repro.net.packet import Packet
 from repro.stream.scores import NO_LABEL, ScoreBatch, StreamScore
-from repro.stream.tracker import StreamingFlowTracker
 from repro.utils.validation import check_positive
 
 __all__ = [
@@ -154,18 +155,21 @@ class PacketStreamDetector(StreamingDetector):
 class FlowStreamDetector(StreamingDetector):
     """Flow-level streaming: assemble incrementally, score on close.
 
-    Flow IDSs already consume encoded feature matrices, so every
-    micro-batch is scored in one call (``scoring_path = "flow-matrix"``).
+    Live packets go through one :class:`FlowAssembler`, whose flow
+    boundaries and completion order are the batch export's. Flow IDSs
+    already consume encoded feature matrices, so every micro-batch is
+    scored in one call (``scoring_path = "flow-matrix"``).
 
-    ``deferred=True`` (Slips) accumulates completed flows and scores
-    them in one call at ``finish`` — Slips' evidence accumulation and
-    recidivism are defined over the whole window set, so per-flow
-    scoring would silently change its semantics. The DNN scores each
-    micro-batch of closed flows as it fills.
+    Slips' adapter is *deferred*: it accumulates completed flows and
+    scores them in one call at ``finish`` — Slips' evidence
+    accumulation and recidivism are defined over the whole window set,
+    so per-flow scoring would silently change its semantics. The DNN
+    scores each micro-batch of closed flows as it fills.
 
     ``process_flow`` lets pre-assembled flows (the batch pipeline's
-    adapted flow sample) be replayed directly, bypassing the tracker —
-    the parity path used by :func:`repro.stream.service.stream_experiment`.
+    adapted flow sample) be replayed directly, bypassing the assembler
+    — the parity path used by
+    :func:`repro.stream.service.stream_experiment`.
     """
 
     unit = "flow"
@@ -177,10 +181,7 @@ class FlowStreamDetector(StreamingDetector):
         *,
         schema: str = "netflow",
         batch_size: int = 64,
-        deferred: bool | None = None,
         encoder: FlowVectorEncoder | None = None,
-        idle_timeout: float = 120.0,
-        active_timeout: float = 3600.0,
         labelled: bool = True,
     ) -> None:
         super().__init__(batch_size=batch_size)
@@ -189,12 +190,10 @@ class FlowStreamDetector(StreamingDetector):
         self.ids = ids
         self.schema = schema
         # Slips is the only evaluated IDS whose scores couple across
-        # flows; default its adapter to end-of-stream scoring.
-        self.deferred = (ids.name == "Slips") if deferred is None else deferred
+        # flows; its adapter scores at end of stream.
+        self.deferred = ids.name == "Slips"
         self.encoder = encoder or self._default_encoder(schema)
-        self.tracker = StreamingFlowTracker(
-            idle_timeout=idle_timeout, active_timeout=active_timeout
-        )
+        self.assembler = FlowAssembler()
         self.labelled = labelled
         self._buffer: list[FlowRecord] = []
         self._deferred_flows: list[FlowRecord] = []
@@ -220,8 +219,6 @@ class FlowStreamDetector(StreamingDetector):
 
     def warmup(self, packets: Sequence[Packet]) -> None:
         """Assemble the prefix into flows and fit the IDS on them."""
-        from repro.flows.assembler import FlowAssembler
-
         flows = FlowAssembler().assemble(packets)
         features = self._encode(flows)
         labels = (
@@ -245,7 +242,7 @@ class FlowStreamDetector(StreamingDetector):
         self.ids.fit(list(flows), features, labels)
 
     def process_columns(self, batch: ColumnBatch) -> ScoreBatch:
-        """Feed each row to the flow tracker; score flows as they close.
+        """Feed the rows to the flow assembler; score flows as they close.
 
         Flow assembly reads full headers (TCP flags, payloads), so rows
         are hydrated: free for batches columnized from packet objects,
@@ -253,8 +250,7 @@ class FlowStreamDetector(StreamingDetector):
         """
         released = [
             self.process_flow(flow)
-            for packet in batch.iter_packets()
-            for flow in self.tracker.add(packet)
+            for flow in self.assembler.process(batch.iter_packets())
         ]
         return ScoreBatch.concat(released)
 
@@ -268,7 +264,9 @@ class FlowStreamDetector(StreamingDetector):
         return ScoreBatch.empty()
 
     def finish(self) -> ScoreBatch:
-        released = [self.process_flow(flow) for flow in self.tracker.flush()]
+        released = [
+            self.process_flow(flow) for flow in self.assembler.flush()
+        ]
         if self.deferred and self._deferred_flows:
             flows, self._deferred_flows = self._deferred_flows, []
             released.append(self._emit(flows))
@@ -349,27 +347,13 @@ def build_streaming_detector(
     if name != "Slips":
         kwargs.setdefault("seed", seed)
     if name == "Kitsune" and warmup_packets is not None:
-        fm_overridden = "fm_grace" in overrides
-        ad_overridden = "ad_grace" in overrides
-        if not fm_overridden and not ad_overridden:
-            # Same arithmetic as build_packet_cell in
-            # repro.core.experiment.
-            fm = max(100, warmup_packets // 10)
-            kwargs["fm_grace"] = fm
-            kwargs["ad_grace"] = max(100, warmup_packets - fm)
-        elif fm_overridden != ad_overridden:
-            # Overriding only one grace period used to leave the other
-            # at its default, silently blowing the combined grace past
-            # the warmup prefix; scale the non-overridden one to fill
-            # the remainder instead.
-            if fm_overridden:
-                kwargs["ad_grace"] = max(
-                    100, warmup_packets - kwargs["fm_grace"]
-                )
-            else:
-                kwargs["fm_grace"] = max(
-                    100, warmup_packets - kwargs["ad_grace"]
-                )
+        # Same arithmetic as build_packet_cell in repro.core.experiment;
+        # an overridden period is kept and the other fills the prefix.
+        kwargs["fm_grace"], kwargs["ad_grace"] = grace_periods(
+            warmup_packets,
+            fm_grace=overrides.get("fm_grace"),
+            ad_grace=overrides.get("ad_grace"),
+        )
         total_grace = kwargs["fm_grace"] + kwargs["ad_grace"]
         if total_grace > warmup_packets:
             warnings.warn(

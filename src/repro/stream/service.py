@@ -579,7 +579,7 @@ def stream_capture(
         stream_seconds=stream_seconds,
         notes={
             "non_ip_packets": getattr(
-                getattr(detector, "tracker", None), "non_ip_packets", 0
+                getattr(detector, "assembler", None), "non_ip_packets", 0
             ),
             "scoring_path": detector.scoring_path,
             "ingest_backend": resolved_ingest,

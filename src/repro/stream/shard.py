@@ -31,33 +31,10 @@ from __future__ import annotations
 
 import hashlib
 
-from repro.net.packet import Packet
-
 #: Shard-key kinds, in fallback order.
 KEY_KIND_IP = "ip"
 KEY_KIND_MAC = "mac"
 KEY_KIND_NONE = "none"
-
-
-def shard_key_for_packet(packet: Packet) -> tuple[str, str, str]:
-    """The canonical channel key: ``(kind, endpoint_a, endpoint_b)``.
-
-    Endpoints are sorted so both directions of a conversation produce
-    the same key. IP-bearing packets (including ARP, whose
-    sender/target IPs surface through ``Packet.src_ip``/``dst_ip``) key
-    on the IP pair; bare L2 frames fall back to the MAC pair; a frame
-    with neither maps to the constant ``none`` key (shard 0 territory —
-    such frames carry no flow identity at all).
-    """
-    src_ip, dst_ip = packet.src_ip, packet.dst_ip
-    if src_ip is not None or dst_ip is not None:
-        a, b = sorted((src_ip or "0.0.0.0", dst_ip or "0.0.0.0"))
-        return (KEY_KIND_IP, a, b)
-    ether = packet.ether
-    if ether is not None:
-        a, b = sorted((ether.src_mac, ether.dst_mac))
-        return (KEY_KIND_MAC, a, b)
-    return (KEY_KIND_NONE, "", "")
 
 
 def shard_of_key(key: tuple[str, str, str], n_shards: int) -> int:
@@ -72,18 +49,17 @@ def shard_of_key(key: tuple[str, str, str], n_shards: int) -> int:
     return int.from_bytes(digest, "big") % n_shards
 
 
-def shard_for_packet(packet: Packet, n_shards: int) -> int:
-    """Deterministic worker index for ``packet`` (flow-consistent)."""
-    return shard_of_key(shard_key_for_packet(packet), n_shards)
-
-
 def shard_key_for_flow(flow) -> tuple[str, str, str]:
-    """The canonical channel key of one column-batch
-    :class:`~repro.net.columnar.FlowKey`.
+    """The canonical channel key ``(kind, endpoint_a, endpoint_b)`` of
+    one column-batch :class:`~repro.net.columnar.FlowKey`.
 
-    Mirrors :func:`shard_key_for_packet` exactly — including the
-    *string* sort of dotted-quad IPs — so a row shards identically
-    whether it arrives as a packet object or a column."""
+    Endpoints are sorted (as strings, dotted quads included) so both
+    directions of a conversation produce the same key. IP-bearing rows
+    (including ARP, keyed on its sender/target IPs) key on the IP pair;
+    bare L2 frames fall back to the MAC pair; a frame with neither maps
+    to the constant ``none`` key — such frames carry no flow identity
+    at all. ``tests/stream_oracle.py`` holds the same key computed from
+    a packet object."""
     if flow.ip_present:
         a, b = sorted((flow.src_ip, flow.dst_ip))
         return (KEY_KIND_IP, a, b)

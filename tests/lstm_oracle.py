@@ -24,6 +24,13 @@ import numpy as np
 from repro.ml.activations import _sigmoid
 from repro.ml.lstm import LSTMRegressor
 
+from tests.kitsune_oracle import (
+    ae_score,
+    ae_train_score,
+    scaler_fit_transform,
+    scaler_transform,
+)
+
 
 def _shape(lstm: LSTMRegressor, window: np.ndarray) -> np.ndarray:
     """One ``(T,)`` or ``(T, d)`` window as a float ``(T, d)``."""
@@ -113,15 +120,16 @@ def train_window(lstm: LSTMRegressor, window: np.ndarray, target: float) -> floa
 
 def helad_fit(ids, packets) -> None:
     """``HELAD.fit`` as a per-packet loop: one ``NetStat.update``, one
-    scaler ``fit_transform`` and one ``Autoencoder.train_score`` per
-    packet, then one :func:`train_window` per LSTM window."""
+    online scaler step and one autoencoder SGD step per packet
+    (``tests/kitsune_oracle.py``), then one :func:`train_window` per
+    LSTM window."""
     if len(packets) == 0:
         raise ValueError("HELAD.fit needs at least one training packet")
     rmses: list[float] = []
     for packet in packets:
         features = ids.netstat.update(packet)
-        scaled = ids.scaler.fit_transform(features)
-        rmses.append(ids.autoencoder.train_score(scaled))
+        scaled = scaler_fit_transform(ids.scaler, features)
+        rmses.append(ae_train_score(ids.autoencoder, scaled))
     ids.scaler.freeze()
     series = np.asarray(rmses, dtype=np.float64)
     ids._ae_scale = max(float(np.quantile(series, 0.98)), 1e-9)
@@ -135,7 +143,7 @@ def helad_fit(ids, packets) -> None:
 
 def helad_scores(ids, packets) -> np.ndarray:
     """``HELAD.score_batch`` as a per-packet loop: one ``NetStat.update``,
-    one scaler transform and one ``Autoencoder.score`` per packet, then
+    one scaler transform and one autoencoder score per packet, then
     the packet's blend of that amplitude with the LSTM's
     :func:`predict_window` over the amplitudes before it."""
     if not ids.trained:
@@ -143,8 +151,8 @@ def helad_scores(ids, packets) -> np.ndarray:
     scores = np.empty(len(packets))
     history = list(ids._score_history)
     for idx, packet in enumerate(packets):
-        scaled = ids.scaler.transform(ids.netstat.update(packet))
-        ae_component = float(ids._squash(ids.autoencoder.score(scaled)))
+        scaled = scaler_transform(ids.scaler, ids.netstat.update(packet))
+        ae_component = float(ids._squash(ae_score(ids.autoencoder, scaled)))
         if len(history) >= ids.window:
             predicted = predict_window(
                 ids.lstm, np.asarray(history[-ids.window :])

@@ -6,14 +6,18 @@ through its windows, :class:`ItemHysteresisAlerter` through its
 Schmitt trigger, :func:`evaluate_items` replays :class:`StreamScore`
 rows through both in stream time, and :func:`merge_items` is the
 sort-and-replace merge of the sharded engine. :func:`batch_of` turns
-rows into the columns the shipped consumers take. The shipped
+rows into the columns the shipped consumers take.
+:func:`shard_key_for_packet` and :func:`shard_for_packet` compute one
+packet object's shard key and worker, the per-packet form of
+``repro.stream.shard.shard_ids_for_batch``. The shipped
 :class:`~repro.stream.metrics.WindowedMetrics`,
 :class:`~repro.stream.alerts.HysteresisAlerter`,
 ``repro.stream.service._evaluate_stream`` and
 ``repro.stream.sharded._merge_shards`` consume
 :class:`~repro.stream.scores.ScoreBatch` columns instead; these classes
 stay only as the oracle they are checked against
-(``tests/test_stream_metrics_alerts.py``).
+(``tests/test_stream_metrics_alerts.py``, ``tests/test_stream_shard.py``,
+``tests/test_net_columnar.py``).
 """
 
 from __future__ import annotations
@@ -25,7 +29,37 @@ from repro.core.metrics import MetricReport, metrics_from_counts
 from repro.stream.alerts import AlertEpisode
 from repro.stream.metrics import WindowSnapshot
 from repro.stream.scores import NO_LABEL, ScoreBatch, StreamScore
+from repro.stream.shard import (
+    KEY_KIND_IP,
+    KEY_KIND_MAC,
+    KEY_KIND_NONE,
+    shard_of_key,
+)
 from repro.utils.validation import check_fraction, check_positive
+
+
+def shard_key_for_packet(packet) -> tuple[str, str, str]:
+    """The canonical channel key of one packet object.
+
+    IP-bearing packets (including ARP, whose sender/target IPs surface
+    through ``Packet.src_ip``/``dst_ip``) key on the sorted IP pair;
+    bare L2 frames fall back to the sorted MAC pair; a frame with
+    neither maps to the constant ``none`` key.
+    """
+    src_ip, dst_ip = packet.src_ip, packet.dst_ip
+    if src_ip is not None or dst_ip is not None:
+        a, b = sorted((src_ip or "0.0.0.0", dst_ip or "0.0.0.0"))
+        return (KEY_KIND_IP, a, b)
+    ether = packet.ether
+    if ether is not None:
+        a, b = sorted((ether.src_mac, ether.dst_mac))
+        return (KEY_KIND_MAC, a, b)
+    return (KEY_KIND_NONE, "", "")
+
+
+def shard_for_packet(packet, n_shards: int) -> int:
+    """The worker index of one packet object."""
+    return shard_of_key(shard_key_for_packet(packet), n_shards)
 
 
 def batch_of(rows: Sequence[StreamScore]) -> ScoreBatch:

@@ -7,11 +7,12 @@ with the scalar AfterImage reference on adversarial streams, across
 the batched ``update_batch`` path, at chunk boundaries, under prune
 churn, and against the committed golden fixture. The ensemble tests
 run once per accepted ``ensemble_backend`` spelling, against the
-per-row ``KitNET._execute`` loop as the oracle.
+per-row KitNET loop of ``tests/kitsune_oracle.py`` as the oracle.
 """
 
 from __future__ import annotations
 
+import copy
 import pickle
 
 import numpy as np
@@ -20,6 +21,7 @@ import pytest
 from repro.features.netstat import NetStat
 from repro.ids.kitsune.kitnet import ENSEMBLE_BACKENDS
 
+from tests.kitsune_oracle import kitnet_scores
 from tests.test_features_parity import (
     GOLDEN_PATH, golden_stream, random_stream,
 )
@@ -86,11 +88,6 @@ class TestFeatureBackendContract:
         assert revived.backend == original.backend
 
 
-def per_row_scores(kitnet, rows) -> np.ndarray:
-    """The ensemble oracle: the reference execute loop, row by row."""
-    return np.array([kitnet._execute(row) for row in rows])
-
-
 @pytest.mark.parametrize("ensemble_backend", ENSEMBLE_BACKENDS)
 class TestEnsembleBackendContract:
     """KitNET's packed execute path scores identically per row."""
@@ -105,7 +102,7 @@ class TestEnsembleBackendContract:
         )
         ids.fit(packets[:300])
         rows = ids.netstat.extract_all(packets[300:])
-        reference = per_row_scores(ids.kitnet, rows)
+        reference = kitnet_scores(copy.deepcopy(ids.kitnet), rows)
         assert np.array_equal(reference, ids.kitnet.execute_batch(rows))
 
     def test_resolved_backend_reported(self, ensemble_backend):

@@ -1,8 +1,9 @@
 """Tests for the stage-by-stage packet-path profiler.
 
 Covers that the profile times only the code a live Kitsune session
-runs (spied: no per-row KitNET loop, packet-object decode, scalar
-NetStat or mini-batch trainer), the stage names and row counts, and
+runs (spied: no packet-object decode or scalar NetStat, and KitNET
+rows go through ``process_batch`` in live micro-batches), the stage
+names and row counts, and
 the rendered stage-share arithmetic (shares are fractions of total
 stage time and sum to ~100%).
 """
@@ -10,7 +11,6 @@ stage time and sum to ~100%).
 from __future__ import annotations
 
 import re
-import sys
 
 import pytest
 
@@ -31,7 +31,6 @@ class Spy:
     """What the profile called while it ran."""
 
     def __init__(self) -> None:
-        self.process_callers: list[str] = []
         self.batch_rows: list[int] = []
         self.read_pcap_calls = 0
         self.netstat_engines: list[str] = []
@@ -43,13 +42,8 @@ def spied() -> tuple[PacketPathProfile, Spy]:
 
     spy = Spy()
     read_pcap = pcap.read_pcap
-    process = KitNET.process
     process_batch = KitNET.process_batch
     netstat_init = NetStat.__init__
-
-    def spy_process(self, x):
-        spy.process_callers.append(sys._getframe(1).f_code.co_name)
-        return process(self, x)
 
     def spy_process_batch(self, matrix):
         spy.batch_rows.append(len(matrix))
@@ -64,7 +58,6 @@ def spied() -> tuple[PacketPathProfile, Spy]:
         netstat_init(self, *args, **kwargs)
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(KitNET, "process", spy_process)
         patch.setattr(KitNET, "process_batch", spy_process_batch)
         patch.setattr(NetStat, "__init__", spy_netstat_init)
         patch.setattr(pcap, "read_pcap", spy_read_pcap)
@@ -82,11 +75,9 @@ def profile(spied) -> PacketPathProfile:
 class TestShippedPathOnly:
     def test_no_oracle_is_called(self, spied):
         _, spy = spied
-        # Feature-mapping rows and the boundary row go through
-        # ``process`` inside ``process_batch``; the profile itself never
-        # loops over rows.
-        assert spy.process_callers
-        assert set(spy.process_callers) == {"process_batch"}
+        # KitNET has one scoring entry, process_batch (see
+        # test_execute_runs_in_live_micro_batches).
+        assert not hasattr(KitNET, "process")
         assert spy.read_pcap_calls == 0
         assert spy.netstat_engines == ["vector"]
 

@@ -7,26 +7,28 @@ from hypothesis import given, strategies as st
 from repro.features.encoding import FlowVectorEncoder
 from repro.features.normalize import OnlineMinMaxScaler, ZScoreScaler
 
+from tests.kitsune_oracle import scaler_transform
+
 
 class TestOnlineMinMax:
     def test_learns_extrema(self):
         scaler = OnlineMinMaxScaler(2)
         scaler.partial_fit(np.array([0.0, 10.0]))
         scaler.partial_fit(np.array([4.0, 30.0]))
-        out = scaler.transform(np.array([2.0, 20.0]))
+        out = scaler.transform(np.array([[2.0, 20.0]]))[0]
         np.testing.assert_allclose(out, [0.5, 0.5])
 
     def test_clip_behaviour(self):
         scaler = OnlineMinMaxScaler(1)
         scaler.partial_fit(np.array([0.0]))
         scaler.partial_fit(np.array([1.0]))
-        assert scaler.transform(np.array([5.0]))[0] == 1.0
+        assert scaler.transform(np.array([[5.0]]))[0, 0] == 1.0
 
     def test_unclipped_extrapolates(self):
         scaler = OnlineMinMaxScaler(1, clip=False)
         scaler.partial_fit(np.array([0.0]))
         scaler.partial_fit(np.array([1.0]))
-        assert scaler.transform(np.array([5.0]))[0] == pytest.approx(5.0)
+        assert scaler.transform(np.array([[5.0]]))[0, 0] == pytest.approx(5.0)
 
     def test_freeze_stops_learning(self):
         scaler = OnlineMinMaxScaler(1)
@@ -40,7 +42,7 @@ class TestOnlineMinMax:
         scaler = OnlineMinMaxScaler(1)
         scaler.partial_fit(np.array([3.0]))
         scaler.partial_fit(np.array([3.0]))
-        assert scaler.transform(np.array([3.0]))[0] == 0.0
+        assert scaler.transform(np.array([[3.0]]))[0, 0] == 0.0
 
     def test_shape_validation(self):
         scaler = OnlineMinMaxScaler(3)
@@ -60,14 +62,16 @@ class TestOnlineMinMax:
         rows = rng.normal(size=(23, 5)) * 3.0
         batch = scaler.transform(rows)
         for row, expected in zip(rows, batch):
-            assert np.array_equal(scaler.transform(row), expected)
+            assert np.array_equal(scaler_transform(scaler, row), expected)
 
-    def test_fit_transform_rejects_batches(self):
-        # Whole-batch fit-then-transform would leak future extrema into
-        # earlier rows; the online call is per-row by contract.
+    def test_transform_takes_batches_only(self):
+        # One row is a (1, dim) batch; a bare (dim,) row is refused
+        # rather than broadcast.
         scaler = OnlineMinMaxScaler(3)
-        with pytest.raises(ValueError, match="online"):
-            scaler.fit_transform(np.zeros((2, 3)))
+        scaler.partial_fit(np.zeros(3))
+        for method in (scaler.transform, scaler.fit_transform_running):
+            with pytest.raises(ValueError, match=r"\(n, 3\)"):
+                method(np.zeros(3))
 
     def test_rejects_bad_dim(self):
         with pytest.raises(ValueError):
@@ -79,20 +83,20 @@ class TestOnlineMinMax:
         for v in values:
             scaler.partial_fit(np.array([v]))
         for v in values:
-            out = scaler.transform(np.array([v]))
-            assert 0.0 - 1e-12 <= out[0] <= 1.0 + 1e-12
+            out = scaler.transform(np.array([[v]]))
+            assert 0.0 - 1e-12 <= out[0, 0] <= 1.0 + 1e-12
 
 
 class TestZScore:
     def test_standardises(self):
         data = np.array([[1.0, 10.0], [3.0, 30.0], [5.0, 50.0]])
-        out = ZScoreScaler().fit_transform(data)
+        out = ZScoreScaler().fit(data).transform(data)
         np.testing.assert_allclose(out.mean(axis=0), 0.0, atol=1e-12)
         np.testing.assert_allclose(out.std(axis=0), 1.0, atol=1e-12)
 
     def test_constant_column_safe(self):
         data = np.array([[1.0], [1.0]])
-        out = ZScoreScaler().fit_transform(data)
+        out = ZScoreScaler().fit(data).transform(data)
         assert np.isfinite(out).all()
 
     def test_transform_before_fit_raises(self):

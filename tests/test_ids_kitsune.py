@@ -6,7 +6,7 @@ import pytest
 
 from repro.ids.kitsune.feature_mapper import FeatureMapper
 from repro.ids.kitsune.kitnet import KitNET
-from repro.ids.kitsune.kitsune import Kitsune
+from repro.ids.kitsune.kitsune import Kitsune, grace_periods
 from repro.utils.rng import SeededRNG
 
 from tests.conftest import make_udp_packet
@@ -64,38 +64,31 @@ class TestKitNET:
         net = self._make()
         rng = SeededRNG(5)
         assert net.in_feature_mapping
-        for _ in range(30):
-            net.process(rng.uniform(size=10))
+        net.process_batch(rng.uniform(size=(30, 10)))
         assert not net.in_feature_mapping and net.in_training
-        for _ in range(120):
-            net.process(rng.uniform(size=10))
+        net.process_batch(rng.uniform(size=(120, 10)))
         assert not net.in_training
 
     def test_zero_scores_during_fm(self):
         net = self._make()
         rng = SeededRNG(6)
-        scores = [net.process(rng.uniform(size=10)) for _ in range(30)]
-        assert all(s == 0.0 for s in scores)
+        scores = net.process_batch(rng.uniform(size=(30, 10)))
+        assert np.all(scores == 0.0)
 
     def test_detects_distribution_shift(self):
         net = self._make(fm=50, ad=400)
         rng = SeededRNG(7)
-        for _ in range(450):
-            net.process(rng.uniform(0.4, 0.6, size=10))
-        normal_scores = [net.process(rng.uniform(0.4, 0.6, size=10))
-                         for _ in range(50)]
-        anomaly_scores = [net.process(rng.uniform(5.0, 6.0, size=10))
-                          for _ in range(50)]
+        net.process_batch(rng.uniform(0.4, 0.6, size=(450, 10)))
+        normal_scores = net.process_batch(rng.uniform(0.4, 0.6, size=(50, 10)))
+        anomaly_scores = net.process_batch(rng.uniform(5.0, 6.0, size=(50, 10)))
         assert np.mean(anomaly_scores) > 3 * np.mean(normal_scores)
 
     def test_execute_does_not_train(self):
         net = self._make(fm=30, ad=60)
         rng = SeededRNG(8)
-        for _ in range(90):
-            net.process(rng.uniform(size=10))
+        net.process_batch(rng.uniform(size=(90, 10)))
         trained = [ae.samples_trained for ae in net.ensemble]
-        for _ in range(20):
-            net.process(rng.uniform(size=10))
+        net.process_batch(rng.uniform(size=(20, 10)))
         assert [ae.samples_trained for ae in net.ensemble] == trained
 
     def test_rejects_bad_params(self):
@@ -133,3 +126,16 @@ class TestKitsuneEndToEnd:
         packets = [make_udp_packet(float(i) * 0.1) for i in range(40)]
         ids.fit(packets[:30])
         assert len(ids.score_batch(packets[30:])) == 10
+
+
+class TestGracePeriods:
+    def test_scaled_to_the_training_stream(self):
+        assert grace_periods(5000) == (500, 4500)
+        assert grace_periods(300) == (100, 200)
+        assert grace_periods(50) == (100, 100)  # floors of 100 each
+
+    def test_a_given_period_is_kept_and_the_other_fills(self):
+        assert grace_periods(1000, fm_grace=300) == (300, 700)
+        assert grace_periods(1000, ad_grace=950) == (100, 950)
+        assert grace_periods(1000, ad_grace=600) == (400, 600)
+        assert grace_periods(1000, fm_grace=50, ad_grace=60) == (50, 60)

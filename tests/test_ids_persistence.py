@@ -12,14 +12,13 @@ from repro.ids.persistence import load_kitnet, save_kitnet
 from repro.utils.rng import SeededRNG
 
 from tests.conftest import scaled_examples
+from tests.kitsune_oracle import kitnet_scores
 
 
 @pytest.fixture
 def trained_kitnet():
     net = KitNET(12, fm_grace=40, ad_grace=200, max_group=4, rng=SeededRNG(1))
-    rng = SeededRNG(2)
-    for _ in range(250):
-        net.process(rng.uniform(0.3, 0.7, size=12))
+    net.process_batch(SeededRNG(2).uniform(0.3, 0.7, size=(250, 12)))
     assert not net.in_training
     return net
 
@@ -37,9 +36,9 @@ class TestSaveLoad:
 
         rng = SeededRNG(4)
         rows = rng.uniform(0.0, 1.5, size=(30, 12))
-        original = [trained_kitnet._execute(row) for row in rows]
-        restored = [loaded.process(row) for row in rows]
-        np.testing.assert_allclose(restored, original, rtol=1e-12)
+        original = trained_kitnet.process_batch(rows)
+        restored = loaded.process_batch(rows)
+        assert np.array_equal(restored, original)
 
     def test_loaded_model_is_in_execute_mode(self, trained_kitnet, tmp_path):
         path = tmp_path / "kitnet.npz"
@@ -78,7 +77,7 @@ class TestSaveLoad:
         batched = load_kitnet(path)
         rng = SeededRNG(5)
         rows = rng.uniform(0.0, 1.5, size=(30, 12))
-        expected = np.array([per_row.process(row) for row in rows])
+        expected = kitnet_scores(per_row, rows)
         assert np.array_equal(batched.process_batch(rows), expected)
 
     def test_bad_format_version_rejected(self, trained_kitnet, tmp_path):
@@ -108,9 +107,10 @@ class TestSamplesSeenRoundTrip:
         """The true counter must survive the round trip — the old
         loader hardcoded fm+ad+1, wrong for any detector that had
         executed past the boundary before saving."""
-        rng = SeededRNG(7)
-        for _ in range(75):  # execute well past the grace boundary
-            trained_kitnet.process(rng.uniform(0.3, 0.7, size=12))
+        # Execute well past the grace boundary.
+        trained_kitnet.process_batch(
+            SeededRNG(7).uniform(0.3, 0.7, size=(75, 12))
+        )
         assert trained_kitnet.samples_seen == 325
         path = tmp_path / "kitnet.npz"
         save_kitnet(trained_kitnet, path)
@@ -134,7 +134,7 @@ class TestSamplesSeenRoundTrip:
         assert loaded.samples_seen == trained_kitnet.samples_seen
         rng = SeededRNG(8)
         rows = rng.uniform(0.0, 1.5, size=(10, 12))
-        expected = np.array([trained_kitnet._execute(row) for row in rows])
+        expected = kitnet_scores(trained_kitnet, rows)
         assert np.array_equal(loaded.process_batch(rows), expected)
 
     def test_v1_checkpoint_without_any_counter_key(
@@ -184,7 +184,7 @@ class TestTrainModeRoundTrip:
         _rewrite_meta(path, add_retired_keys)
         loaded = load_kitnet(path)
         rows = SeededRNG(9).uniform(0.0, 1.5, size=(20, 12))
-        expected = np.array([trained_kitnet._execute(row) for row in rows])
+        expected = kitnet_scores(trained_kitnet, rows)
         assert np.array_equal(loaded.process_batch(rows), expected)
 
 
@@ -303,6 +303,47 @@ def _arrays(obj, seen=None):
     return [array for child in children for array in _arrays(child, seen)]
 
 
+def _state(obj, path=()):
+    """``obj``'s state as plain values that compare with ``==``.
+
+    Arrays become ``(dtype, shape, bytes)``, floats their hex (so NaN
+    equals NaN), containers their members in order, and objects their
+    class plus their fields — the ``__getstate__`` dict when the class
+    defines one (what a checkpoint carries), otherwise ``__dict__`` and
+    ``__slots__`` — recursively. Functions compare by qualified name.
+    """
+    if any(obj is seen for seen in path):
+        return ("cycle", type(obj).__qualname__)
+    path = (*path, obj)
+    if isinstance(obj, np.ndarray):
+        return ("array", obj.dtype.str, obj.shape, obj.tobytes())
+    if isinstance(obj, np.generic):
+        return ("scalar", obj.dtype.str, obj.tobytes())
+    if isinstance(obj, float):
+        return ("float", obj.hex())
+    if obj is None or isinstance(obj, (bool, int, str, bytes)):
+        return obj
+    if callable(obj) and hasattr(obj, "__qualname__"):
+        return ("callable", obj.__module__, obj.__qualname__)
+    if isinstance(obj, dict):
+        return ("dict", [(_state(k, path), _state(v, path))
+                         for k, v in obj.items()])
+    if isinstance(obj, (list, tuple)):
+        return (type(obj).__name__, [_state(v, path) for v in obj])
+    if isinstance(obj, (set, frozenset)):
+        return ("set", sorted((_state(v, path) for v in obj), key=repr))
+    cls = type(obj)
+    if cls.__getstate__ is not object.__getstate__:
+        fields = obj.__getstate__()
+    else:
+        fields = dict(getattr(obj, "__dict__", {}))
+        for klass in cls.__mro__:
+            for name in getattr(klass, "__slots__", ()):
+                if hasattr(obj, name):
+                    fields[name] = getattr(obj, name)
+    return ("object", cls.__module__, cls.__qualname__, _state(fields, path))
+
+
 @pytest.fixture(scope="module")
 def kitsune_detector():
     """A warmed streaming Kitsune detector: NetStat arrays and KitNET
@@ -331,12 +372,28 @@ class TestStreamCheckpointFormat:
         checkpoint = load_stream_checkpoint(path)
         assert checkpoint.buffers_at, "arrays should travel out of band"
         restored = checkpoint.restore_detector()
-        assert pickle.dumps(restored) == pickle.dumps(kitsune_detector)
+        assert _state(restored) == _state(kitsune_detector)
         arrays = _arrays(restored)
         assert arrays and all(a.flags.writeable for a in arrays)
         assert all(a.flags.aligned for a in arrays)
         # Out-of-band arrays are views into the bytes read, not copies.
         assert any(not a.flags.owndata for a in arrays)
+
+    def test_state_comparison_sees_one_netstat_element(
+            self, kitsune_detector, tmp_path):
+        from repro.ids.persistence import (load_stream_checkpoint,
+                                           save_stream_checkpoint)
+
+        path = save_stream_checkpoint(tmp_path, kitsune_detector,
+                                      worker_id=0, consumed=7)
+        restored = load_stream_checkpoint(path).restore_detector()
+        assert _state(restored) == _state(kitsune_detector)
+        array = next(a for a in _arrays(restored.ids.netstat)
+                     if a.dtype == np.float64 and a.size)
+        array.flat[array.size // 2] = np.nextafter(
+            array.flat[array.size // 2], np.inf
+        )
+        assert _state(restored) != _state(kitsune_detector)
 
     def test_format_1_file_is_rejected(self, tmp_path):
         from repro.ids.persistence import (CheckpointCorrupt,

@@ -5,8 +5,8 @@ The packed :class:`~repro.ml.batched.BatchedEnsemble` and every
 ``KitNET.execute_batch``/``process_batch``, ``Kitsune.score_batch``,
 ``HELAD.score_batch``) must agree with the per-packet reference
 *exactly* — batching is a throughput knob, never a semantic one. The
-per-packet Kitsune and HELAD references live in
-``tests/kitsune_oracle.py`` and ``tests/lstm_oracle.py``.
+per-row KitNET and per-packet Kitsune references live in
+``tests/kitsune_oracle.py``, the HELAD one in ``tests/lstm_oracle.py``.
 
 A golden fixture pins the KitNET score trajectory for a seeded stream.
 Unlike the NetStat golden (pure libm ``pow``/``hypot``), these scores
@@ -20,7 +20,6 @@ Regenerate after an intentional semantic change::
 
 from __future__ import annotations
 
-import copy
 import os
 from pathlib import Path
 
@@ -32,7 +31,12 @@ from repro.ml.autoencoder import Autoencoder
 from repro.ml.batched import BatchedEnsemble
 from repro.utils.rng import SeededRNG
 
-from tests.kitsune_oracle import kitsune_scores
+from tests.kitsune_oracle import (
+    ae_score,
+    ae_train_score,
+    kitnet_scores,
+    kitsune_scores,
+)
 from tests.lstm_oracle import helad_scores
 
 GOLDEN_PATH = Path(__file__).parent / "golden" / "kitnet_scores.npz"
@@ -58,18 +62,17 @@ class TestAutoencoderScoreBatch:
         rng = SeededRNG(21)
         ae = Autoencoder(9, rng=rng.child("ae"))
         for _ in range(50):
-            ae.train_score(rng.uniform(size=9))
+            ae_train_score(ae, rng.uniform(size=9))
         rows = rng.uniform(-0.5, 1.5, size=(37, 9))
         batch = ae.score_batch(rows)
-        singles = np.array([ae.score(row) for row in rows])
+        singles = np.array([ae_score(ae, row) for row in rows])
         assert np.array_equal(batch, singles)
 
 
 class TestBatchedEnsemble:
     def _trained(self, n=400):
         net = _kitnet()
-        for row in _stream(n, 24):
-            net.process(row)
+        net.process_batch(_stream(n, 24))
         assert not (net.in_feature_mapping or net.in_training)
         return net
 
@@ -83,7 +86,7 @@ class TestBatchedEnsemble:
         batched = packed.group_rmses(scaled)
         for n, row in enumerate(scaled):
             for g, group in enumerate(net._group_index):
-                assert batched[n, g] == net.ensemble[g].score(row[group])
+                assert batched[n, g] == ae_score(net.ensemble[g], row[group])
 
     def test_rejects_mismatched_shapes(self):
         net = self._trained()
@@ -105,7 +108,7 @@ class TestProcessBatchParity:
         the per-row reference bit for bit."""
         rows = _stream(500, 24)
         reference = _kitnet()
-        expected = np.array([reference.process(row) for row in rows])
+        expected = kitnet_scores(reference, rows)
 
         net = _kitnet()
         got = np.concatenate([
@@ -118,7 +121,7 @@ class TestProcessBatchParity:
     def test_single_call_spanning_all_phases(self):
         rows = _stream(500, 24)
         reference = _kitnet()
-        expected = np.array([reference.process(row) for row in rows])
+        expected = kitnet_scores(reference, rows)
         net = _kitnet()
         assert np.array_equal(net.process_batch(rows), expected)
 
@@ -127,35 +130,40 @@ class TestProcessBatchParity:
         with pytest.raises(RuntimeError, match="grace"):
             net.execute_batch(np.zeros((3, 24)))
 
+    def test_execute_batch_starts_at_the_boundary_row(self):
+        """The row that reaches fm_grace + ad_grace is scored, not
+        trained: execute_batch takes it, and not the row before."""
+        rows = _stream(300, 24)
+        net = _kitnet()
+        net.process_batch(rows[:198])
+        with pytest.raises(RuntimeError, match="grace"):
+            net.execute_batch(rows[198:200])
+        assert net.samples_seen == 198
+        reference = _kitnet()
+        expected = kitnet_scores(reference, rows)
+        got = np.concatenate([
+            net.process_batch(rows[198:199]), net.execute_batch(rows[199:])
+        ])
+        assert np.array_equal(got, expected[198:])
+
     def test_empty_batch(self):
         net = _kitnet()
         assert net.process_batch(np.empty((0, 24))).shape == (0,)
 
 
-class TestPackedInvalidation:
-    def test_train_step_invalidates_packed_tensors(self):
-        """A further train step (continual-learning style) must drop
-        the packed snapshot so batched scores track the new weights."""
+class TestPackedSnapshot:
+    def test_pack_is_lazy(self):
+        """Training never packs; the boundary row builds the packed
+        ensemble once and every later execute row reuses it."""
         rows = _stream(500, 24)
         net = _kitnet()
-        net.process_batch(rows)
-        assert net._batched_ensemble is not None
-        stale = net._batched_ensemble
-
-        net._train_step(rows[-1])
+        net.process_batch(rows[:199])
         assert net._batched_ensemble is None
-
-        fresh = np.array(3 * [rows[-2]])
-        twin = copy.deepcopy(net)
-        expected = np.array([twin.process(row) for row in fresh])
-        assert np.array_equal(net.execute_batch(fresh), expected)
-        assert net._batched_ensemble is not stale
-
-    def test_pack_is_lazy(self):
-        net = _kitnet()
-        for row in _stream(500, 24):
-            net.process(row)
-        assert net._batched_ensemble is None  # per-row path never packs
+        net.process_batch(rows[199:200])
+        packed = net._batched_ensemble
+        assert packed is not None
+        net.process_batch(rows[200:])
+        assert net._batched_ensemble is packed
 
 
 class TestGoldenScores:

@@ -4,7 +4,8 @@ The stacked online engine behind ``process_batch`` (see
 :mod:`repro.ml.batched_train`) must be **bit-identical** to the
 sequential per-row reference — scores, every autoencoder's weights and
 ``samples_trained``, and both scalers — for any chunking, any
-shape-bucket layout, and any mix of per-row and batched calls.
+shape-bucket layout, and any mix of per-row and batched calls. The
+per-row reference lives in ``tests/kitsune_oracle.py``.
 """
 
 from __future__ import annotations
@@ -20,6 +21,15 @@ from repro.ids.kitsune.kitnet import KitNET
 from repro.ml.autoencoder import Autoencoder
 from repro.ml.batched_train import OnlineEnsembleTrainer
 from repro.utils.rng import SeededRNG
+
+from tests.kitsune_oracle import (
+    ae_score,
+    ae_train_score,
+    kitnet_process,
+    kitnet_scores,
+    scaler_fit_transform,
+)
+
 
 def _stream(n: int, dim: int, seed: int = 11) -> np.ndarray:
     rng = SeededRNG(seed, "batched-stream")
@@ -48,6 +58,10 @@ def _weights(net: KitNET) -> list[np.ndarray]:
 def _assert_same_state(reference: KitNET, candidate: KitNET) -> None:
     assert candidate.samples_seen == reference.samples_seen
     assert candidate.mapper.groups == reference.mapper.groups
+    assert candidate.mapper._count == reference.mapper._count
+    for name in ("_sum", "_sum_sq", "_sum_outer"):
+        assert np.array_equal(getattr(candidate.mapper, name),
+                              getattr(reference.mapper, name))
     for mine, theirs in (
         (candidate.scaler, reference.scaler),
         (candidate._output_scaler, reference._output_scaler),
@@ -75,7 +89,9 @@ class TestRunningScaler:
         rows[:, 2] = 1.25  # constant column: span 0 maps to 0
         for clip in (False, True):
             serial = OnlineMinMaxScaler(6, clip=clip)
-            expected = np.array([serial.fit_transform(row) for row in rows])
+            expected = np.array(
+                [scaler_fit_transform(serial, row) for row in rows]
+            )
             vector = OnlineMinMaxScaler(6, clip=clip)
             got = vector.fit_transform_running(rows)
             assert np.array_equal(expected, got)
@@ -86,7 +102,7 @@ class TestRunningScaler:
         rng = SeededRNG(6)
         rows = rng.uniform(size=(101, 4))
         serial = OnlineMinMaxScaler(4)
-        expected = np.array([serial.fit_transform(row) for row in rows])
+        expected = np.array([scaler_fit_transform(serial, row) for row in rows])
         vector = OnlineMinMaxScaler(4)
         got = np.vstack([
             vector.fit_transform_running(rows[start : start + 17])
@@ -117,10 +133,10 @@ class TestAutoencoderTrainBatch:
         pickled detector checkpoints restore their autoencoders."""
         rng = SeededRNG(24)
         ae = Autoencoder(6, rng=rng.child("ae"))
-        ae.train_score(rng.uniform(size=6))
+        ae_train_score(ae, rng.uniform(size=6))
         clone = pickle.loads(pickle.dumps(ae))
         row = rng.uniform(size=6)
-        assert clone.score(row) == ae.score(row)
+        assert ae_score(clone, row) == ae_score(ae, row)
         assert clone.encoder.activation is ae.encoder.activation
 
 
@@ -153,8 +169,7 @@ class TestParallelOnlineParity:
 
     def _reference(self, rows):
         net = _kitnet()
-        scores = np.array([net.process(row) for row in rows])
-        return net, scores
+        return net, kitnet_scores(net, rows)
 
     def test_inline_single_call(self):
         rows = _stream(500, 24)
@@ -180,41 +195,63 @@ class TestParallelOnlineParity:
         reference, expected = self._reference(rows)
         net = _kitnet()
         got = np.empty(500)
-        got[:97] = [net.process(row) for row in rows[:97]]
+        got[:97] = [kitnet_process(net, row) for row in rows[:97]]
         got[97:300] = net.process_batch(rows[97:300])
-        got[300:310] = [net.process(row) for row in rows[300:310]]
+        got[300:310] = [kitnet_process(net, row) for row in rows[300:310]]
         got[310:] = net.process_batch(rows[310:])
         assert np.array_equal(expected, got)
         _assert_same_state(reference, net)
 
+    @pytest.mark.parametrize(
+        "cuts",
+        [[199], [200], [199, 200], [150, 200], [199, 300], [39, 40, 41],
+         [38, 199, 201]],
+    )
+    def test_cuts_at_phase_boundaries(self, cuts):
+        """Row 199 reaches fm_grace + ad_grace = 200: chunks that end
+        just before it, end with it, start with it or hold it alone,
+        and cuts around the feature-mapping boundary."""
+        rows = _stream(500, 24)
+        reference, expected = self._reference(rows)
+        net = _kitnet()
+        got, start = [], 0
+        for stop in [*cuts, len(rows)]:
+            got.append(net.process_batch(rows[start:stop]))
+            start = stop
+        assert np.array_equal(expected, np.concatenate(got))
+        _assert_same_state(reference, net)
+
     def test_obs_counters_match_per_row_loop(self):
+        """Whatever the chunking, process_batch records the per-row
+        loop's training counters: one row trained per training-phase
+        row (ad_grace - 1) and the grace progress that row count gives.
+        The boundary row, the last of the 200, is scored: it builds the
+        packed ensemble, once."""
         from repro import obs
 
-        rows = _stream(500, 24)[:200]  # both grace periods, no execute
-
-        def kitnet_metrics(feed) -> dict:
+        rows = _stream(500, 24)[:200]  # both grace periods + the boundary
+        for chunk in (37, len(rows)):
             obs.reset_registry()
             obs.enable()
             try:
-                feed(_kitnet())
+                net = _kitnet()
+                for start in range(0, len(rows), chunk):
+                    net.process_batch(rows[start : start + chunk])
                 snap = obs.get_registry().snapshot()
             finally:
                 obs.disable()
-            return {
-                kind: {k: v for k, v in snap[kind].items()
-                       if k.startswith("ml.kitnet.")}
-                for kind in ("counters", "gauges")
+            counters = {k: v for k, v in snap["counters"].items()
+                        if k.startswith("ml.kitnet.")}
+            gauges = {k: v for k, v in snap["gauges"].items()
+                      if k.startswith("ml.kitnet.")}
+            assert counters == {
+                "ml.kitnet.rows_trained": 159,
+                "ml.kitnet.batched_builds": 1,
             }
-
-        expected = kitnet_metrics(
-            lambda net: [net.process(row) for row in rows]
-        )
-        got = kitnet_metrics(lambda net: [
-            net.process_batch(rows[start : start + 37])
-            for start in range(0, 200, 37)
-        ])
-        assert expected["counters"]["ml.kitnet.rows_trained"] == 159
-        assert got == expected
+            assert gauges == {
+                "ml.kitnet.grace_progress": 159 / 160,
+                "ml.kitnet.ensemble_groups": len(net.ensemble),
+            }
 
     def test_kitsune_fit_is_bit_identical_to_per_packet(self):
         """Kitsune.fit now routes through process_batch; the default
@@ -229,8 +266,7 @@ class TestParallelOnlineParity:
             for i in range(900)
         ]
         reference = Kitsune(fm_grace=100, ad_grace=500, seed=3)
-        for packet in packets[:600]:
-            reference.kitnet.process(reference.netstat.update(packet))
+        kitsune_scores(reference, packets[:600])
         expected = kitsune_scores(reference, packets[600:])
 
         batched = Kitsune(fm_grace=100, ad_grace=500, seed=3)
@@ -255,11 +291,10 @@ def _traffic_kitnet(dim: int, **kwargs) -> KitNET:
 
 @lru_cache(maxsize=None)
 def _traffic_reference(dataset: str, max_group: int = 10):
-    """The per-row process() loop over a whole replay (read-only)."""
+    """The per-row oracle loop over a whole replay (read-only)."""
     rows = _traffic(dataset)
     net = _traffic_kitnet(rows.shape[1], max_group=max_group)
-    scores = np.array([net.process(row) for row in rows])
-    return net, scores
+    return net, kitnet_scores(net, rows)
 
 
 class TestOnlineEngineOnTraffic:
@@ -309,7 +344,7 @@ class TestOnlineEngineOnTraffic:
         got, start = [], 0
         for i, stop in enumerate(cuts):
             if i % 2:
-                got += [net.process(row) for row in rows[start:stop]]
+                got += [kitnet_process(net, row) for row in rows[start:stop]]
             else:
                 got += list(net.process_batch(rows[start:stop]))
             start = stop
@@ -328,7 +363,8 @@ class TestOnlineEngineOnTraffic:
                          engine.train_rows(rows[120:])])
         engine.sync()
         expected = np.array([
-            [ae.train_score(row[group]) for ae, group in zip(reference, index)]
+            [ae_train_score(ae, row[group])
+             for ae, group in zip(reference, index)]
             for row in rows
         ])
         assert np.array_equal(expected, got)

@@ -180,7 +180,8 @@ class TestColumnDecodeParity:
             assert np.array_equal(np.vstack(chunks), reference), batch_size
 
     def test_shard_ids_match_object_path(self, capture):
-        from repro.stream.shard import shard_for_packet, shard_ids_for_batch
+        from repro.stream.shard import shard_ids_for_batch
+        from tests.stream_oracle import shard_for_packet
 
         objects = read_pcap(capture)
         batch = _one_batch(capture)
@@ -453,7 +454,8 @@ class TestColumnsFromObjectsParity:
         assert np.array_equal(chunked, reference)
 
     def test_shard_ids_match_object_path(self, packets):
-        from repro.stream.shard import shard_for_packet, shard_ids_for_batch
+        from repro.stream.shard import shard_ids_for_batch
+        from tests.stream_oracle import shard_for_packet
 
         batch = ColumnBatch.from_packets(packets)
         for n_shards in (2, 3, 7):

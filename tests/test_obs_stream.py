@@ -215,10 +215,10 @@ class TestRunnerAndMlObs:
         rows = SeededRNG(7, "obs-test").random((260, 8))
 
         def run():
+            # Both grace periods, stopping short of the boundary row.
             net = KitNET(8, fm_grace=50, ad_grace=150,
                          rng=SeededRNG(7, "kitnet"))
-            for row in rows:
-                net.process(row)
+            net.process_batch(rows[:199])
             return net
 
         run()  # disabled: nothing recorded
@@ -228,17 +228,19 @@ class TestRunnerAndMlObs:
         obs.enable()
         net = run()
         snap = obs.get_registry().snapshot()
-        # The online reference trains on ad_grace - 1 rows: the row
-        # that reaches the grace boundary itself goes through execute.
+        # KitNET trains on ad_grace - 1 rows: the row that reaches the
+        # grace boundary itself goes through execute.
         assert snap["counters"]["ml.kitnet.rows_trained"] == 149
         assert snap["gauges"]["ml.kitnet.grace_progress"] == 149 / 150
         assert snap["gauges"]["ml.kitnet.ensemble_groups"] >= 1
         assert snap["counters"].get("ml.kitnet.batched_builds", 0) == 0
 
-        # Batched execute after training builds the packed ensemble.
-        net.execute_batch(np.asarray(rows[:16]))
+        # The boundary row and the execute rows after it build the
+        # packed ensemble once.
+        net.process_batch(np.asarray(rows[199:]))
         snap = obs.get_registry().snapshot()
         assert snap["counters"]["ml.kitnet.batched_builds"] == 1
+        assert snap["counters"]["ml.kitnet.rows_trained"] == 149
 
 
 class TestBenchJsonObs:

@@ -80,7 +80,7 @@ def test_micro_batch_size_is_a_pure_throughput_knob():
 
 
 def test_capture_path_matches_single_batch_call():
-    """The live path (tracker + per-close scoring) agrees with one
+    """The live path (assembler + per-close scoring) agrees with one
     fit-then-score batch invocation over the same packets."""
     from repro.features.encoding import FlowVectorEncoder
     from repro.flows.assembler import FlowAssembler

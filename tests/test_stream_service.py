@@ -206,7 +206,7 @@ class TestIngestBackends:
     def test_flow_ids_over_pcap_match_across_ingest_backends(
             self, tmp_path):
         # Flow detectors hydrate each row of the column batches into
-        # their tracker, so columnar ingest feeds them the same packets.
+        # their assembler, so columnar ingest feeds them the same packets.
         from repro.datasets import generate_dataset
         from repro.ids.dnn import DNNClassifierIDS
         from repro.stream.detector import FlowStreamDetector

@@ -3,7 +3,10 @@
 Sharded streaming is only semantics-preserving if every packet of a
 conversation lands on the same worker, the assignment is identical in
 every process, and splitting a stream across any worker count neither
-loses nor duplicates packets. These are exactly the properties below.
+loses nor duplicates packets. These are exactly the properties below,
+checked on the packet-object key of ``tests/stream_oracle.py``;
+``tests/test_net_columnar.py`` holds the shipped column-batch
+assignment (``shard_ids_for_batch``) to that key row for row.
 """
 
 from __future__ import annotations
@@ -23,12 +26,11 @@ from repro.stream.shard import (
     KEY_KIND_IP,
     KEY_KIND_MAC,
     KEY_KIND_NONE,
-    shard_for_packet,
-    shard_key_for_packet,
     shard_of_key,
 )
 
 from tests.conftest import make_tcp_packet, make_udp_packet, scaled_examples
+from tests.stream_oracle import shard_for_packet, shard_key_for_packet
 
 REPO_SRC = Path(__file__).parent.parent / "src"
 
