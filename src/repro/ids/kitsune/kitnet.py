@@ -84,7 +84,18 @@ class KitNET:
 
     @property
     def in_training(self) -> bool:
+        """True from ``fm_grace`` up to ``fm_grace + ad_grace`` rows
+        seen: one row longer than training lasts, since the boundary
+        row scores through :meth:`execute_batch` (see
+        :attr:`_execute_from`)."""
         return self.fm_grace <= self.samples_seen < self.fm_grace + self.ad_grace
+
+    @property
+    def _execute_from(self) -> int:
+        """Rows seen before the first one :meth:`execute_batch` scores:
+        the boundary row, whose count reaches ``fm_grace + ad_grace``,
+        is scored without fitting."""
+        return self.fm_grace + self.ad_grace - 1
 
     def _build_ensemble(self) -> None:
         groups = self.mapper.finalise()
@@ -207,7 +218,7 @@ class KitNET:
         that row is scored without fitting, like every later one.
         """
         matrix = self._as_matrix(matrix)
-        if self.samples_seen < self.fm_grace + self.ad_grace - 1:
+        if self.samples_seen < self._execute_from:
             raise RuntimeError(
                 "execute_batch during the grace periods; use process_batch"
             )
@@ -247,7 +258,7 @@ class KitNET:
             i += 1
             if self.samples_seen == self.fm_grace:
                 self._build_ensemble()
-        take = min(n - i, self.fm_grace + self.ad_grace - 1 - self.samples_seen)
+        take = min(n - i, self._execute_from - self.samples_seen)
         if take > 0:
             self.samples_seen += take
             scores[i : i + take] = self._train_rows_online(matrix[i : i + take])

@@ -333,7 +333,9 @@ def _state(obj, path=()):
     if isinstance(obj, (set, frozenset)):
         return ("set", sorted((_state(v, path) for v in obj), key=repr))
     cls = type(obj)
-    if cls.__getstate__ is not object.__getstate__:
+    # ``object.__getstate__`` exists only from Python 3.11, so look for
+    # a class-defined one along the MRO instead of comparing with it.
+    if any("__getstate__" in vars(klass) for klass in cls.__mro__[:-1]):
         fields = obj.__getstate__()
     else:
         fields = dict(getattr(obj, "__dict__", {}))
