@@ -677,9 +677,12 @@ def build_parser() -> argparse.ArgumentParser:
                           help="shard the stream across N detector worker "
                                "processes (flow-consistent channel "
                                "sharding, merged order-stable sink; "
-                               "packet IDSs only). --workers 1 runs the "
-                               "sharded engine single-worker, "
-                               "bit-identical to the in-process path")
+                               "packet IDSs only). With --pcap, "
+                               "--workers 1 is bit-identical to the "
+                               "in-process path; in dataset mode it "
+                               "streams the raw dataset, warming up on "
+                               "its first --train-packets, not the "
+                               "adapted batch-parity cell")
     p_stream.add_argument("--checkpoint-every", type=_positive_int,
                           default=5000,
                           help="sharded mode: checkpoint each worker's "

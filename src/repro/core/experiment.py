@@ -249,6 +249,31 @@ def build_flow_cell(config: ExperimentConfig, dataset, train_dataset=None):
     return factory(**kwargs), data
 
 
+def posthoc_threshold(
+    y_true: np.ndarray,
+    scores: np.ndarray,
+    config: ExperimentConfig | None = None,
+) -> float:
+    """The standardized threshold (Section IV-A-4) over one run's scored
+    items, with ``config``'s four threshold fields.
+
+    It is resolved here alone: for a batch cell, for the same cell
+    streamed, and for a labelled live session, which has no cell and
+    passes ``None``. The fields' defaults are ``standard_threshold``'s
+    own, so ``None`` is the default policy.
+    """
+    if config is None:
+        return standard_threshold(y_true, scores)
+    return standard_threshold(
+        y_true,
+        scores,
+        strategy=config.threshold_strategy,
+        max_fpr=config.max_fpr,
+        lambda_fpr=config.lambda_fpr,
+        fixed_value=config.fixed_threshold,
+    )
+
+
 def run_experiment(
     config: ExperimentConfig,
     *,
@@ -299,14 +324,7 @@ def run_experiment(
         notes = data.notes
         attack_types = tuple(f.attack_type for f in data.test_flows)
 
-    threshold = standard_threshold(
-        y_true,
-        scores,
-        strategy=config.threshold_strategy,
-        max_fpr=config.max_fpr,
-        lambda_fpr=config.lambda_fpr,
-        fixed_value=config.fixed_threshold,
-    )
+    threshold = posthoc_threshold(y_true, scores, config)
     predictions = (scores >= threshold).astype(int)
     metrics = compute_metrics(y_true, predictions)
     notes = dict(notes)

@@ -11,7 +11,7 @@ trained state must survive a process restart. Two layers live here:
   is traffic state, not model state, and rebuilds online within a few
   decay horizons (exactly how Kitsune deployments behave after a
   restart).
-* **Stream checkpoints** (:func:`save_stream_checkpoint` /
+* **Stream checkpoints** (:func:`write_stream_checkpoint` /
   :func:`load_stream_checkpoint`) — the sharded streaming engine's
   crash-resume unit. A checkpoint captures one worker's *entire*
   live detector (model weights **and** NetStat traffic state and any
@@ -49,7 +49,6 @@ import os
 import pickle
 import re
 import struct
-import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -268,41 +267,6 @@ def _buffer_layout(offset: int, lengths) -> list[tuple[int, int]]:
         layout.append((offset, length))
         offset += length
     return layout
-
-
-def save_stream_checkpoint(
-    directory: str | Path,
-    detector,
-    *,
-    worker_id: int,
-    consumed: int,
-    meta: dict | None = None,
-) -> Path:
-    """Atomically write a checkpoint for ``detector`` under ``directory``.
-
-    The file is written to a temp name in the same directory by
-    :func:`write_stream_checkpoint` and then atomically renamed — a
-    SIGKILL at any instant leaves either the previous checkpoint set
-    or the complete new file, never a half-written one that passes
-    verification.
-    """
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    path = directory / checkpoint_filename(worker_id, consumed)
-    fd, tmp_name = tempfile.mkstemp(
-        dir=directory, prefix=path.name, suffix=".tmp"
-    )
-    try:
-        write_stream_checkpoint(fd, detector, worker_id=worker_id,
-                                consumed=consumed, meta=meta)
-        os.replace(tmp_name, path)
-    except BaseException:
-        try:
-            os.unlink(tmp_name)
-        except OSError:
-            pass
-        raise
-    return path
 
 
 def write_stream_checkpoint(

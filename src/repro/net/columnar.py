@@ -51,17 +51,6 @@ from repro.net.pcap import PcapFormatError, decode_global_header
 #: Default rows per decoded :class:`ColumnBatch`.
 DEFAULT_BATCH_SIZE = 8192
 
-# Row classification codes (``ColumnBatch.kind``). These are a decode
-# detail — NetStat keys and shard keys depend only on the address
-# columns plus the ``has_ether`` / ``ip_present`` flags.
-KIND_L2 = 0  #: Ethernet frame that is neither IPv4 nor ARP.
-KIND_ARP = 1
-KIND_IPV4 = 2  #: IPv4 with a transport NetStat does not read ports from.
-KIND_ICMP = 3
-KIND_TCP = 4
-KIND_UDP = 5
-
-
 class FlowKey(NamedTuple):
     """One unique flow of a batch, with object-path-identical strings."""
 
@@ -109,7 +98,6 @@ class ColumnBatch:
       object reader's ``ts_sec + ts_frac / divisor``;
     * ``wire_len`` — float64 NetStat packet size
       (``Packet.wire_len`` semantics, already float for the kernel);
-    * ``kind`` — uint8 ``KIND_*`` classification;
     * ``has_ether`` / ``ip_present`` — bools driving the ``"??"`` MAC
       fallback and the IP-vs-MAC shard key choice;
     * ``src_mac`` / ``dst_mac`` — ``(n, 6)`` uint8 raw MAC bytes;
@@ -129,7 +117,6 @@ class ColumnBatch:
     __slots__ = (
         "timestamps",
         "wire_len",
-        "kind",
         "has_ether",
         "ip_present",
         "src_mac",
@@ -149,7 +136,6 @@ class ColumnBatch:
         self,
         timestamps: np.ndarray,
         wire_len: np.ndarray,
-        kind: np.ndarray,
         has_ether: np.ndarray,
         ip_present: np.ndarray,
         src_mac: np.ndarray,
@@ -166,7 +152,6 @@ class ColumnBatch:
     ) -> None:
         self.timestamps = timestamps
         self.wire_len = wire_len
-        self.kind = kind
         self.has_ether = has_ether
         self.ip_present = ip_present
         self.src_mac = src_mac
@@ -227,7 +212,6 @@ class ColumnBatch:
         return cls(
             np.array(timestamps, dtype=np.float64),
             np.array(wire_len, dtype=np.float64),
-            present.astype(np.uint8) * np.uint8(KIND_IPV4),
             np.array(has_ether, dtype=bool),
             present,
             mac[:, :6],
@@ -251,7 +235,6 @@ class ColumnBatch:
         return ColumnBatch(
             self.timestamps[start:stop],
             self.wire_len[start:stop],
-            self.kind[start:stop],
             self.has_ether[start:stop],
             self.ip_present[start:stop],
             self.src_mac[start:stop],
@@ -281,7 +264,6 @@ class ColumnBatch:
         return ColumnBatch(
             self.timestamps[idx],
             self.wire_len[idx],
-            self.kind[idx],
             self.has_ether[idx],
             self.ip_present[idx],
             self.src_mac[idx],
@@ -310,7 +292,6 @@ class ColumnBatch:
         return {
             "timestamps": np.ascontiguousarray(self.timestamps),
             "wire_len": np.ascontiguousarray(self.wire_len),
-            "kind": np.ascontiguousarray(self.kind),
             "has_ether": np.ascontiguousarray(self.has_ether),
             "ip_present": np.ascontiguousarray(self.ip_present),
             "src_mac": np.ascontiguousarray(self.src_mac),
@@ -325,7 +306,7 @@ class ColumnBatch:
 
     def __setstate__(self, state: dict) -> None:
         for name in (
-            "timestamps", "wire_len", "kind", "has_ether", "ip_present",
+            "timestamps", "wire_len", "has_ether", "ip_present",
             "src_mac", "dst_mac", "src_ip", "dst_ip", "src_port", "dst_port",
             "labels", "attack_types",
         ):
@@ -765,13 +746,6 @@ def _decode_records(
     wire[tcp_ok] = (54 + rest - doff)[tcp_ok]
     wire[udp_ok] = (34 + udp_end)[udp_ok]
 
-    kind = np.zeros(k, dtype=np.uint8)
-    kind[arp_ok] = KIND_ARP
-    kind[ip_other] = KIND_IPV4
-    kind[icmp_ok] = KIND_ICMP
-    kind[tcp_ok] = KIND_TCP
-    kind[udp_ok] = KIND_UDP
-
     src_ip = np.where(ip_ok, be32(f + 26), np.uint32(0))
     src_ip = np.where(arp_ok, be32(f + 28), src_ip).astype(np.uint32)
     dst_ip = np.where(ip_ok, be32(f + 30), np.uint32(0))
@@ -789,7 +763,7 @@ def _decode_records(
             return None, err
         sl = slice(0, err_idx)
         batch = ColumnBatch(
-            timestamps[sl], wire[sl], kind[sl],
+            timestamps[sl], wire[sl],
             np.ones(err_idx, dtype=bool), (arp_ok | ip_ok)[sl],
             src_mac[sl], dst_mac[sl], src_ip[sl], dst_ip[sl],
             src_port[sl], dst_port[sl],
@@ -798,7 +772,7 @@ def _decode_records(
         return batch, err
 
     batch = ColumnBatch(
-        timestamps, wire, kind,
+        timestamps, wire,
         np.ones(k, dtype=bool), arp_ok | ip_ok,
         src_mac, dst_mac, src_ip, dst_ip, src_port, dst_port,
         frames=(data, f, L, orig),

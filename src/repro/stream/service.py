@@ -1,24 +1,27 @@
 """The streaming session: source → detector → windows → alerts.
 
-Two entry points:
+Every stream run goes through one session body. :func:`_open_session`
+checks the arguments, resolves the ingest and warms the detector up on
+the first ``warmup_packets`` rows; the scores come from the in-process
+loop :func:`_stream` or from the sharded engine's workers
+(:mod:`repro.stream.sharded`); :func:`_close_session` applies the fixed
+or post-hoc threshold, the windows and the alert episodes, and builds
+the :class:`StreamReport`, JSON-exportable for CI.
 
-* :func:`stream_experiment` — the parity-bearing path. It adapts a
-  dataset exactly as the batch pipeline does (same
-  :func:`~repro.core.experiment.build_packet_cell` /
-  :func:`~repro.core.experiment.build_flow_cell` substrate, same RNG
-  derivations), trains on the prefix, then pushes the test stream
-  through a :class:`~repro.stream.detector.StreamingDetector`. For the
-  same config, its per-item scores are bit-identical to
-  :func:`~repro.core.experiment.run_experiment` for the packet IDSs —
-  streaming is an execution mode, not a different experiment.
-* :func:`stream_capture` — the live path: any
+* :func:`stream_capture` runs it over any
   :class:`~repro.stream.sources.PacketSource` (pcap replay, synthetic
-  generator, multi-attack mix), streamed as column batches,
-  train-on-first-N packets, score the rest. Unlabelled sources report
-  alert rates only.
-
-Both produce a :class:`StreamReport`: overall metrics, per-window
-snapshots, alert episodes and throughput, JSON-exportable for CI.
+  generator, multi-attack mix). Unlabelled sources report alert rates
+  only.
+* :func:`stream_experiment` runs one Table IV cell, adapted exactly as
+  the batch pipeline adapts it (the same
+  :func:`~repro.core.experiment.build_packet_cell` /
+  :func:`~repro.core.experiment.build_flow_cell` substrate and RNG
+  derivations). A packet cell streams its training packets, then its
+  test packets, through :func:`stream_capture`'s body; a flow cell
+  replays its adapted flows through the same loop and report. Scores,
+  threshold and metrics are bit-identical to
+  :func:`~repro.core.experiment.run_experiment`'s — streaming is an
+  execution mode, not a different experiment.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ import hashlib
 import itertools
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Iterator
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -38,9 +41,9 @@ from repro.core.experiment import (
     build_packet_cell,
     cross_corpus_requirement,
     experiment_input_kind,
+    posthoc_threshold,
 )
 from repro.core.metrics import MetricReport
-from repro.core.thresholds import standard_threshold
 from repro.ids.base import InputKind
 from repro.ids.registry import backend_notes
 from repro.stream.alerts import AlertEpisode, HysteresisAlerter
@@ -51,7 +54,7 @@ from repro.stream.detector import (
 )
 from repro.stream.metrics import WindowedMetrics, WindowSnapshot
 from repro.stream.scores import ScoreBatch, coverage_digest
-from repro.stream.sources import PacketSource
+from repro.stream.sources import ListSource, PacketSource
 from repro.net.columnar import ColumnBatch, iter_column_batches
 
 #: Fired with each closed window — the CLI's live summary hook.
@@ -85,7 +88,7 @@ class StreamReport:
 
     @property
     def packets_per_second(self) -> float:
-        """Streamed packets over scoring wall time (the bench metric)."""
+        """_Streamed packets over scoring wall time (the bench metric)."""
         if self.stream_seconds <= 0:
             return 0.0
         return self.packets_streamed / self.stream_seconds
@@ -211,163 +214,6 @@ def _evaluate_stream(
     return windows, alerter
 
 
-def _resolve_threshold(
-    config: ExperimentConfig,
-    y_true: np.ndarray,
-    scores: np.ndarray,
-) -> float:
-    """The batch pipeline's standardized threshold over the streamed
-    scores — identical inputs, identical cut point."""
-    return standard_threshold(
-        y_true,
-        scores,
-        strategy=config.threshold_strategy,
-        max_fpr=config.max_fpr,
-        lambda_fpr=config.lambda_fpr,
-        fixed_value=config.fixed_threshold,
-    )
-
-
-def stream_experiment(
-    config: ExperimentConfig,
-    *,
-    batch_size: int = 256,
-    window_seconds: float = 10.0,
-    threshold: float | None = None,
-    dataset_provider=None,
-    on_window: WindowCallback | None = None,
-    exporter: "obs.SnapshotExporter | None" = None,
-) -> StreamReport:
-    """Run one Table IV cell as an online streaming session.
-
-    The dataset is adapted exactly as the batch path adapts it; the
-    test stream is then scored through micro-batched online processing.
-    With ``threshold=None`` the standardized batch threshold is applied
-    post hoc, so the final metrics coincide with the batch cell's.
-
-    ``exporter`` (a :class:`repro.obs.SnapshotExporter`) enables the
-    metrics registry and emits periodic snapshots at micro-batch
-    boundaries plus one final snapshot.
-    """
-    if exporter is not None and not obs.is_enabled():
-        obs.enable()
-    from repro.datasets import generate_dataset
-
-    provider = dataset_provider or generate_dataset
-    dataset = provider(config.dataset_name, seed=config.seed, scale=config.scale)
-    kind = experiment_input_kind(config)
-
-    if kind is InputKind.PACKET:
-        ids, data = build_packet_cell(config, dataset)
-        detector: StreamingDetector = PacketStreamDetector(
-            ids, batch_size=batch_size
-        )
-        train_items = data.train_packets
-        stream_items = data.test_packets
-        units = (
-            ColumnBatch.from_packets(stream_items[start:start + batch_size])
-            for start in range(0, len(stream_items), batch_size)
-        )
-        feed = detector.process_columns
-    else:
-        train_dataset = None
-        requirement = cross_corpus_requirement(config)
-        if requirement is not None:
-            cc_name, cc_seed, cc_scale = requirement
-            train_dataset = provider(cc_name, seed=cc_seed, scale=cc_scale)
-        ids, data = build_flow_cell(config, dataset, train_dataset)
-        flow_detector = FlowStreamDetector(
-            ids,
-            schema=config.schema,
-            batch_size=batch_size,
-            encoder=data.encoder,
-        )
-        detector = flow_detector
-        train_items = data.train_flows
-        stream_items = data.test_flows
-        units = stream_items
-        feed = flow_detector.process_flow
-
-    warmup_start = time.perf_counter()
-    with obs.span("stream.warmup"):
-        if kind is InputKind.PACKET:
-            detector.warmup(train_items)
-        else:
-            flow_detector.warmup_flows(
-                data.train_flows, data.train_features, data.train_labels
-            )
-    warmup_seconds = time.perf_counter() - warmup_start
-
-    released: list[ScoreBatch] = []
-    stream_start = time.perf_counter()
-    for unit in units:
-        scored = feed(unit)
-        if len(scored):
-            released.append(scored)
-            if exporter is not None:
-                exporter.maybe_export()
-    released.append(detector.finish())
-    emitted = ScoreBatch.concat(released)
-    stream_seconds = time.perf_counter() - stream_start
-
-    scores = emitted.score
-    y_true = data.y_true
-    if threshold is None:
-        resolved = _resolve_threshold(config, y_true, scores)
-        threshold_source = f"posthoc:{config.threshold_strategy}"
-    else:
-        resolved = float(threshold)
-        threshold_source = "fixed"
-
-    windows, alerter = _evaluate_stream(
-        emitted,
-        labelled=True,
-        threshold=resolved,
-        window_seconds=window_seconds,
-        on_window=on_window,
-    )
-    packets_streamed = (
-        len(stream_items) if kind is InputKind.PACKET
-        else sum(flow.total_packets for flow in stream_items)
-    )
-    if obs.is_enabled():
-        registry = obs.get_registry()
-        registry.counter("stream.packets_streamed").inc(packets_streamed)
-        registry.counter("stream.items_scored").inc(len(emitted))
-        registry.gauge("stream.warmup_items").set(len(train_items))
-    notes = dict(data.notes)
-    notes["seed"] = config.seed
-    notes["scale"] = config.scale
-    notes["scoring_path"] = detector.scoring_path
-    notes.update(backend_notes(ids))
-    notes["run_id"] = obs.run_id()
-    if exporter is not None:
-        exporter.export()
-    return StreamReport(
-        ids_name=config.ids_name,
-        source=f"dataset:{config.dataset_name} "
-               f"(seed={config.seed}, scale={config.scale})",
-        unit=detector.unit,
-        labelled=True,
-        batch_size=batch_size,
-        window_seconds=window_seconds,
-        threshold=resolved,
-        threshold_source=threshold_source,
-        n_warmup=len(train_items),
-        n_scored=len(emitted),
-        packets_streamed=packets_streamed,
-        warmup_seconds=warmup_seconds,
-        stream_seconds=stream_seconds,
-        metrics=windows.overall(),
-        alert_rate=windows.alert_rate,
-        windows=windows.windows,
-        alerts=alerter.episodes,
-        scores=scores,
-        y_true=y_true,
-        notes=notes,
-    )
-
-
 #: Accepted ``ingest_backend`` values. ``"packet-objects"`` decodes
 #: :class:`Packet` objects and columnizes them (the reference route);
 #: ``"columnar-mmap"`` decodes column batches straight off an mmap'd
@@ -405,22 +251,51 @@ def resolve_ingest_backend(
     return ingest_backend
 
 
-def _warm_up(
+def _timed_warmup(warm: Callable, *args) -> float:
+    """Run ``warm(*args)`` under the ``stream.warmup`` span; return its
+    wall seconds."""
+    started = time.perf_counter()
+    with obs.span("stream.warmup"):
+        warm(*args)
+    return time.perf_counter() - started
+
+
+def _open_session(
+    source: PacketSource,
     detector: StreamingDetector,
-    batches: Iterator[ColumnBatch],
+    *,
     warmup_packets: int,
-) -> tuple[int, float, Iterator[ColumnBatch]]:
-    """Train ``detector`` on the first ``warmup_packets`` rows.
+    threshold: float | None,
+    exporter: "obs.SnapshotExporter | None",
+    ingest_backend: str | None,
+    batch_size: int,
+) -> tuple[str, int, float, Iterator[ColumnBatch]]:
+    """A capture session's first stage, in process or sharded: check
+    the arguments, resolve the ingest, read ``source`` as column
+    batches of ``batch_size`` rows and train ``detector`` on the first
+    ``warmup_packets`` of them.
 
     The prefix is hydrated into full packets (training happens once,
     off the hot path; batches columnized from objects hand back their
-    originals). Returns ``(n_warmup, warmup_seconds, live)``: ``live``
-    yields the batches after the prefix, the straddling one sliced.
-    With ``warmup_packets == 0`` this fits on an empty prefix:
-    training-free IDSs accept that, supervised ones raise their clear
-    error up front instead of failing mid-stream.
+    originals). Returns ``(ingest_backend, n_warmup, warmup_seconds,
+    live)``: ``live`` yields the batches after the prefix, the
+    straddling one sliced. With ``warmup_packets == 0`` this fits on an
+    empty prefix: training-free IDSs accept that, supervised ones raise
+    their clear error up front instead of failing mid-stream.
     """
-    batches = iter(batches)
+    if warmup_packets < 0:
+        raise ValueError(f"warmup_packets must be >= 0, got {warmup_packets}")
+    if threshold is None and not source.labelled:
+        raise ValueError(
+            "unlabelled sources need an explicit threshold "
+            "(no ground truth to standardise against)"
+        )
+    if exporter is not None and not obs.is_enabled():
+        obs.enable()
+    resolved_ingest = resolve_ingest_backend(source, ingest_backend)
+    batches = iter_column_batches(
+        source, batch_size, native=resolved_ingest == "columnar-mmap",
+    )
     live: Iterator[ColumnBatch] = batches
     prefix: list = []
     for batch in batches:
@@ -430,35 +305,93 @@ def _warm_up(
             rest = batch.slice(take, len(batch)) if take else batch
             live = itertools.chain([rest], batches)
             break
-    started = time.perf_counter()
-    with obs.span("stream.warmup"):
-        detector.warmup(prefix)
-    return len(prefix), time.perf_counter() - started, live
+    warmup_seconds = _timed_warmup(detector.warmup, prefix)
+    return resolved_ingest, len(prefix), warmup_seconds, live
 
 
-def _capture_report(
-    source: PacketSource,
-    detector: StreamingDetector,
-    emitted: ScoreBatch,
+class _Streamed(NamedTuple):
+    """What a session's scoring stage hands to its report."""
+
+    emitted: ScoreBatch
+    packets: int  # packets streamed after the warm-up
+    seconds: float  # scoring wall time
+    ended: float  # ``time.perf_counter()`` when scoring ended
+
+
+def _stream(
+    units: Iterable,
+    feed: Callable[..., ScoreBatch],
+    finish: Callable[[], ScoreBatch],
     *,
+    exporter: "obs.SnapshotExporter | None",
+    n_warmup: int,
+    size: Callable[..., int] = len,
+) -> _Streamed:
+    """The in-process scoring loop: ``feed`` every unit (a column batch,
+    or a cell's pre-adapted flow), then ``finish``. ``size`` counts a
+    unit's packets."""
+    obs_on = obs.is_enabled()
+    packet_counter = (
+        obs.counter("stream.packets_streamed") if obs_on else None
+    )
+    released: list[ScoreBatch] = []
+    packets_streamed = 0
+    stream_start = time.perf_counter()
+    for unit in units:
+        n_packets = size(unit)
+        packets_streamed += n_packets
+        if packet_counter is not None:
+            packet_counter.inc(n_packets)
+        scored = feed(unit)
+        if len(scored):
+            released.append(scored)
+            if exporter is not None:
+                exporter.maybe_export()
+    released.append(finish())
+    stream_end = time.perf_counter()
+    emitted = ScoreBatch.concat(released)
+    if obs_on:
+        registry = obs.get_registry()
+        registry.counter("stream.items_scored").inc(len(emitted))
+        registry.gauge("stream.warmup_items").set(n_warmup)
+    return _Streamed(emitted, packets_streamed, stream_end - stream_start,
+                    stream_end)
+
+
+def _close_session(
+    detector: StreamingDetector,
+    streamed: _Streamed,
+    *,
+    source: str,
+    labelled: bool,
     threshold: float | None,
     window_seconds: float,
     on_window: WindowCallback | None,
+    exporter: "obs.SnapshotExporter | None",
     n_warmup: int,
-    packets_streamed: int,
     warmup_seconds: float,
-    stream_seconds: float,
     notes: dict,
+    policy: ExperimentConfig | None = None,
+    digest_key: str = "score_digest",
+    export_extra=None,
 ) -> StreamReport:
-    """Threshold, window and alert a live session's scores into its
-    report — shared by the in-process and sharded capture engines."""
-    labelled = source.labelled
+    """Every session's last stage: threshold, window and alert the
+    emitted scores into the report, then export the final snapshot.
+
+    ``threshold=None`` resolves the post-hoc threshold with ``policy``
+    (:func:`~repro.core.experiment.posthoc_threshold`). The run's own
+    ``notes`` come first, then the ones every report carries: scoring
+    path, compute backends, run id, the coverage digest and the
+    ``digest_key`` digest of the raw float64 scores.
+    """
+    emitted = streamed.emitted
     scores = emitted.score
     y_true = emitted.label if labelled else None
     if threshold is None:
-        assert y_true is not None
-        resolved = standard_threshold(y_true, scores, strategy="fpr-budget")
-        threshold_source = "posthoc:fpr-budget"
+        resolved = posthoc_threshold(y_true, scores, policy)
+        # standard_threshold's default strategy when there is no cell.
+        strategy = "fpr-budget" if policy is None else policy.threshold_strategy
+        threshold_source = f"posthoc:{strategy}"
     else:
         resolved = float(threshold)
         threshold_source = "fixed"
@@ -470,9 +403,9 @@ def _capture_report(
         window_seconds=window_seconds,
         on_window=on_window,
     )
-    return StreamReport(
+    report = StreamReport(
         ids_name=getattr(detector, "ids", detector).name,
-        source=source.describe(),
+        source=source,
         unit=detector.unit,
         labelled=labelled,
         batch_size=detector.batch_size,
@@ -481,16 +414,77 @@ def _capture_report(
         threshold_source=threshold_source,
         n_warmup=n_warmup,
         n_scored=len(emitted),
-        packets_streamed=packets_streamed,
+        packets_streamed=streamed.packets,
         warmup_seconds=warmup_seconds,
-        stream_seconds=stream_seconds,
+        stream_seconds=streamed.seconds,
         metrics=windows.overall(),
         alert_rate=windows.alert_rate,
         windows=windows.windows,
         alerts=alerter.episodes,
         scores=scores,
         y_true=y_true,
-        notes=notes,
+        notes={
+            **notes,
+            "scoring_path": detector.scoring_path,
+            **backend_notes(getattr(detector, "ids", None)),
+            "run_id": obs.run_id(),
+            # Worker-count- and ingest-invariant; the score digest
+            # matches across runs iff their scores are bit-identical.
+            "coverage_digest": coverage_digest(emitted),
+            digest_key: hashlib.sha256(scores.tobytes()).hexdigest(),
+        },
+    )
+    report.notes["report_seconds"] = time.perf_counter() - streamed.ended
+    if exporter is not None:
+        exporter.export(export_extra)
+    return report
+
+
+def _capture_session(
+    source: PacketSource,
+    detector: StreamingDetector,
+    *,
+    warmup_packets: int,
+    threshold: float | None,
+    window_seconds: float,
+    on_window: WindowCallback | None,
+    exporter: "obs.SnapshotExporter | None",
+    ingest_backend: str | None = None,
+    policy: ExperimentConfig | None = None,
+    describe: str | None = None,
+    notes: dict | None = None,
+) -> StreamReport:
+    """:func:`stream_capture`'s body. A streamed packet cell runs it too,
+    with its threshold ``policy``, its own ``describe`` string for the
+    report's source and its cell ``notes``."""
+    ingest, n_warmup, warmup_seconds, live = _open_session(
+        source, detector,
+        warmup_packets=warmup_packets,
+        threshold=threshold,
+        exporter=exporter,
+        ingest_backend=ingest_backend,
+        batch_size=detector.batch_size,
+    )
+    streamed = _stream(live, detector.process_columns, detector.finish,
+                       exporter=exporter, n_warmup=n_warmup)
+    return _close_session(
+        detector, streamed,
+        source=describe or source.describe(),
+        labelled=source.labelled,
+        threshold=threshold,
+        policy=policy,
+        window_seconds=window_seconds,
+        on_window=on_window,
+        exporter=exporter,
+        n_warmup=n_warmup,
+        warmup_seconds=warmup_seconds,
+        notes={
+            **(notes or {}),
+            "non_ip_packets": getattr(
+                getattr(detector, "assembler", None), "non_ip_packets", 0
+            ),
+            "ingest_backend": ingest,
+        },
     )
 
 
@@ -510,7 +504,9 @@ def stream_capture(
 
     Unlabelled sources (pcap replay) must pass an explicit
     ``threshold`` — there is no ground truth to standardise against —
-    and report alert rates instead of precision/recall.
+    and report alert rates instead of precision/recall. A labelled
+    source without one gets the default post-hoc threshold
+    (:func:`~repro.core.experiment.posthoc_threshold`).
 
     ``exporter`` (a :class:`repro.obs.SnapshotExporter`) enables the
     metrics registry and emits periodic snapshots at batch boundaries
@@ -526,74 +522,93 @@ def stream_capture(
     Scores, coverage and digests are bit-identical across backends —
     ingest is a throughput knob, not a semantic one.
     """
-    if warmup_packets < 0:
-        raise ValueError(f"warmup_packets must be >= 0, got {warmup_packets}")
-    if threshold is None and not source.labelled:
-        raise ValueError(
-            "unlabelled sources need an explicit threshold "
-            "(no ground truth to standardise against)"
-        )
-    if exporter is not None and not obs.is_enabled():
-        obs.enable()
-    resolved_ingest = resolve_ingest_backend(source, ingest_backend)
-    batches = iter_column_batches(
-        source, detector.batch_size,
-        native=resolved_ingest == "columnar-mmap",
-    )
-    n_warmup, warmup_seconds, live = _warm_up(
-        detector, batches, warmup_packets
-    )
-    obs_on = obs.is_enabled()
-    packet_counter = (
-        obs.counter("stream.packets_streamed") if obs_on else None
-    )
-    released: list[ScoreBatch] = []
-    packets_streamed = 0
-    stream_start = time.perf_counter()
-    for batch in live:
-        packets_streamed += len(batch)
-        if packet_counter is not None:
-            packet_counter.inc(len(batch))
-        scored = detector.process_columns(batch)
-        if len(scored):
-            released.append(scored)
-            if exporter is not None:
-                exporter.maybe_export()
-    released.append(detector.finish())
-    stream_end = time.perf_counter()
-    stream_seconds = stream_end - stream_start
-    emitted = ScoreBatch.concat(released)
-    if obs_on:
-        registry = obs.get_registry()
-        registry.counter("stream.items_scored").inc(len(emitted))
-        registry.gauge("stream.warmup_items").set(n_warmup)
-
-    report = _capture_report(
-        source, detector, emitted,
+    return _capture_session(
+        source, detector,
+        warmup_packets=warmup_packets,
         threshold=threshold,
         window_seconds=window_seconds,
         on_window=on_window,
-        n_warmup=n_warmup,
-        packets_streamed=packets_streamed,
-        warmup_seconds=warmup_seconds,
-        stream_seconds=stream_seconds,
-        notes={
-            "non_ip_packets": getattr(
-                getattr(detector, "assembler", None), "non_ip_packets", 0
-            ),
-            "scoring_path": detector.scoring_path,
-            "ingest_backend": resolved_ingest,
-            # coverage_digest matches the sharded engine's (worker-count-
-            # and ingest-invariant); score_digest hashes the raw float64
-            # scores, so two ingest paths agree iff bit-identical.
-            "coverage_digest": coverage_digest(emitted),
-            "score_digest": hashlib.sha256(
-                emitted.score.tobytes()).hexdigest(),
-            **backend_notes(getattr(detector, "ids", None)),
-            "run_id": obs.run_id(),
-        },
+        exporter=exporter,
+        ingest_backend=ingest_backend,
     )
-    report.notes["report_seconds"] = time.perf_counter() - stream_end
-    if exporter is not None:
-        exporter.export()
-    return report
+
+
+def stream_experiment(
+    config: ExperimentConfig,
+    *,
+    batch_size: int = 256,
+    window_seconds: float = 10.0,
+    threshold: float | None = None,
+    dataset_provider=None,
+    on_window: WindowCallback | None = None,
+    exporter: "obs.SnapshotExporter | None" = None,
+) -> StreamReport:
+    """Run one Table IV cell as an online streaming session.
+
+    The dataset is adapted exactly as the batch path adapts it. A
+    packet cell then streams its training packets followed by its test
+    packets through :func:`stream_capture`'s body, warming up on the
+    former; a flow cell fits on its adapted training flows and replays
+    its test flows. With ``threshold=None`` the cell's standardized
+    threshold is applied post hoc, so the final metrics coincide with
+    the batch cell's.
+
+    ``exporter`` (a :class:`repro.obs.SnapshotExporter`) enables the
+    metrics registry and emits periodic snapshots at micro-batch
+    boundaries plus one final snapshot.
+    """
+    if exporter is not None and not obs.is_enabled():
+        obs.enable()
+    from repro.datasets import generate_dataset
+
+    provider = dataset_provider or generate_dataset
+    dataset = provider(config.dataset_name, seed=config.seed, scale=config.scale)
+    cell = dict(
+        threshold=threshold,
+        policy=config,
+        window_seconds=window_seconds,
+        on_window=on_window,
+        exporter=exporter,
+    )
+    describe = (f"dataset:{config.dataset_name} "
+                f"(seed={config.seed}, scale={config.scale})")
+
+    if experiment_input_kind(config) is InputKind.PACKET:
+        ids, data = build_packet_cell(config, dataset)
+        return _capture_session(
+            ListSource(data.train_packets + data.test_packets),
+            PacketStreamDetector(ids, batch_size=batch_size),
+            warmup_packets=len(data.train_packets),
+            describe=describe,
+            notes={**data.notes, "seed": config.seed, "scale": config.scale},
+            **cell,
+        )
+
+    train_dataset = None
+    requirement = cross_corpus_requirement(config)
+    if requirement is not None:
+        cc_name, cc_seed, cc_scale = requirement
+        train_dataset = provider(cc_name, seed=cc_seed, scale=cc_scale)
+    ids, data = build_flow_cell(config, dataset, train_dataset)
+    detector = FlowStreamDetector(
+        ids, schema=config.schema, batch_size=batch_size,
+        encoder=data.encoder,
+    )
+    warmup_seconds = _timed_warmup(
+        detector.warmup_flows,
+        data.train_flows, data.train_features, data.train_labels,
+    )
+    streamed = _stream(
+        data.test_flows, detector.process_flow, detector.finish,
+        exporter=exporter, n_warmup=len(data.train_flows),
+        size=lambda flow: flow.total_packets,
+    )
+    return _close_session(
+        detector, streamed,
+        source=describe,
+        labelled=True,
+        n_warmup=len(data.train_flows),
+        warmup_seconds=warmup_seconds,
+        notes={**data.notes, "seed": config.seed, "scale": config.scale},
+        **cell,
+    )

@@ -30,7 +30,9 @@ Operational surface:
   checkpoints stay off the scoring path. The supervisor retains each
   worker's column slices since its last acknowledged checkpoint; a
   worker that dies (SIGKILL, OOM) is respawned from its newest valid
-  on-disk checkpoint and replayed the retained packets. Scoring is
+  on-disk checkpoint (with none yet, from the warmed detector it first
+  forked with, at shard packet zero) and replayed the retained
+  packets. Scoring is
   deterministic, so the resumed run re-emits exactly the lost scores;
   duplicates of scores that survived the crash are dropped by index.
   The merged result is bit-identical to an uninterrupted run at the
@@ -56,7 +58,6 @@ test harness on top of it.
 from __future__ import annotations
 
 import gc
-import hashlib
 import multiprocessing
 import os
 import queue as queue_mod
@@ -73,24 +74,21 @@ from typing import Sequence
 import numpy as np
 
 from repro import obs
-from repro.ids.registry import backend_notes
 from repro.ids.persistence import (
     checkpoint_filename,
     latest_stream_checkpoint,
-    load_stream_checkpoint,
     prune_stream_checkpoints,
-    save_stream_checkpoint,
     write_stream_checkpoint,
 )
-from repro.net.columnar import ColumnBatch, iter_column_batches
+from repro.net.columnar import ColumnBatch
 from repro.stream.detector import StreamingDetector
 from repro.stream.scores import ScoreBatch, coverage_digest
 from repro.stream.service import (
     StreamReport,
     WindowCallback,
-    _capture_report,
-    _warm_up,
-    resolve_ingest_backend,
+    _close_session,
+    _open_session,
+    _Streamed,
 )
 from repro.stream.shard import shard_ids_for_batch
 from repro.stream.sources import PacketSource
@@ -214,6 +212,10 @@ def _merge_shards(parts: Sequence[tuple[int, ScoreBatch]]) -> ScoreBatch:
 # --------------------------------------------------------------------------
 # Worker process.
 
+#: Published checkpoints each worker keeps on disk: the newest, which a
+#: restart resumes from, and one older to fall back on if it is corrupt.
+KEEP_CHECKPOINTS = 2
+
 
 def _fork_checkpoint_writer(fd, detector, *, worker_id, consumed) -> int:
     """Fork a child that writes one checkpoint of ``detector`` to the
@@ -251,8 +253,8 @@ def _fork_checkpoint_writer(fd, detector, *, worker_id, consumed) -> int:
         os._exit(status)
 
 
-def _worker_main(worker_id, checkpoint, checkpoint_dir, inq, outq, fault,
-                 keep_checkpoints) -> None:
+def _worker_main(worker_id, detector, checkpoint, checkpoint_dir, inq,
+                 outq, fault) -> None:
     # Forked workers inherit the supervisor's registry contents (its
     # warmup-time training metrics); start from a clean slate so the
     # merged per-worker tree counts every event exactly once. run_id
@@ -261,8 +263,14 @@ def _worker_main(worker_id, checkpoint, checkpoint_dir, inq, outq, fault,
     registry = obs.reset_registry()
     consumed = -1
     try:
-        detector = checkpoint.restore_detector()
-        consumed = checkpoint.consumed
+        # ``detector`` is the supervisor's, warmed and never advanced
+        # past warmup, inherited at fork: the worker scores it from
+        # shard packet zero unless it resumes from ``checkpoint``.
+        if checkpoint is None:
+            consumed = 0
+        else:
+            detector = checkpoint.restore_detector()
+            consumed = checkpoint.consumed
         slow_delay = 0.0
         m_packets = registry.counter("stream.worker.packets")
         m_items = registry.counter("stream.worker.items_scored")
@@ -303,7 +311,7 @@ def _worker_main(worker_id, checkpoint, checkpoint_dir, inq, outq, fault,
                     os.replace(tmp_name, checkpoint_dir
                                / checkpoint_filename(worker_id, cursor))
                     prune_stream_checkpoints(
-                        checkpoint_dir, worker_id, keep=keep_checkpoints
+                        checkpoint_dir, worker_id, keep=KEEP_CHECKPOINTS
                     )
                     m_ckpts.inc()
                 else:
@@ -456,7 +464,6 @@ def stream_capture_sharded(
     chunk_packets: int = 256,
     queue_chunks: int = 8,
     max_restarts: int = 3,
-    keep_checkpoints: int = 2,
     on_window: WindowCallback | None = None,
     fault: FaultInjection | None = None,
     exporter: "obs.SnapshotExporter | None" = None,
@@ -469,9 +476,11 @@ def stream_capture_sharded(
     its registry over the result queue; the supervisor folds them with
     :func:`repro.obs.merge_snapshots` under ``workers``/``merged``).
 
-    Semantics match :func:`~repro.stream.service.stream_capture`: train
-    on the first ``warmup_packets`` packets (in the supervisor — every
-    worker starts from one identical warmed snapshot), score the rest.
+    Semantics match :func:`~repro.stream.service.stream_capture`: the
+    same session body warms up, checks and reports; only scoring is
+    fanned out. Training on the first ``warmup_packets`` packets
+    happens in the supervisor, so every worker starts from one
+    identical warmed detector; the rest is scored by the workers.
     ``workers=1`` is bit-identical to the in-process path; at higher
     counts coverage is exact and scores follow the sharding tolerance
     documented in ``docs/STREAMING.md``.
@@ -483,18 +492,11 @@ def stream_capture_sharded(
     workers = int(check_positive("workers", workers))
     checkpoint_every = int(check_positive("checkpoint_every", checkpoint_every))
     chunk_packets = int(check_positive("chunk_packets", chunk_packets))
-    if warmup_packets < 0:
-        raise ValueError(f"warmup_packets must be >= 0, got {warmup_packets}")
     if detector.unit != "packet":
         raise ValueError(
             "sharded streaming drives packet-level detectors; flow "
             f"detectors ({detector.unit!r} unit) accumulate cross-flow "
             "state that channel sharding does not preserve"
-        )
-    if threshold is None and not source.labelled:
-        raise ValueError(
-            "unlabelled sources need an explicit threshold "
-            "(no ground truth to standardise against)"
         )
     if pace is not None and pace <= 0:
         raise ValueError(f"pace must be > 0, got {pace}")
@@ -503,10 +505,6 @@ def stream_capture_sharded(
             f"fault targets worker {fault.worker}, but there are only "
             f"{workers} worker(s)"
         )
-    resolved_ingest = resolve_ingest_backend(source, ingest_backend)
-
-    if exporter is not None and not obs.is_enabled():
-        obs.enable()
 
     if "fork" in multiprocessing.get_all_start_methods():
         ctx = multiprocessing.get_context("fork")
@@ -516,13 +514,13 @@ def stream_capture_sharded(
     # ---- Phase 1: warmup, exactly as the single-process path. --------
     # Object sources are columnized chunk_packets packets at a time, so
     # no row waits on more than one chunk's worth of the source.
-    n_warmup, warmup_seconds, live = _warm_up(
-        detector,
-        iter_column_batches(
-            source, chunk_packets,
-            native=resolved_ingest == "columnar-mmap",
-        ),
-        warmup_packets,
+    resolved_ingest, n_warmup, warmup_seconds, live = _open_session(
+        source, detector,
+        warmup_packets=warmup_packets,
+        threshold=threshold,
+        exporter=exporter,
+        ingest_backend=ingest_backend,
+        batch_size=chunk_packets,
     )
 
     states = [_WorkerState(worker_id=i) for i in range(workers)]
@@ -616,13 +614,14 @@ def stream_capture_sharded(
 
     def _spawn(state: _WorkerState, checkpoint) -> None:
         # The worker restores exactly ``checkpoint``, the one its replay
-        # starts from, never a newer file it might find on disk itself.
+        # starts from, never a newer file it might find on disk itself;
+        # with none, it scores the warmed detector it forks with.
         state.inq = ctx.Queue(maxsize=queue_chunks)
         state.outq = ctx.Queue(maxsize=max(4, queue_chunks))
         state.process = ctx.Process(
             target=_worker_main,
-            args=(state.worker_id, checkpoint, checkpoint_dir, state.inq,
-                  state.outq, state.fault, keep_checkpoints),
+            args=(state.worker_id, detector, checkpoint, checkpoint_dir,
+                  state.inq, state.outq, state.fault),
             daemon=True,
         )
         state.process.start()
@@ -661,17 +660,17 @@ def stream_capture_sharded(
             )
         state.inq.cancel_join_thread()
         found = latest_stream_checkpoint(checkpoint_dir, state.worker_id)
-        assert found is not None, "genesis checkpoint must exist"
-        _, checkpoint = found
-        resume_from = checkpoint.consumed
+        checkpoint = None if found is None else found[1]
+        resume_from = 0 if checkpoint is None else checkpoint.consumed
         # The fault fires on an absolute cursor the replay will cross
         # again; drop it unless the test asked for a crash loop.
         if state.fault is not None and not state.fault.repeat_after_restart:
             state.fault = None
         _spawn(state, checkpoint)
         # Replay retention from the checkpoint cursor. Retention covers
-        # [retained_base, sent) and the checkpoint can only be newer
-        # than the last *acked* one, so the slice is always in range.
+        # [retained_base, sent): the newest valid checkpoint is at least
+        # the last *acked* one, and with none acked both start at 0.
+        assert resume_from >= state.retained_base, "acked checkpoint lost"
         _, replay = _split_rows(
             state.retained, resume_from - state.retained_base
         )
@@ -733,18 +732,11 @@ def stream_capture_sharded(
     if created_dir:
         checkpoint_dir = tempfile.mkdtemp(prefix="repro-stream-ckpt-")
     checkpoint_dir = Path(checkpoint_dir)
+    checkpoint_dir.mkdir(parents=True, exist_ok=True)
     try:
-        # ---- Phase 2: genesis checkpoints + spawn. -------------------
-        genesis = [
-            save_stream_checkpoint(
-                checkpoint_dir, detector,
-                worker_id=state.worker_id, consumed=0,
-                meta={"genesis": True},
-            )
-            for state in states
-        ]
-        for state, path in zip(states, genesis):
-            _spawn(state, load_stream_checkpoint(path))
+        # ---- Phase 2: spawn. -----------------------------------------
+        for state in states:
+            _spawn(state, None)
 
         # ---- Phase 3: dispatch. --------------------------------------
         # Shard ids come vectorized off the flow table; each worker's
@@ -839,21 +831,21 @@ def stream_capture_sharded(
         max((state.retained_peak for state in states), default=0)
     )
 
-    report = _capture_report(
-        source, detector, emitted,
+    # The compute backends in the report's notes are the ones the
+    # supervisor's detector resolved to; every worker forks from it.
+    return _close_session(
+        detector,
+        _Streamed(emitted, packets_streamed, stream_seconds, stream_end),
+        source=source.describe(),
+        labelled=source.labelled,
         threshold=threshold,
         window_seconds=window_seconds,
         on_window=on_window,
+        exporter=exporter,
         n_warmup=n_warmup,
-        packets_streamed=packets_streamed,
         warmup_seconds=warmup_seconds,
-        stream_seconds=stream_seconds,
         notes={
-            "scoring_path": detector.scoring_path,
             "ingest_backend": resolved_ingest,
-            # The compute backends the supervisor's detector template
-            # resolved to; every worker clones the same template.
-            **backend_notes(getattr(detector, "ids", None)),
             "sharded": True,
             "workers_n": workers,
             "shard_key": "canonical-channel",
@@ -861,16 +853,8 @@ def stream_capture_sharded(
             "chunk_packets": chunk_packets,
             "pace": pace,
             "send_stalls": int(m_stalls.value),
-            "run_id": obs.run_id(),
-            "coverage_digest": coverage_digest(emitted),
-            "merged_score_digest": hashlib.sha256(
-                emitted.score.tobytes()).hexdigest(),
             "workers": worker_rows,
         },
+        digest_key="merged_score_digest",
+        export_extra=_obs_tree,
     )
-
-    report.notes["report_seconds"] = time.perf_counter() - stream_end
-    if exporter is not None:
-        exporter.export(_obs_tree())
-
-    return report

@@ -65,8 +65,8 @@ class ChannelMeanDetector:
     its *channel* (the shard key), so a worker seeing only its shard's
     channels computes exactly what a single process would. Consumes
     column batches like every streaming detector (``process`` wraps
-    one packet into a batch); picklable, so it rides the
-    genesis/periodic checkpoint path unchanged.
+    one packet into a batch); picklable, so it rides the checkpoint
+    path unchanged.
     """
 
     name = "channel-mean"

@@ -1,18 +1,40 @@
 """Tests for KitNET model persistence and stream checkpoints."""
 
 import hashlib
+import os
 import pickle
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.ids.kitsune.kitnet import KitNET
-from repro.ids.persistence import load_kitnet, save_kitnet
+from repro.ids.persistence import (
+    checkpoint_filename,
+    load_kitnet,
+    save_kitnet,
+    write_stream_checkpoint,
+)
 from repro.utils.rng import SeededRNG
 
 from tests.conftest import scaled_examples
 from tests.kitsune_oracle import kitnet_scores
+
+
+def save_stream_checkpoint(directory, detector, *, worker_id, consumed,
+                           meta=None) -> Path:
+    """Publish one checkpoint of ``detector`` under ``directory`` the way
+    a shard worker does: write a temp file, then rename it to its
+    canonical name."""
+    path = Path(directory) / checkpoint_filename(worker_id, consumed)
+    fd, tmp_name = tempfile.mkstemp(dir=directory, prefix=path.name,
+                                    suffix=".tmp")
+    write_stream_checkpoint(fd, detector, worker_id=worker_id,
+                            consumed=consumed, meta=meta)
+    os.replace(tmp_name, path)
+    return path
 
 
 @pytest.fixture
@@ -203,8 +225,7 @@ class TestStreamCheckpoints:
         return detector
 
     def test_roundtrip_restores_identical_state(self, tmp_path):
-        from repro.ids.persistence import (load_stream_checkpoint,
-                                           save_stream_checkpoint)
+        from repro.ids.persistence import load_stream_checkpoint
         from tests.conftest import make_tcp_packet
 
         detector = self._detector()
@@ -222,8 +243,7 @@ class TestStreamCheckpoints:
                 == detector.process(probe)[0].score)
 
     def test_latest_prefers_the_newest_consumed_cursor(self, tmp_path):
-        from repro.ids.persistence import (latest_stream_checkpoint,
-                                           save_stream_checkpoint)
+        from repro.ids.persistence import latest_stream_checkpoint
 
         detector = self._detector()
         for consumed in (10, 40, 25):
@@ -238,8 +258,7 @@ class TestStreamCheckpoints:
     def test_corrupt_newest_falls_back_to_older(self, tmp_path):
         from repro.ids.persistence import (CheckpointCorrupt,
                                            latest_stream_checkpoint,
-                                           load_stream_checkpoint,
-                                           save_stream_checkpoint)
+                                           load_stream_checkpoint)
 
         detector = self._detector()
         save_stream_checkpoint(tmp_path, detector, worker_id=0,
@@ -255,8 +274,7 @@ class TestStreamCheckpoints:
         assert found[1].consumed == 10
 
     def test_truncated_and_foreign_files_are_skipped(self, tmp_path):
-        from repro.ids.persistence import (latest_stream_checkpoint,
-                                           save_stream_checkpoint)
+        from repro.ids.persistence import latest_stream_checkpoint
 
         (tmp_path / "worker0-000000000099.ckpt").write_bytes(b"\x00" * 4)
         (tmp_path / "not-a-checkpoint.txt").write_text("hello")
@@ -267,8 +285,7 @@ class TestStreamCheckpoints:
 
     def test_prune_keeps_the_newest(self, tmp_path):
         from repro.ids.persistence import (checkpoint_filename,
-                                           prune_stream_checkpoints,
-                                           save_stream_checkpoint)
+                                           prune_stream_checkpoints)
 
         detector = self._detector()
         for consumed in (10, 20, 30, 40):
@@ -366,8 +383,7 @@ class TestStreamCheckpointFormat:
 
     def test_roundtrip_is_bit_identical_with_writable_arrays(
             self, kitsune_detector, tmp_path):
-        from repro.ids.persistence import (load_stream_checkpoint,
-                                           save_stream_checkpoint)
+        from repro.ids.persistence import load_stream_checkpoint
 
         path = save_stream_checkpoint(tmp_path, kitsune_detector,
                                       worker_id=0, consumed=7)
@@ -383,8 +399,7 @@ class TestStreamCheckpointFormat:
 
     def test_state_comparison_sees_one_netstat_element(
             self, kitsune_detector, tmp_path):
-        from repro.ids.persistence import (load_stream_checkpoint,
-                                           save_stream_checkpoint)
+        from repro.ids.persistence import load_stream_checkpoint
 
         path = save_stream_checkpoint(tmp_path, kitsune_detector,
                                       worker_id=0, consumed=7)
@@ -401,8 +416,7 @@ class TestStreamCheckpointFormat:
         from repro.ids.persistence import (CheckpointCorrupt,
                                            checkpoint_filename,
                                            latest_stream_checkpoint,
-                                           load_stream_checkpoint,
-                                           save_stream_checkpoint)
+                                           load_stream_checkpoint)
 
         detector = TestStreamCheckpoints._detector()
         save_stream_checkpoint(tmp_path, detector, worker_id=0, consumed=10)
@@ -425,8 +439,6 @@ class TestStreamCheckpointFormat:
 def damaged_checkpoint_dir(kitsune_detector, tmp_path_factory):
     """A directory with a valid older checkpoint (cursor 10) and the
     bytes of a valid newer one (cursor 20), which each example damages."""
-    from repro.ids.persistence import save_stream_checkpoint
-
     directory = tmp_path_factory.mktemp("damaged")
     save_stream_checkpoint(directory, kitsune_detector, worker_id=0,
                            consumed=10)

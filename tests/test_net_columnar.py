@@ -127,6 +127,19 @@ class TestColumnDecodeParity:
             (p.src_ip is not None or p.dst_ip is not None)
             for p in objects
         ]
+        # Every array column is byte-equal to the one columnized from
+        # the decoded objects: the two constructors build one batch.
+        columnized = ColumnBatch.from_packets(objects)
+        arrays = [name for name in ColumnBatch.__slots__
+                  if not name.startswith("_")
+                  and name not in ("labels", "attack_types")]
+        for name in arrays:
+            ours, theirs = getattr(batch, name), getattr(columnized, name)
+            assert ours.dtype == theirs.dtype, name
+            assert ours.shape == theirs.shape, name
+            assert ours.tobytes() == theirs.tobytes(), name
+        assert batch.row_labels() == columnized.row_labels()
+        assert batch.row_attack_types() == columnized.row_attack_types()
 
     def test_flow_strings_match_packet_accessors(self, capture):
         objects = read_pcap(capture)

@@ -3,10 +3,10 @@
 The central claim: a worker SIGKILLed mid-run resumes from its last
 checkpoint and the merged run is *bit-identical* to an uninterrupted
 one — same scores, same windows, same alert episodes. Two kill points
-cover both resume paths: before any periodic checkpoint exists (the
-genesis checkpoint carries the freshly-warmed detector, so the worker
-replays its shard from packet zero) and between periodic checkpoints
-(restore mid-stream state, replay only the retained tail).
+cover both resume paths: before any checkpoint exists (the worker
+forks again from the supervisor's freshly-warmed detector and replays
+its shard from packet zero) and between checkpoints (restore
+mid-stream state, replay only the retained tail).
 
 Tolerance note: these parity assertions use the channel-keyed harness
 detector, for which sharding — and therefore crash-resume at any
@@ -32,7 +32,6 @@ import numpy as np
 import pytest
 
 from repro import obs
-from repro.ids.persistence import checkpoint_filename
 from repro.stream import sharded
 from repro.stream.detector import ScoreBatch, build_streaming_detector
 from repro.stream.service import stream_capture
@@ -64,8 +63,8 @@ def _faulted_vs_clean(fault, **kwargs):
 class TestKillResume:
     def test_kill_before_first_checkpoint_resumes_from_genesis(self):
         # "Mid-grace": the worker dies before it ever checkpointed, so
-        # resume falls back to the genesis snapshot (the warmed
-        # detector at shard packet zero) and replays everything.
+        # resume falls back to the warmed detector at shard packet
+        # zero and replays everything.
         fault = FaultInjection(worker=1,
                                at_packets=CHECKPOINT_EVERY // 2,
                                action="kill")
@@ -149,7 +148,7 @@ class TestCheckpointWriters:
     """Each checkpoint is written by a child the worker forks; the
     worker publishes and acknowledges it only once that child exited 0.
     The tests patch the write the child calls (forked workers inherit
-    the patch); the supervisor's genesis checkpoints do not use it."""
+    the patch)."""
 
     def test_failing_writer_sends_no_ack_and_keeps_retaining(
             self, monkeypatch, tmp_path):
@@ -179,10 +178,9 @@ class TestCheckpointWriters:
         assert sum(row["checkpoints_failed"]
                    for row in hurt.notes["workers"]) > 0
         assert_stream_reports_match(hurt, clean)
-        # Only the genesis checkpoints: failed writers' temp files are
-        # removed and none was published.
-        assert sorted(entry.name for entry in kept.iterdir()) == [
-            checkpoint_filename(worker, 0) for worker in range(WORKERS)]
+        # Nothing: failed writers' temp files are removed and none was
+        # published.
+        assert list(kept.iterdir()) == []
 
     def test_kill_with_a_writer_in_flight(self, monkeypatch, tmp_path):
         real_write = sharded.write_stream_checkpoint
@@ -337,8 +335,8 @@ class ResendingDetector(ChannelMeanDetector):
     checkpoint are those old rows followed by its next new ones, in one
     batch — so the supervisor receives a ``scores`` message that
     straddles its dedup cursor: the head duplicates accepted rows, the
-    tail is new. Restores from the genesis checkpoint re-send nothing
-    (warmup scores nothing)."""
+    tail is new. A worker that starts from the warmed detector re-sends
+    nothing: it was never restored."""
 
     def __init__(self, lookback: int = 5):
         super().__init__()
